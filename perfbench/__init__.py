@@ -1,4 +1,4 @@
-"""The repository benchmark: warm synthesis, cold compile, Figure 6/7 fits.
+"""The repository benchmark: cold compile and Figure 6/7 fits.
 
 Run ``python3 perfbench/run.py --workload <name> --seed <n> --seconds <s>
 --trace <0|1>`` from the repository root; see ``perfbench/README.md``.

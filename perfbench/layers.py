@@ -19,6 +19,8 @@ import functools
 import time
 from collections import defaultdict
 
+import numpy as np
+
 from repro.circuit.circuit import QuditCircuit
 from repro.instantiation import batched as batched_mod
 from repro.instantiation import cost as cost_mod
@@ -30,8 +32,6 @@ from repro.synthesis.resynth import Resynthesizer
 from repro.synthesis.search import SynthesisSearch
 from repro.tnvm import fused as fused_mod
 from repro.tnvm.vm import TNVM, BatchedTNVM
-
-from .stats import median, percentile
 
 __all__ = ["SWEEP_DIMS", "LayerClock"]
 
@@ -229,7 +229,7 @@ class LayerClock:
             for dim in SWEEP_DIMS:
                 samples = self.sweep_us.get((kind, dim))
                 out[f"tnvm.sweep_us.{kind}.d{dim}"] = (
-                    median(samples) if samples else 0.0
+                    float(np.median(samples)) if samples else 0.0
                 )
         out.update({
             "instantiation.aot_s": self.aot_s * per,
@@ -238,10 +238,10 @@ class LayerClock:
             ),
             "instantiation.fit_s": sum(self.fit_ms) * 1e-3 * per,
             "instantiation.fit_ms_p50": (
-                percentile(self.fit_ms, 50) if self.fit_ms else 0.0
+                float(np.percentile(self.fit_ms, 50)) if self.fit_ms else 0.0
             ),
             "instantiation.fit_ms_p90": (
-                percentile(self.fit_ms, 90) if self.fit_ms else 0.0
+                float(np.percentile(self.fit_ms, 90)) if self.fit_ms else 0.0
             ),
             "instantiation.residual_s": self.residual_s * per,
             "instantiation.lm_self_s": self.lm_self_s * per,

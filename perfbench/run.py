@@ -29,6 +29,9 @@ ROOT = Path(__file__).resolve().parent.parent
 ARTIFACTS = ROOT / "perfbench" / "artifacts"
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
+#: Operation kinds whose calls are the targets of ``target_s_geomean``.
+TARGET_KINDS = ("fit", "synthesize", "resynthesize")
+
 #: Counters reported per pass in the traced run's layer metrics.
 COUNT_METRICS = {
     "instantiation.lm_iterations": "instantiate.lm_iterations",
@@ -38,15 +41,13 @@ COUNT_METRICS = {
 }
 
 
-def _limit_blas_threads() -> int:
-    """Cap BLAS threads at the CPUs this process may use (before numpy
-    loads); returns that CPU count."""
-    nproc = len(os.sched_getaffinity(0))
+def _pin_blas_threads() -> int:
+    """Run BLAS on one thread (before numpy loads): the matrices here
+    are at most 27x27, so a second thread only adds contention with the
+    host's other tenants.  Returns the CPUs this process may use."""
     for var in BLAS_VARS:
-        current = os.environ.get(var, "")
-        if not current.isdigit() or not 0 < int(current) <= nproc:
-            os.environ[var] = str(nproc)
-    return nproc
+        os.environ[var] = "1"
+    return len(os.sched_getaffinity(0))
 
 
 def _source_digest() -> str:
@@ -60,70 +61,101 @@ def _source_digest() -> str:
     return h.hexdigest()[:16]
 
 
-def _timed_passes(workload, seconds: float) -> list:
-    """Untraced passes until ``seconds`` have elapsed (at least one)."""
-    passes = []
-    t0 = time.perf_counter()
-    while not passes or time.perf_counter() - t0 < seconds:
-        passes.append(workload.run_pass())
-    return passes
-
-
-def _traced_passes(workload, seconds: float, clock):
-    """Alternate untraced and traced passes until ``seconds`` have
-    elapsed, so machine drift hits both sides of the overhead ratio
+def _run_passes(workload, seconds: float, clock=None):
+    """Passes while the next one is expected to end within ``seconds``
+    (at least two).  With ``clock``, every untraced pass is followed by
+    a traced one, so host drift hits both sides of the overhead ratio
     alike.  Returns ``(untraced, traced, spans)``."""
     from repro import telemetry
 
     untraced, traced, spans = [], [], []
     t0 = time.perf_counter()
-    while not traced or time.perf_counter() - t0 < seconds:
+    step = 0.0
+    while len(untraced) < 2 or time.perf_counter() - t0 + step <= seconds:
+        t1 = time.perf_counter()
         untraced.append(workload.run_pass())
-        undo = clock.install()
-        telemetry.enable()
-        try:
-            traced.append(workload.run_pass(clock))
-        finally:
-            spans += telemetry.disable()
-            undo()
+        if clock is not None:
+            undo = clock.install()
+            telemetry.enable()
+            try:
+                traced.append(workload.run_pass(clock))
+            finally:
+                spans += telemetry.disable()
+                undo()
+        step = time.perf_counter() - t1
     return untraced, traced, spans
 
 
-def _end_to_end(passes, setup_s: float) -> dict:
-    from perfbench.stats import geomean, median
+def _per_op(walls, refs, normalize: bool = True):
+    """Median over passes, column by column, of rows of walls (one row
+    per pass).  With ``normalize``, each wall is first divided by the
+    reference time measured just before it and scaled to the nominal
+    host speed (:data:`~perfbench.workloads.REFERENCE_S`): the hosts
+    this benchmark was sized on run stretches of seconds to minutes up
+    to 2x slower (process CPU time slows alike, so it is contention from
+    other tenants, not steal), and the reference slows with them."""
+    import numpy as np
 
-    target_kinds = ("fit", "synthesize", "resynthesize")
-    targets: dict = {}
+    from perfbench.workloads import REFERENCE_S
+
+    walls = np.asarray(walls, dtype=float)
+    if normalize:
+        walls = walls / np.asarray(refs, dtype=float) * REFERENCE_S
+    return np.median(walls, axis=0)
+
+
+def _per_cell_geomean(fits, values) -> float:
+    """Geometric mean over cells of each cell's geometric mean: a cell's
+    value moves smoothly with the share of its fits that converge, where
+    a median would jump between the converged and the failed cluster."""
+    import numpy as np
+
     cells: dict = {}
-    for p in passes:
-        for op in p.ops:
-            if op.kind in target_kinds:
-                targets.setdefault(op.name, []).append(op.wall)
-        for cell, _, seconds in p.fits:
-            cells.setdefault(cell, []).append(seconds * 1e3)
+    for fit, value in zip(fits, values):
+        cells.setdefault(fit.cell, []).append(np.log(value))
+    return float(np.exp(np.mean([np.mean(v) for v in cells.values()])))
+
+
+def _end_to_end(passes, setup_s: float, normalize: bool = True) -> dict:
+    import numpy as np
+
+    first = passes[0]
+    op_s = _per_op(
+        [[op.wall for op in p.ops] for p in passes],
+        [[op.ref for op in p.ops] for p in passes],
+        normalize,
+    )
+    fit_s = _per_op(
+        [[fit.seconds for fit in p.fits] for p in passes],
+        [[fit.ref for fit in p.fits] for p in passes],
+        normalize,
+    )
+    targets = [t for op, t in zip(first.ops, op_s) if op.kind in TARGET_KINDS]
+    iterated = [(f, t) for f, t in zip(first.fits, fit_s) if f.iterations]
     attempted = sum(op.check.attempted for p in passes for op in p.ops)
     successes = sum(op.check.successes for p in passes for op in p.ops)
     peak_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     values = {
         "setup_s": (setup_s, "s"),
-        "pass_s": (median([p.wall for p in passes]), "s"),
-        "target_s_p50": (
-            geomean(median(v) for v in targets.values()), "s"
-        ),
-        "fit_ms_geomean": (
-            geomean(median(v) for v in cells.values()), "ms"
+        "pass_s": (float(np.sum(op_s)), "s"),
+        "target_s_geomean": (float(np.exp(np.mean(np.log(targets)))), "s"),
+        "fit_ms_geomean": (_per_cell_geomean(first.fits, fit_s * 1e3), "ms"),
+        "lm_iter_us": (
+            _per_cell_geomean(
+                [f for f, _ in iterated],
+                [t * 1e6 / f.iterations for f, t in iterated],
+            ),
+            "us",
         ),
         "success_rate": (successes / attempted, "ratio"),
-        "cx_total": (
-            sum(op.check.entanglers for op in passes[0].ops), "count"
-        ),
+        "cx_total": (sum(op.check.entanglers for op in first.ops), "count"),
         "peak_rss_mb": (peak_kb / 1024.0, "MB"),
     }
     return {k: {"value": v, "unit": u} for k, (v, u) in values.items()}
 
 
 def _per_layer(clock, untraced, traced) -> dict:
-    from perfbench.stats import median
+    import numpy as np
 
     n = len(traced)
     wall = sum(p.wall for p in traced)
@@ -131,15 +163,15 @@ def _per_layer(clock, untraced, traced) -> dict:
     counts = traced[0].counts
     for metric, counter in COUNT_METRICS.items():
         layers[metric] = counts.get(counter, 0)
-    requested = sum(starts for _, starts, _ in traced[0].fits)
+    requested = sum(fit.starts for fit in traced[0].fits)
     layers["instantiation.starts_used_ratio"] = (
         counts.get("instantiate.starts_used", 0) / requested
         if requested else 1.0
     )
     layers["bench.unattributed_s"] = (wall - clock.attributed_s()) / n
     layers["bench.trace_overhead"] = (
-        median([p.wall for p in traced])
-        / median([p.wall for p in untraced]) - 1.0
+        np.median([p.wall for p in traced])
+        / np.median([p.wall for p in untraced]) - 1.0
     )
     return {k: {"value": v, "unit": _layer_unit(k)} for k, v in layers.items()}
 
@@ -167,7 +199,8 @@ def _check_store(key: str, fingerprint: str) -> str | None:
         store = {}
     previous = store.get(key)
     if previous is not None and previous != fingerprint:
-        return f"fingerprint {fingerprint[:12]} differs from an earlier run's {previous[:12]}"
+        return (f"fingerprint {fingerprint[:12]} differs from an earlier "
+                f"run's {previous[:12]}")
     store[key] = fingerprint
     tmp = path.with_suffix(".tmp")
     tmp.write_text(json.dumps(store, indent=1, sort_keys=True))
@@ -187,14 +220,18 @@ def main(argv=None) -> int:
         print(f"error: no program sources under {ROOT / 'src'}",
               file=sys.stderr)
         return 2
-    nproc = _limit_blas_threads()
+    nproc = _pin_blas_threads()
     sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
     import numpy as np
 
     from perfbench.layers import LayerClock
-    from perfbench.stats import median
-    from perfbench.workloads import DEFAULT_SIZES, WORKLOADS
+    from perfbench.workloads import (
+        DEFAULT_SIZES,
+        REFERENCE_S,
+        WORKLOADS,
+        reference_seconds,
+    )
     from repro import telemetry
 
     if args.workload not in WORKLOADS:
@@ -215,25 +252,30 @@ def main(argv=None) -> int:
     }
     print("meta " + json.dumps(meta, sort_keys=True))
 
+    reference_seconds()  # the first call pays LAPACK's lazy set-up
+    import_ref = reference_seconds(5)
     cls = WORKLOADS[args.workload]
-    reps = []
+    reps, refs = [], []
     for _ in range(DEFAULT_SIZES.setup_reps):
+        refs.append(reference_seconds(5))
         workload = cls(args.seed)
         t0 = time.perf_counter()
         workload.setup()
         reps.append(time.perf_counter() - t0)
-    setup_s = import_s + median(reps)
+    raw_setup_s = import_s + float(np.median(reps))
+    setup_s = REFERENCE_S * (
+        import_s / import_ref + float(np.median(np.divide(reps, refs)))
+    )
 
     problems = []
-    traced = []
+    clock = LayerClock() if args.trace else None
+    passes, traced, spans = _run_passes(workload, args.seconds, clock)
+    # The exact work one pass did, so per-seed work can be compared.
+    print("work " + json.dumps(passes[0].counts, sort_keys=True))
     if args.trace:
-        clock = LayerClock()
-        passes, traced, spans = _traced_passes(workload, args.seconds, clock)
         ARTIFACTS.mkdir(parents=True, exist_ok=True)
         stem = f"{args.workload}-seed{args.seed}"
         telemetry.write_chrome_trace(ARTIFACTS / f"{stem}-trace.json", spans)
-    else:
-        passes = _timed_passes(workload, args.seconds)
 
     fingerprints = {p.fingerprint() for p in passes + traced}
     if len(fingerprints) != 1:
@@ -264,10 +306,17 @@ def main(argv=None) -> int:
              "metrics": metrics},
             indent=1,
         ))
+        for name, m in metrics.items():
+            print(f"{name:40s} {m['value']:14.6g} {m['unit']}")
     else:
         metrics = _end_to_end(passes, setup_s)
-    for name, m in metrics.items():
-        print(f"{name:40s} {m['value']:14.6g} {m['unit']}")
+        raw = _end_to_end(passes, raw_setup_s, normalize=False)
+        host = np.median([op.ref for p in passes for op in p.ops])
+        print(f"host reference {host * 1e3:.3f} ms (nominal "
+              f"{REFERENCE_S * 1e3:g} ms); metrics at nominal speed, raw")
+        for name, m in metrics.items():
+            print(f"{name:40s} {m['value']:14.6g} {m['unit']:6s} "
+                  f"{raw[name]['value']:14.6g}")
     print(f"passes {len(passes)}+{len(traced)} traced, fingerprint "
           f"{passes[0].fingerprint()[:16]}")
     print(json.dumps({

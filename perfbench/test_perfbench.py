@@ -18,46 +18,46 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
 from perfbench import oracle  # noqa: E402
+from perfbench import run as bench_run  # noqa: E402
 from perfbench.layers import LayerClock  # noqa: E402
-from perfbench.stats import geomean, median, percentile  # noqa: E402
-from perfbench.workloads import ColdCompile, FitFig67, Sizes  # noqa: E402
-from repro.circuit import FIG5_BENCHMARKS, QuditCircuit, fig5_circuit, gates  # noqa: E402
+from perfbench.workloads import (  # noqa: E402
+    REFERENCE_S,
+    ColdCompile,
+    Fit,
+    FitFig67,
+    Sizes,
+)
+from repro.circuit import (  # noqa: E402
+    FIG5_BENCHMARKS,
+    QuditCircuit,
+    fig5_circuit,
+    gates,
+)
 from repro.jit import compiled as compiled_mod  # noqa: E402
 from repro.synthesis import QSearchLayerGenerator  # noqa: E402
 from repro.tnvm.vm import TNVM  # noqa: E402
 
 
 # ----------------------------------------------------------------------
-# Order statistics
+# Reported statistics
 # ----------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("n", [1, 2, 5, 10, 37])
-@pytest.mark.parametrize("q", [0, 10, 25, 50, 90, 99, 100])
-def test_percentile_matches_numpy_linear(n, q):
-    values = list(np.random.default_rng(n).exponential(size=n))
-    assert percentile(values, q) == pytest.approx(np.percentile(values, q))
+def test_host_normalization_cancels_a_uniform_slowdown():
+    walls = [[1.0, 2.0], [2.0, 4.0], [1.5, 3.0]]
+    refs = [[REFERENCE_S] * 2, [2 * REFERENCE_S] * 2, [1.5 * REFERENCE_S] * 2]
+    np.testing.assert_allclose(bench_run._per_op(walls, refs), [1.0, 2.0])
+    np.testing.assert_allclose(
+        bench_run._per_op(walls, refs, normalize=False), [1.5, 3.0]
+    )
 
 
-def test_median_of_even_sample_interpolates():
-    assert median([4.0, 1.0, 3.0, 2.0]) == 2.5
-
-
-def test_percentile_rejects_empty_and_out_of_range():
-    with pytest.raises(ValueError):
-        percentile([], 50)
-    with pytest.raises(ValueError):
-        percentile([1.0], 101)
-
-
-def test_geomean():
-    assert geomean([1.0, 100.0]) == pytest.approx(10.0)
-    assert geomean([3.0]) == pytest.approx(3.0)
-    assert geomean(iter([2.0, 8.0])) == pytest.approx(4.0)
-    with pytest.raises(ValueError):
-        geomean([])
-    with pytest.raises(ValueError):
-        geomean([1.0, 0.0])
+def test_per_cell_geomean_weights_cells_equally():
+    fits = [Fit("a", 1, 0.0, 1, REFERENCE_S)] * 3 + [
+        Fit("b", 8, 0.0, 1, REFERENCE_S)
+    ]
+    value = bench_run._per_cell_geomean(fits, [2.0, 2.0, 2.0, 50.0])
+    assert value == pytest.approx(10.0)
 
 
 # ----------------------------------------------------------------------
@@ -158,7 +158,9 @@ def test_workload_smoke(cls):
     second = workload.run_pass()
     _assert_clean(first)
     assert first.fingerprint() == second.fingerprint()
-    assert first.fits and all(seconds > 0 for _, _, seconds in first.fits)
+    assert first.fits and all(
+        fit.seconds > 0 and fit.iterations > 0 for fit in first.fits
+    )
     if workload.warmup is not None:
         assert workload.warmup.digests == first.digests
 
