@@ -8,8 +8,6 @@ Usage::
     python benchmarks/run_instantiation.py --trials 10
     python benchmarks/run_instantiation.py --starts 8 \
         --json BENCH_multistart.json                     # emit artifact
-    python benchmarks/run_instantiation.py --fused-eval \
-        --json BENCH_fused_eval.json                     # backend compare
     python benchmarks/run_instantiation.py --verify-overhead \
         --json BENCH_verify.json                         # verifier cost
 
@@ -35,7 +33,7 @@ from repro.baseline import (
     build_qsearch_ansatz_baseline,
 )
 from repro.checkpoint import atomic_write_json
-from repro.circuit import FIG5_BENCHMARKS, build_qsearch_ansatz, fig5_circuit
+from repro.circuit import FIG5_BENCHMARKS, fig5_circuit
 from repro.instantiation import BatchedInstantiater, Instantiater
 
 
@@ -96,106 +94,6 @@ def run_one(
     return row
 
 
-def fused_eval_suite(calls: int, json_path: str) -> None:
-    """Backend comparison: closures vs fused ``evaluate_with_grad``.
-
-    Times the raw hot path — one gradient sweep of the compiled TNVM
-    program — per template dimension (the 1-3 qubit shapes synthesis
-    instantiates by the thousands), reports the per-dim speedup and
-    the dispatch-count collapse (instruction closures -> one
-    megakernel), and appends the O(D^3)-trace-vs-O(D^2)-overlap micro
-    from the cost-function fix.
-    """
-    from repro.tnvm import TNVM
-
-    def time_sweep(vm, params, n):
-        vm.evaluate_with_grad(params)  # warm (binds/JITs outside timer)
-        t0 = time.perf_counter()
-        for _ in range(n):
-            vm.evaluate_with_grad(params)
-        return (time.perf_counter() - t0) / n
-
-    print(f"fused-eval: evaluate_with_grad, {calls} calls per backend\n")
-    print(f"{'program':<12} {'dim':>4} {'closures(us)':>13} "
-          f"{'fused(us)':>10} {'speedup':>8} {'dispatch':>9} {'npcalls':>8}")
-    rows = []
-    # (1, 1): build_qsearch_ansatz ignores depth for single-qudit
-    # circuits (just the opening U3 layer), so label it as built.
-    for qudits, depth in ((1, 1), (2, 2), (3, 2)):
-        circ = build_qsearch_ansatz(qudits, depth, 2)
-        program = circ.compile()
-        params = np.random.default_rng(0).uniform(
-            -np.pi, np.pi, circ.num_params
-        )
-        closures = TNVM(program, backend="closures")
-        fused = TNVM(program, backend="fused")
-        t_closures = time_sweep(closures, params, calls)
-        t_fused = time_sweep(fused, params, calls)
-        kernel = fused.fused_kernel
-        row = {
-            "name": f"{qudits}q-depth{depth}",
-            "qudits": qudits,
-            "dim": program.dim,
-            "num_params": program.num_params,
-            "closures_us": t_closures * 1e6,
-            "fused_us": t_fused * 1e6,
-            "speedup": t_closures / t_fused,
-            "dispatch_closures": len(program.dynamic_section),
-            "dispatch_fused": 1,
-            "fused_numpy_calls": kernel.num_numpy_calls,
-            "fused_write_stores": kernel.num_write_stores,
-        }
-        rows.append(row)
-        print(f"{row['name']:<12} {row['dim']:>4} "
-              f"{row['closures_us']:>13.1f} {row['fused_us']:>10.1f} "
-              f"{row['speedup']:>7.2f}x "
-              f"{row['dispatch_closures']:>6}->1 "
-              f"{row['fused_numpy_calls']:>8}")
-
-    # The cost-hot-path satellite: Tr(T^dag @ U) as a full matmul vs
-    # the O(D^2) elementwise overlap sum.
-    dim = 8
-    rng = np.random.default_rng(1)
-    t_mat = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    u_mat = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    n = max(calls, 2000)
-    t0 = time.perf_counter()
-    for _ in range(n):
-        np.trace(t_mat.conj().T @ u_mat)
-    t_trace = (time.perf_counter() - t0) / n
-    t0 = time.perf_counter()
-    for _ in range(n):
-        np.vdot(t_mat, u_mat)
-    t_vdot = (time.perf_counter() - t0) / n
-    trace_row = {
-        "dim": dim,
-        "matmul_trace_us": t_trace * 1e6,
-        "elementwise_us": t_vdot * 1e6,
-        "speedup": t_trace / t_vdot,
-    }
-    print(f"\ncost overlap (dim {dim}): matmul-trace {t_trace*1e6:.2f}us, "
-          f"elementwise {t_vdot*1e6:.2f}us "
-          f"({trace_row['speedup']:.1f}x)")
-
-    report = {
-        "mode": "fused-eval",
-        "calls": calls,
-        "programs": rows,
-        "cost_trace_fix": trace_row,
-        # Minimum over programs fusion can actually collapse (more
-        # than one dynamic instruction); a single-WRITE program has
-        # nothing to fuse and legitimately measures ~1.0x.
-        "min_speedup_multi_instruction": min(
-            r["speedup"] for r in rows if r["dispatch_closures"] > 1
-        ),
-    }
-    if json_path:
-        # Atomic write-then-rename: a kill mid-dump must not leave a
-        # truncated artifact for the CI upload to collect.
-        atomic_write_json(json_path, report)
-        print(f"wrote {json_path}")
-
-
 def verify_overhead_suite(trials: int, json_path: str) -> None:
     """Cost of static verification on the engine-compilation path.
 
@@ -216,7 +114,6 @@ def verify_overhead_suite(trials: int, json_path: str) -> None:
 
     from repro import telemetry
     from repro.analysis import verify_kernel, verify_program
-    from repro.tnvm.fused import fused_kernel_for
 
     registry = telemetry.metrics()
     hists = {
@@ -238,14 +135,9 @@ def verify_overhead_suite(trials: int, json_path: str) -> None:
         t0 = time.perf_counter()
         verify_program(program).raise_if_failed()
         cold.observe(time.perf_counter() - t0)
-        vm = engine.vm
-        if getattr(vm, "fused_kernel", None) is not None:
-            kernel = fused_kernel_for(
-                program, vm.compiled, grad=True, batched=False
-            )
-            t0 = time.perf_counter()
-            verify_kernel(kernel).raise_if_failed()
-            cold.observe(time.perf_counter() - t0)
+        t0 = time.perf_counter()
+        verify_kernel(engine.vm.fused_kernel).raise_if_failed()
+        cold.observe(time.perf_counter() - t0)
 
     samples: dict[tuple[str, str], list[float]] = {}
     saved = os.environ.get("REPRO_VERIFY")
@@ -258,6 +150,10 @@ def verify_overhead_suite(trials: int, json_path: str) -> None:
                 for name in names:
                     circ = fig5_circuit(name)
                     engine = Instantiater(circ)
+                    # The scalar VM is built on first use; build it
+                    # here so aot_seconds covers the kernel bind (and
+                    # its lint) as well as the compile.
+                    _ = engine.vm
                     hists[mode].observe(engine.aot_seconds)
                     samples.setdefault((mode, name), []).append(
                         engine.aot_seconds
@@ -340,20 +236,6 @@ def main() -> None:
         help="measure only the OpenQudit engines (fast CI smoke)",
     )
     parser.add_argument(
-        "--fused-eval",
-        action="store_true",
-        help="compare the closures and fused TNVM backends on the raw "
-        "evaluate_with_grad hot path (emits BENCH_fused_eval.json "
-        "with --json)",
-    )
-    parser.add_argument(
-        "--eval-calls",
-        type=int,
-        default=2000,
-        metavar="N",
-        help="gradient sweeps per backend in --fused-eval mode",
-    )
-    parser.add_argument(
         "--verify-overhead",
         action="store_true",
         help="measure the repro.analysis verifier's cost on engine "
@@ -372,36 +254,17 @@ def main() -> None:
         # Builds the fixed Figure 5 engine set twice; only --trials
         # (builds per mode) and --json carry over from the figure suite.
         if (
-            args.fused_eval
-            or args.circuits
+            args.circuits
             or args.skip_baseline
             or args.starts != parser.get_default("starts")
         ):
             parser.error(
-                "--verify-overhead is exclusive with --fused-eval/"
-                "--starts/--circuits/--skip-baseline (use --trials)"
+                "--verify-overhead is exclusive with --starts/--circuits/"
+                "--skip-baseline (use --trials)"
             )
         if args.trials < 1:
             parser.error("--trials must be >= 1")
         verify_overhead_suite(args.trials, args.json)
-        return
-
-    if args.fused_eval:
-        # The backend comparison runs fixed 1-3 qubit templates on the
-        # raw gradient sweep; the figure-suite flags do not apply.
-        if (
-            args.circuits
-            or args.skip_baseline
-            or args.starts != parser.get_default("starts")
-            or args.trials != parser.get_default("trials")
-        ):
-            parser.error(
-                "--fused-eval is exclusive with --starts/--trials/"
-                "--circuits/--skip-baseline (use --eval-calls)"
-            )
-        if args.eval_calls < 1:
-            parser.error("--eval-calls must be >= 1")
-        fused_eval_suite(args.eval_calls, args.json)
         return
 
     names = list(FIG5_BENCHMARKS)

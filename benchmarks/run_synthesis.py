@@ -8,8 +8,6 @@ Usage::
         --json BENCH_synthesis.json                          # CI smoke artifact
     python benchmarks/run_synthesis.py --compare-workers 1,4 \
         --random-targets 1 --json BENCH_parallel_synthesis.json
-    python benchmarks/run_synthesis.py --backends closures,fused \
-        --random-targets 2 --json BENCH_backend_synthesis.json
     python benchmarks/run_synthesis.py --state-prep \
         --json BENCH_state_prep.json
 
@@ -350,93 +348,6 @@ def compare_workers_suite(args, worker_counts: list[int]) -> None:
         print(f"wrote {args.json}")
 
 
-def compare_backends_suite(args, backends: list[str]) -> None:
-    """Serial synthesis once per TNVM backend, bit-identity checked.
-
-    The fused megakernel backend must return exactly the closures
-    backend's ``SynthesisResult`` (same circuit, params, infidelity,
-    call counts) — the backend is an execution detail — while spending
-    measurably less wall time in the instantiation inner loop.
-    """
-    targets = [("qft2", build_qft_circuit(2).get_unitary(()))]
-    targets += [
-        (f"random-{k}", random_unitary(4, rng=args.seed_base + k))
-        for k in range(args.random_targets)
-    ]
-    deep = build_qsearch_ansatz(2, 3, 2)
-    shallow = build_qsearch_ansatz(2, 1, 2)
-    compress_target = shallow.get_unitary(
-        np.random.default_rng(42).uniform(-np.pi, np.pi, shallow.num_params)
-    )
-
-    print(f"backend comparison: {len(targets)} 2-qubit targets + "
-          f"resynthesis, backends {backends}, {args.starts} starts\n")
-    print(f"{'backend':<10} {'solved':>6} {'calls':>6} {'seconds':>8} "
-          f"{'speedup':>8} {'identical':>9}")
-
-    runs = []
-    reference = None
-    identical = True
-    for backend in backends:
-        search = SynthesisSearch(starts=args.starts, backend=backend)
-        t0 = time.perf_counter()
-        results = [search.synthesize(t, rng=k)
-                   for k, (_, t) in enumerate(targets)]
-        compressed = Resynthesizer(
-            starts=args.starts, pool=search.pool, executor=search.executor
-        ).resynthesize(deep, target=compress_target, rng=5)
-        wall = time.perf_counter() - t0
-        search.close()
-        snapshot = [
-            (
-                r.circuit.structure_key(),
-                tuple(np.asarray(r.params).tolist()),
-                r.infidelity,
-                r.instantiation_calls,
-            )
-            for r in results + [compressed]
-        ]
-        if reference is None:
-            reference = snapshot
-        else:
-            identical = identical and snapshot == reference
-        row = {
-            "backend": backend,
-            "solved": sum(r.success for r in results),
-            "targets": len(results),
-            "resynthesis_solved": compressed.success,
-            "instantiation_calls": sum(
-                r.instantiation_calls for r in results
-            ) + compressed.instantiation_calls,
-            "wall_seconds": wall,
-            "speedup_vs_first": (
-                runs[0]["wall_seconds"] / wall if runs else 1.0
-            ),
-        }
-        runs.append(row)
-        print(f"{backend:<10} {row['solved']:>4}/{row['targets']} "
-              f"{row['instantiation_calls']:>6} {wall:>8.2f} "
-              f"{row['speedup_vs_first']:>7.2f}x {str(identical):>9}")
-
-    report = {
-        "mode": "backend-comparison",
-        "starts": args.starts,
-        "backends": backends,
-        "identical_across_backends": identical,
-        "runs": runs,
-    }
-    print(f"\ncomparison: identical={identical}, "
-          + ", ".join(
-              f"{r['backend']} -> {r['speedup_vs_first']:.2f}x"
-              for r in runs[1:]
-          ))
-    if args.json:
-        # Atomic write-then-rename: a kill mid-dump must not leave a
-        # truncated artifact for the CI upload to collect.
-        atomic_write_json(args.json, report)
-        print(f"wrote {args.json}")
-
-
 def random_state(dim: int, seed: int) -> np.ndarray:
     """A Haar-ish random pure state (normalized complex Gaussian)."""
     rng = np.random.default_rng(seed)
@@ -449,8 +360,7 @@ def state_prep_suite(args) -> None:
 
     Four measurements feed ``BENCH_state_prep.json``:
 
-    1. each target synthesized once per TNVM backend
-       (closures vs fused), bit-identity checked;
+    1. each target synthesized once;
     2. GHZ-3 synthesized serially and with 2 workers, bit-identity
        checked (state-prep rounds ride the same process-pool payload
        plumbing as unitary rounds);
@@ -461,12 +371,10 @@ def state_prep_suite(args) -> None:
     4. a column-vs-full engine micro at D=8/16/27: one batched
        ``evaluate_with_grad`` (batch = the multistart width, exactly
        the per-candidate engine configuration a fit runs) through a
-       ``COLUMN(0)``-contract program vs the full-unitary program
-       (``backend="auto"`` for both, so each side gets its own
-       fused/closures resolution) — the output-contract speedup every
-       state-prep candidate fit now rides.
+       ``COLUMN(0)``-contract program vs the full-unitary program —
+       the output-contract speedup every state-prep candidate fit
+       now rides.
     """
-    backends = ["closures", "fused"]
     targets = [
         ("ghz2", Statevector.ghz(2)),
         ("ghz3", Statevector.ghz(3)),
@@ -475,42 +383,16 @@ def state_prep_suite(args) -> None:
     ]
 
     print(f"state-preparation synthesis: {len(targets)} targets, "
-          f"U3+CNOT gate set, {args.starts} starts, backends {backends}\n")
-    print(f"{'target':<10} {'backend':<9} {'solved':>6} {'CX':>3} "
-          f"{'infidelity':>11} {'calls':>6} {'seconds':>8} {'identical':>9}")
-
-    per_backend: dict[str, list] = {}
-    backend_walls: dict[str, float] = {}
-    for backend in backends:
-        search = SynthesisSearch(starts=args.starts, backend=backend)
-        t0 = time.perf_counter()
-        per_backend[backend] = [
-            search.synthesize(target, rng=k)
-            for k, (_, target) in enumerate(targets)
-        ]
-        backend_walls[backend] = time.perf_counter() - t0
-        search.close()
+          f"U3+CNOT gate set, {args.starts} starts\n")
+    print(f"{'target':<10} {'solved':>6} {'CX':>3} "
+          f"{'infidelity':>11} {'calls':>6} {'seconds':>8}")
 
     target_rows = []
-    identical_backends = True
-    reference = per_backend[backends[0]]
-    for k, (name, _) in enumerate(targets):
-        ref = reference[k]
-        identical = all(
-            per_backend[b][k].circuit.structure_key()
-            == ref.circuit.structure_key()
-            and np.array_equal(per_backend[b][k].params, ref.params)
-            and per_backend[b][k].infidelity == ref.infidelity
-            and per_backend[b][k].instantiation_calls
-            == ref.instantiation_calls
-            for b in backends[1:]
-        )
-        identical_backends = identical_backends and identical
-        runs = []
-        for b in backends:
-            r = per_backend[b][k]
-            runs.append({
-                "backend": b,
+    with SynthesisSearch(starts=args.starts) as search:
+        for k, (name, target) in enumerate(targets):
+            r = search.synthesize(target, rng=k)
+            target_rows.append({
+                "target": name,
                 "solved": r.success,
                 "infidelity": r.infidelity,
                 "cx_count": r.count("CX"),
@@ -518,15 +400,9 @@ def state_prep_suite(args) -> None:
                 "instantiation_calls": r.instantiation_calls,
                 "wall_seconds": r.wall_seconds,
             })
-            print(f"{name:<10} {b:<9} {str(r.success):>6} "
+            print(f"{name:<10} {str(r.success):>6} "
                   f"{r.count('CX'):>3} {r.infidelity:>11.2e} "
-                  f"{r.instantiation_calls:>6} {r.wall_seconds:>8.2f} "
-                  f"{str(identical):>9}")
-        target_rows.append({
-            "target": name,
-            "identical_across_backends": identical,
-            "runs": runs,
-        })
+                  f"{r.instantiation_calls:>6} {r.wall_seconds:>8.2f}")
 
     # Serial vs 2-worker GHZ-3: state-prep rounds on the process pool.
     ghz3 = Statevector.ghz(3)
@@ -617,8 +493,8 @@ def state_prep_suite(args) -> None:
     state_speedup = eval_rows[-1]["state_speedup"]
 
     # Column-vs-full engine micro: the tentpole measurement.  Batched
-    # VMs at the multistart width under backend="auto" — exactly the
-    # per-candidate engine configuration a fit runs — so the number is
+    # VMs at the multistart width — exactly the per-candidate engine
+    # configuration a fit runs — so the number is
     # the real per-candidate evaluate_with_grad speedup, not a
     # single-start abstraction.  One row per radix family — qubits
     # (D=8), ququarts (D=16), qutrits (D=27) — the contract machinery
@@ -653,16 +529,12 @@ def state_prep_suite(args) -> None:
             -np.pi, np.pi, (args.starts, ansatz.num_params)
         )
         vm_full = BatchedTNVM(
-            ansatz.compile(),
-            args.starts,
-            diff=Differentiation.GRADIENT,
-            backend="auto",
+            ansatz.compile(), args.starts, diff=Differentiation.GRADIENT
         )
         vm_col = BatchedTNVM(
             ansatz.compile(contract=OutputContract.column(0)),
             args.starts,
             diff=Differentiation.GRADIENT,
-            backend="auto",
         )
         t_full, t_col = best_of_pair(
             vm_full.evaluate_with_grad, vm_col.evaluate_with_grad, xs
@@ -673,16 +545,14 @@ def state_prep_suite(args) -> None:
             "dim": dim,
             "num_params": ansatz.num_params,
             "batch": args.starts,
-            "full_backend": vm_full.backend,
-            "column_backend": vm_col.backend,
             "full_us_per_call": us_full,
             "column_us_per_call": us_col,
             "column_speedup": us_full / us_col,
         })
         print(f"column vs full D={dim:<3} ({label}, "
               f"{ansatz.num_params} params, batch {args.starts}): "
-              f"full[{vm_full.backend}] {us_full:7.1f} us/call, "
-              f"column[{vm_col.backend}] {us_col:7.1f} us/call -> "
+              f"full {us_full:7.1f} us/call, "
+              f"column {us_col:7.1f} us/call -> "
               f"{us_full / us_col:.2f}x")
     column_speedup_d16 = next(
         r["column_speedup"] for r in column_rows if r["dim"] == 16
@@ -713,17 +583,14 @@ def state_prep_suite(args) -> None:
             fit[kind]["seconds"] / max(1, fit[kind]["evaluations"])
         )
 
-    solved = sum(r["runs"][0]["solved"] for r in target_rows)
+    solved = sum(r["solved"] for r in target_rows)
     report = {
         "mode": "state-prep",
         "starts": args.starts,
-        "backends": backends,
         "targets_total": len(target_rows),
         "targets_solved": solved,
-        "identical_across_backends": identical_backends,
         "identical_across_workers": identical_workers,
         "targets": target_rows,
-        "backend_wall_seconds": backend_walls,
         "ghz3_workers": worker_runs,
         "per_candidate_evaluation": eval_rows,
         "state_speedup_per_evaluation": state_speedup,
@@ -738,8 +605,7 @@ def state_prep_suite(args) -> None:
         },
     }
     print(f"\nstate-prep suite: {solved}/{len(target_rows)} targets solved, "
-          f"identical backends={identical_backends}, "
-          f"workers={identical_workers}")
+          f"identical across workers={identical_workers}")
     if args.json:
         # Atomic write-then-rename: a kill mid-dump must not leave a
         # truncated artifact for the CI upload to collect.
@@ -774,17 +640,10 @@ def main() -> None:
         "counts (e.g. 1,4) instead of the default suite",
     )
     parser.add_argument(
-        "--backends",
-        default="",
-        metavar="B,B",
-        help="run the TNVM-backend comparison over these backends "
-        "(e.g. closures,fused) instead of the default suite",
-    )
-    parser.add_argument(
         "--state-prep",
         action="store_true",
         help="run the state-preparation suite (GHZ + random states, "
-        "closures vs fused, 1 vs 2 workers, per-candidate cost micro) "
+        "1 vs 2 workers, per-candidate cost micro) "
         "instead of the default suite",
     )
     parser.add_argument(
@@ -820,13 +679,9 @@ def main() -> None:
     )
     args = parser.parse_args()
 
-    exclusive = [
-        bool(args.compare_workers), bool(args.backends), args.state_prep
-    ]
+    exclusive = [bool(args.compare_workers), args.state_prep]
     if sum(exclusive) > 1:
-        parser.error(
-            "--compare-workers, --backends, and --state-prep are exclusive"
-        )
+        parser.error("--compare-workers and --state-prep are exclusive")
     if args.resume and not args.checkpoint_dir:
         parser.error("--resume requires --checkpoint-dir")
     if args.checkpoint_dir and any(exclusive):
@@ -847,11 +702,6 @@ def main() -> None:
         if len(worker_counts) < 2:
             parser.error("--compare-workers needs at least two counts")
         compare_workers_suite(args, worker_counts)
-    elif args.backends:
-        backends = [tok.strip() for tok in args.backends.split(",") if tok]
-        if len(backends) < 2:
-            parser.error("--backends needs at least two backends")
-        compare_backends_suite(args, backends)
     else:
         default_suite(args)
 

@@ -1,4 +1,4 @@
-"""Ablation benchmarks for the design choices DESIGN.md calls out.
+"""Ablation benchmarks for the paper's architectural design choices.
 
 Each group isolates one architectural decision from the paper:
 

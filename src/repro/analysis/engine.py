@@ -12,10 +12,10 @@ only as silently wrong numerics in that worker.
 runs: the program passes the full bytecode verifier
 (:func:`~repro.analysis.verifier.verify_program`), the shipped
 compiled-expression table matches the program's expression table
-one-to-one, every fused kernel lints cleanly and covers exactly the
-program's dynamic section, and the engine settings (precision,
-strategy, backend, contract) are coherent.  The payload is duck-typed
-so this module depends only on :mod:`repro.tensornet`.
+one-to-one, the shipped gradient megakernel lints cleanly and covers
+exactly the program's dynamic section, and the engine settings
+(precision, strategy, contract) are coherent.  The payload is
+duck-typed so this module depends only on :mod:`repro.tensornet`.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ __all__ = ["verify_engine"]
 
 _PRECISIONS = ("f32", "f64")
 _STRATEGIES = ("sequential", "batched", "auto")
-_BACKENDS = ("closures", "fused", "auto")
 
 
 def verify_engine(
@@ -40,8 +39,8 @@ def verify_engine(
 
     ``payload`` is duck-typed against
     :class:`~repro.instantiation.SerializedEngine`: ``program``,
-    ``compiled``, ``precision``, ``strategy``, ``backend``,
-    ``fused_kernels``, ``contract``.
+    ``compiled``, ``precision``, ``strategy``, ``fused_kernel``,
+    ``contract``.
     """
     report = VerificationReport(subject=subject)
     program = getattr(payload, "program", None)
@@ -57,7 +56,7 @@ def verify_engine(
     _check_settings(payload, report)
     _check_expressions(payload, program, report)
     _check_contract(payload, program, report)
-    _check_kernels(payload, program, report)
+    _check_kernel(payload, program, report)
     return report
 
 
@@ -75,12 +74,6 @@ def _check_settings(
         report.add(
             "engine-payload",
             f"strategy {strategy!r} is not one of {_STRATEGIES}",
-        )
-    backend = getattr(payload, "backend", None)
-    if backend not in _BACKENDS:
-        report.add(
-            "engine-payload",
-            f"backend {backend!r} is not one of {_BACKENDS}",
         )
 
 
@@ -145,39 +138,20 @@ def _check_contract(
             )
 
 
-def _check_kernels(
+def _check_kernel(
     payload: object, program: object, report: VerificationReport
 ) -> None:
+    kernel = getattr(payload, "fused_kernel", None)
+    if kernel is None:
+        report.add("engine-payload", "payload ships no fused kernel")
+        return
+    report.extend(verify_kernel(kernel))
     dynamic_len = len(getattr(program, "dynamic_section", []))
-    for entry in tuple(getattr(payload, "fused_kernels", ())):
-        try:
-            key, kernel = entry
-            grad_key, batched_key = (bool(key[0]), bool(key[1]))
-        except (TypeError, ValueError, IndexError):
-            report.add(
-                "engine-payload",
-                f"malformed fused-kernel entry {entry!r}",
-            )
-            continue
-        kreport = verify_kernel(
-            kernel,
-            subject=(
-                f"fused kernel (grad={grad_key}, batched={batched_key})"
-            ),
+    n_instr = getattr(kernel, "num_instructions", None)
+    if n_instr != dynamic_len:
+        report.add(
+            "engine-payload",
+            f"fused kernel covers {n_instr} instructions but the "
+            f"program's dynamic section has {dynamic_len} — stale "
+            "kernel from a different program",
         )
-        report.extend(kreport)
-        if bool(getattr(kernel, "batched", None)) != batched_key:
-            report.add(
-                "engine-payload",
-                "fused-kernel cache key says "
-                f"batched={batched_key} but the kernel says "
-                f"batched={getattr(kernel, 'batched', None)}",
-            )
-        n_instr = getattr(kernel, "num_instructions", None)
-        if n_instr != dynamic_len:
-            report.add(
-                "engine-payload",
-                f"fused kernel covers {n_instr} instructions but the "
-                f"program's dynamic section has {dynamic_len} — stale "
-                "kernel from a different program",
-            )

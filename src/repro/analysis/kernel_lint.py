@@ -1,6 +1,6 @@
 """AST-level lint for generated fused megakernel source.
 
-The fused backend (:mod:`repro.tnvm.fused`) ships megakernels as plain
+The scalar TNVM (:mod:`repro.tnvm.fused`) ships megakernels as plain
 source text and rehydrates them in worker processes with ``compile()``
 + ``exec()`` — a trust boundary where a corrupted or stale
 :class:`~repro.tnvm.fused.FusedKernel` would otherwise execute
@@ -43,7 +43,7 @@ __all__ = [
 
 #: ``np.<attr>`` names generated kernels may call or reference.
 NUMPY_WHITELIST = frozenset(
-    {"matmul", "multiply", "copyto", "zeros", "asarray", "moveaxis", "intp"}
+    {"matmul", "multiply", "copyto", "zeros", "asarray", "intp"}
 )
 
 #: methods generated kernels may call on array views.
@@ -66,30 +66,22 @@ KERNEL_VIOLATION_CODES = (
 )
 
 
-#: sources that already linted clean, keyed by ``(source, batched)``.
-#: Bind-time linting re-runs on every TNVM construction while the
-#: generated source for a given template is byte-identical, so the
-#: clean verdict is a pure function of the key — caching it keeps the
-#: steady-state verification cost off the hot engine-compilation path
-#: (any corruption changes the source text and misses the cache).
-_CLEAN_CACHE: dict[tuple[str, bool | None], bool] = {}
+#: sources that already linted clean.  Bind-time linting re-runs on
+#: every TNVM construction while the generated source for a given
+#: template is byte-identical, so the clean verdict is a pure function
+#: of the source — caching it keeps the steady-state verification cost
+#: off the hot engine-compilation path (any corruption changes the
+#: source text and misses the cache).
+_CLEAN_CACHE: set[str] = set()
 _CLEAN_CACHE_MAX = 256
 
 
 def lint_kernel_source(
-    source: str,
-    batched: bool | None = None,
-    subject: str = "fused kernel",
+    source: str, subject: str = "fused kernel"
 ) -> VerificationReport:
-    """Lint one megakernel's source text; returns the full report.
-
-    ``batched`` asserts the expected factory arity when known
-    (``make_fused(values, grads, dtype[, B])``); ``None`` accepts
-    either form.
-    """
+    """Lint one megakernel's source text; returns the full report."""
     report = VerificationReport(subject=subject)
-    key = (source, batched)
-    if key in _CLEAN_CACHE:
+    if source in _CLEAN_CACHE:
         return report
     try:
         tree = ast.parse(source)
@@ -100,21 +92,18 @@ def lint_kernel_source(
             where=f"line {exc.lineno}",
         )
         return report
-    _KernelChecker(report, batched).check_module(tree)
+    _KernelChecker(report).check_module(tree)
     if report.ok:
         if len(_CLEAN_CACHE) >= _CLEAN_CACHE_MAX:
             _CLEAN_CACHE.clear()
-        _CLEAN_CACHE[key] = True
+        _CLEAN_CACHE.add(source)
     return report
 
 
 def verify_kernel(kernel: object, subject: str = "") -> VerificationReport:
     """Lint a :class:`~repro.tnvm.fused.FusedKernel` (duck-typed)."""
-    batched = bool(getattr(kernel, "batched", False))
     grad = bool(getattr(kernel, "grad", False))
-    name = subject or (
-        f"fused kernel (grad={grad}, batched={batched})"
-    )
+    name = subject or f"fused kernel (grad={grad})"
     source = getattr(kernel, "source", None)
     if not isinstance(source, str):
         report = VerificationReport(subject=name)
@@ -123,15 +112,12 @@ def verify_kernel(kernel: object, subject: str = "") -> VerificationReport:
             f"kernel source is {type(source).__name__}, not str",
         )
         return report
-    return lint_kernel_source(source, batched=batched, subject=name)
+    return lint_kernel_source(source, subject=name)
 
 
 class _KernelChecker:
-    def __init__(
-        self, report: VerificationReport, batched: bool | None
-    ) -> None:
+    def __init__(self, report: VerificationReport) -> None:
         self.report = report
-        self.batched = batched
         #: every bound local name -> its arena root (see _root_of)
         self.roots: dict[str, tuple[str, object]] = {}
         self.defined: set[str] = set()
@@ -160,20 +146,11 @@ class _KernelChecker:
                 self._where(make),
             )
         args = [a.arg for a in make.args.args]
-        expected = (
-            [["values", "grads", "dtype"], ["values", "grads", "dtype", "B"]]
-            if self.batched is None
-            else (
-                [["values", "grads", "dtype", "B"]]
-                if self.batched
-                else [["values", "grads", "dtype"]]
-            )
-        )
-        if args not in expected:
+        if args != ["values", "grads", "dtype"]:
             self.report.add(
                 "kernel-structure",
-                f"factory signature make_fused({', '.join(args)}) does "
-                f"not match the expected {expected}",
+                f"factory signature make_fused({', '.join(args)}) is "
+                "not make_fused(values, grads, dtype)",
                 self._where(make),
             )
         self.defined |= set(args)
@@ -458,9 +435,6 @@ class _KernelChecker:
                         isinstance(func.value, ast.Name)
                         and func.value.id == "np"
                     ):
-                        if func.attr == "moveaxis" and node.args:
-                            node = node.args[0]
-                            continue
                         return ("fresh", func.attr)
                     # array method chain: .reshape(...) / .transpose(...)
                     node = func.value

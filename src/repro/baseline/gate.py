@@ -4,8 +4,9 @@ This package reproduces the *traditional* numerical-compiler design the
 paper contrasts against (Listing 1): every gate is a class with
 ``get_unitary`` and a separately hand-derived ``get_grad``, and the
 circuit performs safety/equality checks on every append.  It serves as
-the in-repo stand-in for BQSKit/Qiskit/Tket in all benchmarks (see
-DESIGN.md substitutions).
+the in-repo stand-in for BQSKit/Qiskit/Tket in all benchmarks (see the
+README's "Benchmarks" section) and as the independent reference the
+TNVM's differential tests compare against.
 """
 
 from __future__ import annotations

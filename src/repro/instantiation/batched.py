@@ -67,14 +67,12 @@ class BatchedInstantiater:
         success_threshold: float = SUCCESS_THRESHOLD,
         lm_options: LMOptions | None = None,
         program=None,
-        backend: str = "auto",
         contract: OutputContract | None = None,
     ):
         if circuit is None and program is None:
             raise ValueError("pass a circuit or an AOT-compiled program")
         start = time.perf_counter()
         self.circuit = circuit
-        self.backend = backend
         # ``program`` lets an owning Instantiater share its compiled
         # bytecode instead of paying the AOT compile twice (and is the
         # only shape source for engines rehydrated in worker processes);
@@ -112,7 +110,6 @@ class BatchedInstantiater:
                 precision=self.precision,
                 diff=Differentiation.GRADIENT,
                 cache=self.cache,
-                backend=self.backend,
                 contract=self.contract,
             )
             self.aot_seconds += time.perf_counter() - t0

@@ -22,13 +22,7 @@ from ..jit.cache import ExpressionCache
 from ..jit.compiled import CompiledExpression
 from ..tensornet.bytecode import Program
 from ..tensornet.contract import OutputContract
-from ..tnvm.fused import (
-    BACKENDS,
-    attach_fused_kernels,
-    cached_fused_kernels,
-    fused_kernel_for,
-    resolve_backend,
-)
+from ..tnvm.fused import FusedKernel, attach_fused_kernel
 from ..tnvm.vm import TNVM, Differentiation
 from ..utils.statevector import Statevector
 from .cost import (
@@ -162,13 +156,11 @@ class SerializedEngine:
     success_threshold: float
     lm_options: LMOptions
     strategy: str
-    #: TNVM execution backend ("closures"/"fused"/"auto").
-    backend: str = "auto"
-    #: ``((grad, batched), FusedKernel)`` pairs: the generated megakernel
-    #: sources, shipped so workers rehydrate with ``compile()`` instead
-    #: of re-fusing the program (see :mod:`repro.tnvm.fused`).  For
-    #: column engines these are the column-specialized kernels.
-    fused_kernels: tuple = ()
+    #: the scalar VM's gradient megakernel source, shipped so workers
+    #: rehydrate with ``compile()`` instead of re-fusing the program
+    #: (see :mod:`repro.tnvm.fused`).  For column engines this is the
+    #: column-specialized kernel.
+    fused_kernel: FusedKernel
     #: the engine's :class:`~repro.tensornet.OutputContract` (``None``
     #: in payloads from older snapshots = full unitary).
     contract: object = None
@@ -210,22 +202,16 @@ class Instantiater:
         lm_options: LMOptions | None = None,
         strategy: str = "sequential",
         program: Program | None = None,
-        backend: str = "auto",
         contract: OutputContract | None = None,
     ):
         if strategy not in STRATEGIES:
             raise ValueError(
                 f"strategy must be one of {STRATEGIES}, got {strategy!r}"
             )
-        if backend not in BACKENDS:
-            raise ValueError(
-                f"backend must be one of {BACKENDS}, got {backend!r}"
-            )
         if circuit is None and program is None:
             raise ValueError("pass a circuit or an AOT-compiled program")
         start = time.perf_counter()
         self.strategy = strategy
-        self.backend = backend
         self.circuit = circuit
         self.precision = precision
         self.cache = cache
@@ -238,14 +224,11 @@ class Instantiater:
         else:
             self.contract = OutputContract.coerce(contract)
             self.program = circuit.compile(contract=self.contract)
+        # Both VMs are built on first use, so an engine pays only for
+        # the paths its fits run (an "auto" engine that only ever fits
+        # many starts never builds the scalar VM or its kernel).
         self._vm: TNVM | None = None
         self.aot_seconds = time.perf_counter() - start
-        if strategy != "batched":
-            # A batched-only engine never executes the scalar VM; defer
-            # its construction (mirroring the lazy batched engine) so
-            # each strategy pays only its own setup.  Sequential/auto
-            # engines keep the seed behaviour: VM ready after init.
-            _ = self.vm
         self.success_threshold = success_threshold
         self.num_params = self.program.num_params
         self._batched_engine = None
@@ -264,9 +247,8 @@ class Instantiater:
 
     @property
     def vm(self) -> TNVM:
-        """The scalar TNVM, built on first use and counted into
-        ``aot_seconds`` (immediately in ``__init__`` for sequential
-        engines, on first sequential call for batched ones)."""
+        """The scalar TNVM, built on first use (the first sequential
+        fit or :meth:`serialize`) and counted into ``aot_seconds``."""
         if self._vm is None:
             t0 = time.perf_counter()
             self._vm = TNVM(
@@ -274,7 +256,6 @@ class Instantiater:
                 precision=self.precision,
                 diff=Differentiation.GRADIENT,
                 cache=self.cache,
-                backend=self.backend,
                 contract=self.contract,
             )
             self.aot_seconds += time.perf_counter() - t0
@@ -292,7 +273,6 @@ class Instantiater:
                 success_threshold=self.success_threshold,
                 lm_options=self.lm_options,
                 program=self.program,
-                backend=self.backend,
                 contract=self.contract,
             )  # circuit may be None; the shared program carries the shape
             # The bytecode was compiled by *this* engine; report one
@@ -308,12 +288,13 @@ class Instantiater:
         """Snapshot this engine for shipment to another process.
 
         The snapshot pairs the compiled bytecode with the JIT'd
-        expression artifacts the scalar VM holds (building the VM if
-        this is a batched-only engine), so
+        expression artifacts and the gradient megakernel the scalar VM
+        holds (building the VM if no sequential fit has yet), so
         :meth:`from_serialized` reconstructs a numerically identical
         engine without any recompilation.
         """
-        compiled = tuple(self.vm.compiled)
+        vm = self.vm
+        compiled = tuple(vm.compiled)
         if self.strategy != "sequential":
             # Ship the batched writer too: the receiving engine will
             # run batched multi-start sweeps, and the variant compiles
@@ -322,33 +303,6 @@ class Instantiater:
             for expr in compiled:
                 if expr.num_params > 0:
                     _ = expr.write_batched
-        # Pre-fuse exactly the megakernel variants the receiving
-        # engine will execute, so workers rehydrate generated source
-        # with compile() instead of re-walking the program — and ship
-        # only those: a shared Program may carry kernels cached by
-        # *other* engines (e.g. a fused sibling of a closures engine),
-        # which would bloat this engine's payload for nothing.
-        wanted: set[tuple[bool, bool]] = set()
-        column = self.contract.column_based
-        if (
-            resolve_backend(self.backend, self.program.dim, column=column)
-            == "fused"
-        ):
-            fused_kernel_for(
-                self.program, list(compiled), grad=True, batched=False
-            )
-            wanted.add((True, False))
-        if (
-            self.strategy != "sequential"
-            and resolve_backend(
-                self.backend, self.program.dim, batched=True, column=column
-            )
-            == "fused"
-        ):
-            fused_kernel_for(
-                self.program, list(compiled), grad=True, batched=True
-            )
-            wanted.add((True, True))
         return SerializedEngine(
             program=self.program,
             compiled=compiled,
@@ -356,12 +310,7 @@ class Instantiater:
             success_threshold=self.success_threshold,
             lm_options=self.lm_options,
             strategy=self.strategy,
-            backend=self.backend,
-            fused_kernels=tuple(
-                item
-                for item in cached_fused_kernels(self.program).items()
-                if item[0] in wanted
-            ),
+            fused_kernel=vm.fused_kernel,
             contract=self.contract,
         )
 
@@ -397,9 +346,9 @@ class Instantiater:
         for compiled in payload.compiled:
             cache.put(compiled)
         # Seed the program's kernel cache with the shipped megakernel
-        # sources: fused VMs built below bind them with compile()
-        # instead of re-fusing.
-        attach_fused_kernels(payload.program, dict(payload.fused_kernels))
+        # source: the scalar VM binds it with compile() instead of
+        # re-fusing.
+        attach_fused_kernel(payload.program, payload.fused_kernel)
         return cls(
             precision=payload.precision,
             cache=cache,
@@ -407,7 +356,6 @@ class Instantiater:
             lm_options=payload.lm_options,
             strategy=payload.strategy,
             program=payload.program,
-            backend=payload.backend,
             contract=OutputContract.coerce(payload.contract),
         )
 
@@ -544,7 +492,6 @@ def instantiate(
     success_threshold: float = SUCCESS_THRESHOLD,
     lm_options: LMOptions | None = None,
     strategy: str = "sequential",
-    backend: str = "auto",
     contract: OutputContract | None = None,
 ) -> InstantiationResult:
     """One-shot convenience wrapper around :class:`Instantiater`.
@@ -560,7 +507,6 @@ def instantiate(
         success_threshold=success_threshold,
         lm_options=lm_options,
         strategy=strategy,
-        backend=backend,
         contract=contract,
     )
     return engine.instantiate(target, starts=starts, rng=rng)

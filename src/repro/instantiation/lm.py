@@ -337,7 +337,9 @@ def batched_levenberg_marquardt(
                 # Step-size convergence, accepted steps only (as in
                 # the scalar loop: a tiny rejected step just means the
                 # damping is winning).
-                sw = steps[ok][np.isin(solved, w)]
+                # ``solved`` is ascending, so the mask picks the rows
+                # of ``w`` in ``w``'s order.
+                sw = steps[ok][improved[solved]]
                 norm_step = np.linalg.norm(sw, axis=1)
                 norm_x = np.linalg.norm(X[w], axis=1)
                 tiny = norm_step < opts.step_tolerance * (

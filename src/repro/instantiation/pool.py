@@ -52,13 +52,11 @@ class EnginePool:
         cache: ExpressionCache | None = None,
         success_threshold: float = SUCCESS_THRESHOLD,
         lm_options: LMOptions | None = None,
-        backend: str = "auto",
     ):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
         self.strategy = strategy
-        self.backend = backend
         self.precision = precision
         self.cache = cache
         self.success_threshold = success_threshold
@@ -147,7 +145,6 @@ class EnginePool:
                     success_threshold=self.success_threshold,
                     lm_options=self.lm_options,
                     strategy=self.strategy,
-                    backend=self.backend,
                     contract=contract,
                 )
             telemetry.metrics().histogram("engine_pool.aot_seconds").observe(
@@ -189,8 +186,8 @@ class EnginePool:
         miss — workers never pay AOT) and caches the pickled snapshot
         per (structure key, contract key), so shipping the same shape
         to many workers or tasks costs one serialization total.  Column
-        payloads carry the contract and the column-specialized fused
-        kernel source, so a spawn-rehydrated worker engine is
+        payloads carry the contract and the column-specialized
+        megakernel source, so a spawn-rehydrated worker engine is
         bit-identical to the parent's.
         """
         contract = OutputContract.coerce(contract)

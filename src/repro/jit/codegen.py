@@ -1,7 +1,7 @@
 """Expression JIT: compile symbolic matrices to specialized Python code.
 
-This is the reproduction's stand-in for OpenQudit's LLVM backend (see
-DESIGN.md).  The architecture is identical — a gate's simplified unitary
+This is the reproduction's stand-in for OpenQudit's LLVM backend.
+The architecture is identical — a gate's simplified unitary
 and gradient expressions are lowered to straight-line code with explicit
 common-subexpression elimination, compiled once, and the resulting
 "function pointer" is cached and called millions of times from the TNVM
@@ -70,17 +70,12 @@ _BATCHED_GLOBALS = {
 }
 
 
-def writer_globals(batched: bool) -> dict:
-    """The execution namespace generated writer code expects.
-
-    Scalar writers bind the QGL math names to ``math`` functions;
-    batched writers bind the same names to numpy ufuncs so the
-    identical straight-line code vectorizes over the batch axis.  The
-    fused program backend executes its megakernel source in this same
-    namespace, which is what keeps inlined expression bodies
-    bit-identical to the per-gate writers.
-    """
-    return dict(_BATCHED_GLOBALS if batched else _GLOBALS)
+def writer_globals() -> dict:
+    """The execution namespace scalar writer code expects: the QGL
+    math names bound to ``math`` functions.  The TNVM megakernel runs
+    its inlined expression bodies in this same namespace, so they
+    compute exactly what the per-gate writers compute."""
+    return dict(_GLOBALS)
 
 
 class CodegenResult:
@@ -116,8 +111,8 @@ class _Emitter:
     """Shared-subexpression-aware statement emitter.
 
     ``var_atoms`` (optional) overrides the default ``p{k}`` naming of
-    parameter leaves with caller-supplied atoms — the fused program
-    backend maps a gate expression's local parameters onto the global
+    parameter leaves with caller-supplied atoms — the TNVM megakernel
+    maps a gate expression's local parameters onto the global
     circuit-parameter unpack names this way.  ``temp_prefix`` and
     ``indent`` let the same emitter produce uniquely-named statements
     inside a larger generated function.
@@ -320,11 +315,10 @@ def generate_inline_write(
     grad_name: str | None,
     temp_prefix: str,
     indent: str,
-    batched: bool,
 ) -> InlineWrite:
     """Emit one gate expression's writer body for inlining.
 
-    This is the fused program backend's hook into the expression JIT:
+    This is the TNVM megakernel's hook into the expression JIT:
     the same simplified entry triples that produced a gate's standalone
     writer are re-emitted as bare statements with instruction-local
     temp names (``temp_prefix``), caller-chosen store targets
@@ -374,8 +368,6 @@ def generate_inline_write(
         im_atom = emitter.emit(im_e)
         if im_e.is_zero:
             stores.append(f"{indent}{target} = {re_atom}")
-        elif batched:
-            stores.append(f"{indent}{target} = {re_atom} + 1j * {im_atom}")
         else:
             stores.append(f"{indent}{target} = complex({re_atom}, {im_atom})")
     return InlineWrite(

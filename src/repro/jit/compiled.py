@@ -201,7 +201,7 @@ class CompiledExpression:
         """The simplified ``(unitary_entries, grad_entries)`` triples.
 
         These are the exact post-simplification expression trees the
-        writers were generated from; the fused program backend re-emits
+        writers were generated from; the TNVM megakernel re-emits
         them inline (via :func:`~repro.jit.codegen.generate_inline_write`)
         so a megakernel computes bit-identical values to the standalone
         writers.

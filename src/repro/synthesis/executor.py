@@ -474,7 +474,6 @@ class ProcessCandidateExecutor(CandidateExecutor):
             pool.precision,
             pool.success_threshold,
             pool.lm_options,
-            pool.backend,
         )
 
     def _ensure_executor(self) -> ProcessPoolExecutor:

@@ -106,7 +106,6 @@ class Resynthesizer:
         scan_batch: int | None = 1,
         workers: int = 1,
         executor: CandidateExecutor | None = None,
-        backend: str | None = None,
         job_timeout: float | None = None,
         round_timeout: float | None = None,
         max_retries: int = 2,
@@ -151,7 +150,7 @@ class Resynthesizer:
         self.checkpoint_seconds = checkpoint_seconds
         self.checkpoint_keep = checkpoint_keep
         self.pool = _resolve_pool(
-            pool, success_threshold, strategy, precision, lm_options, backend
+            pool, success_threshold, strategy, precision, lm_options
         )
         if executor is not None and executor.pool is not self.pool:
             raise ValueError(

@@ -66,24 +66,22 @@ def _resolve_pool(
     strategy: str | None,
     precision: str | None,
     lm_options: LMOptions | None,
-    backend: str | None = None,
 ) -> EnginePool:
     """The engine pool for a synthesis pass: the injected one, after
     rejecting silently-conflicting engine options (pooled engines are
     built from the *pool's* settings, so per-pass strategy/precision/
-    lm_options/backend would be ignored, and a pool threshold looser
-    than the pass threshold would make the engines' multi-start
-    short-circuit stop above the pass's bar), or a private pool built
-    from the pass settings."""
+    lm_options would be ignored, and a pool threshold looser than the
+    pass threshold would make the engines' multi-start short-circuit
+    stop above the pass's bar), or a private pool built from the pass
+    settings."""
     if pool is not None:
         if (
             strategy is not None
             or precision is not None
             or lm_options is not None
-            or backend is not None
         ):
             raise ValueError(
-                "strategy/precision/lm_options/backend are engine settings; "
+                "strategy/precision/lm_options are engine settings; "
                 "when injecting an EnginePool, configure them on the pool "
                 "instead"
             )
@@ -100,7 +98,6 @@ def _resolve_pool(
         precision=precision if precision is not None else "f64",
         success_threshold=success_threshold,
         lm_options=lm_options,
-        backend=backend if backend is not None else "auto",
     )
 
 
@@ -255,7 +252,6 @@ class SynthesisSearch:
         workers: int = 1,
         expansion_width: int = 1,
         executor: CandidateExecutor | None = None,
-        backend: str | None = None,
         job_timeout: float | None = None,
         round_timeout: float | None = None,
         max_retries: int = 2,
@@ -309,7 +305,7 @@ class SynthesisSearch:
         #: search object reused for many targets pays each template
         #: shape's AOT compile once (the Listing 3 amortization).
         self.pool = _resolve_pool(
-            pool, success_threshold, strategy, precision, lm_options, backend
+            pool, success_threshold, strategy, precision, lm_options
         )
         if executor is not None and executor.pool is not self.pool:
             raise ValueError(

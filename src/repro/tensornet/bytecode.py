@@ -100,7 +100,7 @@ class Program:
     output_shape: tuple[int, int] = (1, 1)
     #: the output contract's bytecode identity — ``("full",)`` or
     #: ``("column", j)`` (see :mod:`repro.tensornet.contract`); VMs
-    #: shape their output views and backends from this
+    #: shape their output views from this
     contract: tuple[str | int, ...] = ("full",)
 
     @property
@@ -126,7 +126,7 @@ class Program:
     def __getstate__(self) -> dict[str, Any]:
         """Pickle the declared fields only.
 
-        The fused program backend caches generated megakernels on the
+        The scalar TNVM caches generated megakernels on the
         instance (``_fused_kernels``); those ship explicitly with
         :class:`~repro.instantiation.SerializedEngine`, so program
         bytes stay lean and cache state never leaks through

@@ -32,8 +32,7 @@ A contract has two identities:
 
 Numerical note: a column program's output agrees with the full
 program's corresponding column to machine precision, and bit-exactly
-across the column world's own configurations (closures/fused,
-scalar/batched, worker counts, serialized rehydration).  Literal
+across worker counts and serialized rehydration.  Literal
 bitwise identity *between* the two worlds is not promised: BLAS
 matrix-matrix and matrix-vector kernels accumulate in different orders,
 so even ``(A @ B)[:, 0]`` and ``A @ B[:, 0]`` differ in the last ulp

@@ -2,15 +2,7 @@
 
 from ..tensornet.contract import FULL_UNITARY, OutputContract
 from .buffers import BatchedMemoryPlan, MemoryPlan
-from .fused import (
-    BACKENDS,
-    FUSED_COLUMN_DIM_MAX,
-    FUSED_DIM_MAX,
-    FusedKernel,
-    bind_fused_kernel,
-    generate_fused_kernel,
-    resolve_backend,
-)
+from .fused import FusedKernel, bind_fused_kernel, generate_fused_kernel
 from .vm import TNVM, BatchedTNVM, Differentiation
 
 __all__ = [
@@ -21,11 +13,7 @@ __all__ = [
     "FULL_UNITARY",
     "MemoryPlan",
     "BatchedMemoryPlan",
-    "BACKENDS",
-    "FUSED_DIM_MAX",
-    "FUSED_COLUMN_DIM_MAX",
     "FusedKernel",
-    "resolve_backend",
     "generate_fused_kernel",
     "bind_fused_kernel",
 ]

@@ -1,11 +1,13 @@
 """Forward-mode AD instruction specialization (paper section IV-B).
 
-At initialization the TNVM turns each bytecode instruction into a
-specialized closure.  The AOT compiler annotated every instruction with
-the circuit parameters it depends on; the builders here use those sets
-to apply the correct calculus — operations whose operands depend on
-*independent* partials propagate each side separately, while operands
-with *overlapping* parameters get the product rule.
+At initialization the batched TNVM turns each bytecode instruction
+into a specialized closure (the scalar TNVM emits the same calculus as
+one generated megakernel instead, see :mod:`repro.tnvm.fused`).  The
+AOT compiler annotated every instruction with the circuit parameters
+it depends on; the builders here use those sets to apply the correct
+calculus — operations whose operands depend on *independent* partials
+propagate each side separately, while operands with *overlapping*
+parameters get the product rule.
 
 All views are precomputed, so the hot closures perform no allocation
 except one reused scratch matrix per product-rule instruction.
@@ -19,38 +21,12 @@ import numpy as np
 
 from ..jit.compiled import CompiledExpression
 from ..tensornet.bytecode import Instruction, Program
-from .buffers import BatchedMemoryPlan, MemoryPlan
+from .buffers import BatchedMemoryPlan
 
 __all__ = [
-    "build_closure",
     "build_batched_closure",
     "build_batched_write_group",
 ]
-
-
-def build_closure(
-    instr: Instruction,
-    program: Program,
-    plan: MemoryPlan,
-    compiled: list[CompiledExpression],
-    grad: bool,
-):
-    """Create the specialized callable for one instruction.
-
-    The returned closure has signature ``run(params)`` where ``params``
-    is the flat circuit parameter sequence.
-    """
-    if instr.opcode == "WRITE":
-        return _build_write(instr, program, plan, compiled, grad)
-    if instr.opcode == "MATMUL":
-        return _build_matmul(instr, program, plan, grad)
-    if instr.opcode == "KRON":
-        return _build_kron(instr, program, plan, grad)
-    if instr.opcode == "HADAMARD":
-        return _build_hadamard(instr, program, plan, grad)
-    if instr.opcode == "TRANSPOSE":
-        return _build_transpose(instr, program, plan, grad)
-    raise ValueError(f"unknown opcode {instr.opcode}")
 
 
 def build_batched_closure(
@@ -64,8 +40,8 @@ def build_batched_closure(
 
     The returned closure has signature ``run(param_rows)`` where
     ``param_rows`` is a ``(num_params, batch)`` float array — row ``k``
-    holds parameter ``k`` for every batch element, so the scalar
-    builders' ``params[k]`` indexing carries over unchanged.
+    holds parameter ``k`` for every batch element, so ``params[k]``
+    picks one parameter across the whole batch.
     """
     if instr.opcode == "WRITE":
         return _build_batched_write(instr, program, plan, compiled, grad)
@@ -114,254 +90,11 @@ def _index(ix: list[int]):
 
 
 # ----------------------------------------------------------------------
-# WRITE
-# ----------------------------------------------------------------------
-
-def _build_write(instr, program, plan, compiled, grad):
-    expr = compiled[instr.expr_id]
-    out_spec = program.buffers[instr.out_buf]
-    val = plan.value_view(instr.out_buf, expr.shape)
-    gview = plan.grad_view(instr.out_buf, expr.shape) if grad else None
-    slots = instr.slots
-    write = expr.write
-
-    if not slots:
-        # Fully constant: runs in the constant section.
-        write_constants = expr.write_constants
-
-        def run_const(params):
-            write_constants(val)
-            write((), val)
-
-        return run_const
-
-    if len(slots) == 1:
-        j = slots[0]
-
-        def pick(params, _j=j):
-            return (params[_j],)
-    else:
-        getter = itemgetter(*slots)
-
-        def pick(params, _g=getter):
-            return _g(params)
-
-    if gview is None:
-        expr.write_constants(val)
-
-        def run(params):
-            write(pick(params), val)
-
-        return run
-
-    # Gradient path: the compiled expression produces one gradient row
-    # per *slot* (gate-parameter order); the buffer's gradient stack has
-    # one row per *sorted unique circuit parameter*.
-    sorted_params = out_spec.params
-    direct = tuple(slots) == tuple(sorted_params)
-    if direct:
-        expr.write_constants(val, gview)
-
-        def run(params):
-            write(pick(params), val, gview)
-
-        return run
-
-    # Scatter/accumulate path (duplicated or unordered slots): the
-    # expression's per-slot gradient rows land in a scratch stack whose
-    # constant entries are pre-written once, then accumulate into the
-    # buffer's sorted-parameter rows.
-    scratch = np.zeros((len(slots),) + expr.shape, dtype=plan.dtype)
-    expr.write_constants(val, scratch)
-    row_of = {p: i for i, p in enumerate(sorted_params)}
-    scatter = [row_of[j] for j in slots]
-
-    def run(params):
-        write(pick(params), val, scratch)
-        gview[:] = 0
-        for s, row in enumerate(scatter):
-            gview[row] += scratch[s]
-
-    return run
-
-
-# ----------------------------------------------------------------------
-# MATMUL
-# ----------------------------------------------------------------------
-
-def _build_matmul(instr, program, plan, grad):
-    m, k = instr.a_shape
-    k2, n = instr.b_shape
-    assert k == k2
-    A = plan.value_view(instr.a_buf, (m, k))
-    B = plan.value_view(instr.b_buf, (k, n))
-    C = plan.value_view(instr.out_buf, (m, n))
-
-    if not grad or not instr.params:
-
-        def run(params):
-            np.matmul(A, B, out=C)
-
-        return run
-
-    GA = plan.grad_view(instr.a_buf, (m, k))
-    GB = plan.grad_view(instr.b_buf, (k, n))
-    GC = plan.grad_view(instr.out_buf, (m, n))
-    a_params = program.buffers[instr.a_buf].params
-    b_params = program.buffers[instr.b_buf].params
-    ia = _param_positions(instr.params, a_params)
-    ib = _param_positions(instr.params, b_params)
-    maps = list(zip(ia, ib))
-    needs_scratch = any(x >= 0 and y >= 0 for x, y in maps)
-    scratch = (
-        np.zeros((m, n), dtype=plan.dtype) if needs_scratch else None
-    )
-
-    def run(params):
-        np.matmul(A, B, out=C)
-        for row, (x, y) in enumerate(maps):
-            if x >= 0 and y >= 0:
-                # Overlapping parameters: product rule.
-                np.matmul(GA[x], B, out=GC[row])
-                np.matmul(A, GB[y], out=scratch)
-                GC[row] += scratch
-            elif x >= 0:
-                np.matmul(GA[x], B, out=GC[row])
-            else:
-                np.matmul(A, GB[y], out=GC[row])
-
-    return run
-
-
-# ----------------------------------------------------------------------
-# KRON / HADAMARD (element-wise broadcasting kernels)
-# ----------------------------------------------------------------------
-
-def _build_kron(instr, program, plan, grad):
-    ra, ca = instr.a_shape
-    rb, cb = instr.b_shape
-    A = plan.value_view(instr.a_buf, (ra, 1, ca, 1))
-    B = plan.value_view(instr.b_buf, (1, rb, 1, cb))
-    C = plan.value_view(instr.out_buf, (ra, rb, ca, cb))
-
-    if not grad or not instr.params:
-
-        def run(params):
-            np.multiply(A, B, out=C)
-
-        return run
-
-    GA = plan.grad_view(instr.a_buf, (ra, 1, ca, 1))
-    GB = plan.grad_view(instr.b_buf, (1, rb, 1, cb))
-    GC = plan.grad_view(instr.out_buf, (ra, rb, ca, cb))
-    a_params = program.buffers[instr.a_buf].params
-    b_params = program.buffers[instr.b_buf].params
-    maps = list(
-        zip(
-            _param_positions(instr.params, a_params),
-            _param_positions(instr.params, b_params),
-        )
-    )
-    needs_scratch = any(x >= 0 and y >= 0 for x, y in maps)
-    scratch = (
-        np.zeros((ra, rb, ca, cb), dtype=plan.dtype)
-        if needs_scratch
-        else None
-    )
-
-    def run(params):
-        np.multiply(A, B, out=C)
-        for row, (x, y) in enumerate(maps):
-            if x >= 0 and y >= 0:
-                np.multiply(GA[x], B, out=GC[row])
-                np.multiply(A, GB[y], out=scratch)
-                GC[row] += scratch
-            elif x >= 0:
-                np.multiply(GA[x], B, out=GC[row])
-            else:
-                np.multiply(A, GB[y], out=GC[row])
-
-    return run
-
-
-def _build_hadamard(instr, program, plan, grad):
-    shape = instr.a_shape
-    A = plan.value_view(instr.a_buf, shape)
-    B = plan.value_view(instr.b_buf, shape)
-    C = plan.value_view(instr.out_buf, shape)
-
-    if not grad or not instr.params:
-
-        def run(params):
-            np.multiply(A, B, out=C)
-
-        return run
-
-    GA = plan.grad_view(instr.a_buf, shape)
-    GB = plan.grad_view(instr.b_buf, shape)
-    GC = plan.grad_view(instr.out_buf, shape)
-    a_params = program.buffers[instr.a_buf].params
-    b_params = program.buffers[instr.b_buf].params
-    maps = list(
-        zip(
-            _param_positions(instr.params, a_params),
-            _param_positions(instr.params, b_params),
-        )
-    )
-    needs_scratch = any(x >= 0 and y >= 0 for x, y in maps)
-    scratch = np.zeros(shape, dtype=plan.dtype) if needs_scratch else None
-
-    def run(params):
-        np.multiply(A, B, out=C)
-        for row, (x, y) in enumerate(maps):
-            if x >= 0 and y >= 0:
-                np.multiply(GA[x], B, out=GC[row])
-                np.multiply(A, GB[y], out=scratch)
-                GC[row] += scratch
-            elif x >= 0:
-                np.multiply(GA[x], B, out=GC[row])
-            else:
-                np.multiply(A, GB[y], out=GC[row])
-
-    return run
-
-
-# ----------------------------------------------------------------------
-# TRANSPOSE (fused reshape-permute-reshape, precomputed strided views)
-# ----------------------------------------------------------------------
-
-def _build_transpose(instr, program, plan, grad):
-    shape = instr.shape
-    perm = instr.perm
-    src = plan.value_view(instr.a_buf, shape).transpose(perm)
-    dst = plan.value_view(instr.out_buf, src.shape)
-
-    if not grad or not instr.params:
-
-        def run(params):
-            np.copyto(dst, src)
-
-        return run
-
-    # Input and output parameter sets are identical for a transpose.
-    gsrc_base = plan.grad_view(instr.a_buf, shape)
-    gperm = (0,) + tuple(p + 1 for p in perm)
-    gsrc = gsrc_base.transpose(gperm)
-    gdst = plan.grad_view(instr.out_buf, src.shape)
-
-    def run(params):
-        np.copyto(dst, src)
-        np.copyto(gdst, gsrc)
-
-    return run
-
-
-# ----------------------------------------------------------------------
 # Batched builders
 #
-# Same calculus as the scalar builders above, with every view carrying
-# a leading batch axis.  Contractions (MATMUL/KRON/HADAMARD/TRANSPOSE)
-# broadcast over that axis in a single numpy call, so the per-
+# Every view carries a leading batch axis.  Contractions
+# (MATMUL/KRON/HADAMARD/TRANSPOSE) broadcast over that axis in a
+# single numpy call, so the per-
 # instruction Python dispatch cost is amortized across all S starts.
 # WRITE instead hands the JIT'd *batched* expression writer views with
 # a trailing batch axis: the generated ``out[i, j] = ...`` stores then

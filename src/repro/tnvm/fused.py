@@ -1,30 +1,27 @@
-"""Whole-program fused codegen: the TNVM megakernel backend.
+"""Whole-program fused codegen: the scalar TNVM's megakernel.
 
-The closure backend (:mod:`repro.tnvm.ad`) interprets the dynamic
-section as a Python loop over per-instruction closures; at the 2-8
-dimensional matrices synthesis templates use, that per-instruction
-dispatch — closure call, parameter pick, view indirection — dominates
-wall time.  This module extends the expression JIT from per-gate to
+At the 2-27 dimensional matrices synthesis templates use, executing a
+program one instruction at a time — closure call, parameter pick, view
+indirection per instruction — is dominated by dispatch, not
+arithmetic.  This module extends the expression JIT from per-gate to
 per-program: :func:`generate_fused_kernel` lowers a compiled
-:class:`~repro.tensornet.bytecode.Program`'s entire dynamic section to
-ONE specialized Python function (the operator-fusion move of XLA-style
-compilers, standing in for the paper's whole-pipeline LLVM emission):
+:class:`~repro.tensornet.bytecode.Program` to ONE specialized Python
+function (the operator-fusion move of XLA-style compilers, standing in
+for the paper's whole-pipeline LLVM emission):
 
-* ``WRITE`` instructions are inlined as their already-generated CSE'd
-  expression bodies — no per-gate function call, with the gate's local
-  parameters renamed onto one shared circuit-parameter unpack;
+* the constant section runs once, in the kernel's bind-time prologue;
+* dynamic ``WRITE`` instructions are inlined as their already-generated
+  CSE'd expression bodies — no per-gate function call, with the gate's
+  local parameters renamed onto one shared circuit-parameter unpack;
 * ``MATMUL``/``KRON``/``HADAMARD``/``TRANSPOSE`` become direct numpy
-  calls on views pre-bound in the kernel's setup prologue, with
-  ``out=`` targets into the same arena the closure backend uses;
-* the forward-mode product-rule cases (the a-only / b-only / overlap
-  split of :mod:`repro.tnvm.ad`) are unrolled as straight-line
-  statements per gradient row.
+  calls on views pre-bound in the prologue, with ``out=`` targets into
+  the VM's arena;
+* the forward-mode product-rule cases (a-only / b-only / overlap, see
+  :mod:`repro.tnvm.ad`) run as one row-stacked numpy call per case.
 
-Bit-identity contract: for every instruction the generated statements
-perform the numerically identical operations, in the identical order,
-on the identical arena memory as the closure backend — the fused and
-closure backends must agree to the last bit (enforced by
-``tests/tnvm/test_fused.py``).
+The batched VM keeps its per-instruction closures instead: their
+grouped WRITE writers evaluate every same-expression gate as one
+``G*S``-stacked ufunc call, which per-gate inlined stores cannot beat.
 
 Kernels are plain source text (:class:`FusedKernel`), cached on the
 ``Program`` they were generated from and shipped with serialized
@@ -43,90 +40,39 @@ from ..jit.codegen import generate_inline_write, writer_globals
 from ..jit.compiled import CompiledExpression
 from ..tensornet.bytecode import Instruction, Program
 from .ad import _grouped_rows, _index, _param_positions
-from .buffers import BatchedMemoryPlan, MemoryPlan
+from .buffers import MemoryPlan
 
 __all__ = [
-    "BACKENDS",
-    "FUSED_DIM_MAX",
-    "FUSED_COLUMN_DIM_MAX",
     "FusedKernel",
-    "resolve_backend",
     "generate_fused_kernel",
     "bind_fused_kernel",
     "fused_kernel_for",
-    "cached_fused_kernels",
-    "attach_fused_kernels",
+    "attach_fused_kernel",
 ]
-
-#: Valid values for the TNVM execution backend knob.
-BACKENDS = ("closures", "fused", "auto")
-
-#: ``backend="auto"`` fuses scalar VMs at or below this output
-#: dimension.  Small programs are interpreter-overhead-bound (the
-#: fused win); above it the numpy kernels themselves dominate and the
-#: closure loop's flexibility costs nothing.  8 covers the 1-3 qubit
-#: templates every synthesis pass instantiates by the thousands.
-FUSED_DIM_MAX = 8
-
-#: ``backend="auto"``'s fusion ceiling for *column-contract* programs.
-#: A column program's contractions are matrix-vector — ``O(D)`` per
-#: gate instead of ``O(D^2)`` — so per-instruction dispatch stays the
-#: dominant cost far past :data:`FUSED_DIM_MAX`: a D=64 matvec moves
-#: the same data as a D=8 matmul.
-FUSED_COLUMN_DIM_MAX = 64
 
 _P = "    "  # prologue indent (inside make_fused)
 _H = "        "  # hot-body indent (inside fused_run)
-
-
-def resolve_backend(
-    backend: str, dim: int, batched: bool = False, column: bool = False
-) -> str:
-    """Collapse ``"auto"`` to a concrete backend.
-
-    Scalar VMs fuse at or below :data:`FUSED_DIM_MAX` — or
-    :data:`FUSED_COLUMN_DIM_MAX` when ``column`` marks the program as
-    column-contract (the auto selection is contract-aware: vector
-    propagation stays dispatch-bound at much larger dimensions).
-    Batched VMs stay on the closure backend under ``"auto"`` — its
-    grouped WRITE writers already evaluate every same-expression gate
-    as one ``G*S``-stacked ufunc call, which inlined per-gate vector
-    stores measurably undo (~0.7x on gate-heavy templates).  An
-    explicit ``backend="fused"`` still forces the megakernel on either
-    VM.
-    """
-    if backend not in BACKENDS:
-        raise ValueError(
-            f"backend must be one of {BACKENDS}, got {backend!r}"
-        )
-    if backend == "auto":
-        if batched:
-            return "closures"
-        limit = FUSED_COLUMN_DIM_MAX if column else FUSED_DIM_MAX
-        return "fused" if dim <= limit else "closures"
-    return backend
 
 
 @dataclass(frozen=True)
 class FusedKernel:
     """One generated megakernel: source text plus codegen metadata.
 
-    The source defines ``make_fused(values, grads, dtype)`` (scalar) or
-    ``make_fused(values, grads, dtype, B)`` (batched) — a factory that
-    binds arena views once and returns the hot ``fused_run(params)``
-    function.  The object is a plain value: pickling it ships the
-    source, and :func:`bind_fused_kernel` rehydrates with ``compile()``
-    — no re-fusing, no expression pipeline.
+    The source defines ``make_fused(values, grads, dtype)`` — a factory
+    that binds arena views, runs the constant section once, and returns
+    the hot ``fused_run(params)`` function.  The object is a plain
+    value: pickling it ships the source, and :func:`bind_fused_kernel`
+    rehydrates with ``compile()`` — no re-fusing, no expression
+    pipeline.
     """
 
     source: str
     grad: bool
-    batched: bool
     #: numpy-call dispatches per sweep (contractions + scatter stores)
     num_numpy_calls: int
     #: inlined scalar store statements per sweep (WRITE bodies)
     num_write_stores: int
-    #: instructions covered (the closure backend's dispatch count)
+    #: dynamic-section instructions the hot function covers
     num_instructions: int
 
 
@@ -136,88 +82,85 @@ class FusedKernel:
 
 
 class _FusedEmitter:
-    """Accumulates the prologue/hot statement streams for one kernel."""
+    """Accumulates the prologue/body statement streams for one section.
 
-    def __init__(self, program: Program, grad: bool, batched: bool):
+    ``prefix`` keeps each section's local names unique; ``indent`` is
+    where the section's per-run statements live (the hot function for
+    the dynamic section, the prologue for the constant section).
+    """
+
+    def __init__(self, program: Program, grad: bool, prefix: str, indent: str):
         self.program = program
         self.grad = grad
-        self.batched = batched
+        self.prefix = prefix
+        self.indent = indent
         self.pro: list[str] = []
-        self.hot: list[str] = []
+        self.body: list[str] = []
         self.used_atoms: set[str] = set()
         self.num_numpy_calls = 0
         self.num_write_stores = 0
 
-    # -- view-binding helpers ------------------------------------------
-    def _shape(self, shape) -> str:
-        dims = ", ".join(str(s) for s in shape)
-        return f"B, {dims}" if self.batched else dims
+    def emit(self, n: int, instr: Instruction, compiled) -> None:
+        name = f"{self.prefix}{n}"
+        if instr.opcode == "WRITE":
+            self.emit_write(name, instr, compiled[instr.expr_id])
+        elif instr.opcode in ("MATMUL", "KRON", "HADAMARD"):
+            self.emit_product(name, instr)
+        elif instr.opcode == "TRANSPOSE":
+            self.emit_transpose(name, instr)
+        else:
+            raise ValueError(f"unknown opcode {instr.opcode}")
 
+    # -- view-binding helpers ------------------------------------------
     def value(self, buf: int, shape) -> str:
-        return f"values[{buf}].reshape({self._shape(shape)})"
+        dims = ", ".join(str(s) for s in shape)
+        return f"values[{buf}].reshape({dims})"
 
     def gradstack(self, buf: int, shape) -> str:
         n = len(self.program.buffers[buf].params)
         dims = ", ".join(str(s) for s in shape)
-        if self.batched:
-            return f"grads[{buf}].reshape(B, {n}, {dims})"
         return f"grads[{buf}].reshape({n}, {dims})"
 
     def np_call(self, line: str) -> None:
-        self.hot.append(f"{_H}{line}")
+        self.body.append(f"{self.indent}{line}")
         self.num_numpy_calls += 1
 
     # -- WRITE ---------------------------------------------------------
     def emit_write(
-        self, n: int, instr: Instruction, expr: CompiledExpression
+        self, name: str, instr: Instruction, expr: CompiledExpression
     ) -> None:
         shape = expr.shape
         u_entries, g_entries = expr.entries
         use_grad = self.grad and bool(g_entries) and bool(instr.slots)
-        vname = f"i{n}_v"
-        if self.batched:
-            # Trailing-batch view: every generated ``out[i, j]`` store
-            # assigns a length-B vector, exactly like ``write_batched``.
-            self.pro.append(
-                f"{_P}{vname} = np.moveaxis("
-                f"{self.value(instr.out_buf, shape)}, 0, -1)"
-            )
-        else:
-            self.pro.append(f"{_P}{vname} = {self.value(instr.out_buf, shape)}")
+        vname = f"{name}_v"
+        self.pro.append(f"{_P}{vname} = {self.value(instr.out_buf, shape)}")
 
         scatter = None
         gname = None
         if use_grad:
             sorted_params = self.program.buffers[instr.out_buf].params
-            gview = f"i{n}_g"
-            if self.batched:
-                self.pro.append(
-                    f"{_P}{gview} = np.moveaxis("
-                    f"{self.gradstack(instr.out_buf, shape)}, 0, -1)"
-                )
-            else:
-                self.pro.append(
-                    f"{_P}{gview} = {self.gradstack(instr.out_buf, shape)}"
-                )
+            gview = f"{name}_g"
+            self.pro.append(
+                f"{_P}{gview} = {self.gradstack(instr.out_buf, shape)}"
+            )
             if tuple(instr.slots) == tuple(sorted_params):
                 gname = gview
             else:
                 # Scatter/accumulate path (duplicated or unordered
                 # slots): per-slot rows land in a scratch stack, then
                 # accumulate into the sorted-parameter rows.
-                gname = f"i{n}_s"
+                gname = f"{name}_s"
                 dims = ", ".join(str(s) for s in shape)
-                tail = ", B" if self.batched else ""
                 self.pro.append(
                     f"{_P}{gname} = np.zeros(({len(instr.slots)}, "
-                    f"{dims}{tail}), dtype=dtype)"
+                    f"{dims}), dtype=dtype)"
                 )
                 row_of = {p: i for i, p in enumerate(sorted_params)}
                 scatter = (gview, [row_of[j] for j in instr.slots])
 
         var_atoms = {
-            name: f"p{instr.slots[k]}"
-            for k, name in enumerate(expr.matrix.params)
+            param: f"p{instr.slots[k]}"
+            for k, param in enumerate(expr.matrix.params)
         }
         inline = generate_inline_write(
             u_entries,
@@ -226,13 +169,12 @@ class _FusedEmitter:
             var_atoms,
             vname,
             gname,
-            temp_prefix=f"i{n}_t",
-            indent=_H,
-            batched=self.batched,
+            temp_prefix=f"{name}_t",
+            indent=self.indent,
         )
         self.pro.extend(f"{_P}{line}" for line in inline.const_value_lines)
         self.pro.extend(f"{_P}{line}" for line in inline.const_grad_lines)
-        self.hot.extend(inline.hot_lines)
+        self.body.extend(inline.hot_lines)
         self.used_atoms |= inline.used_atoms
         self.num_write_stores += inline.num_dynamic
         if scatter is not None:
@@ -242,7 +184,7 @@ class _FusedEmitter:
                 self.np_call(f"{gview}[{row}] += {gname}[{s}]")
 
     # -- MATMUL / KRON / HADAMARD --------------------------------------
-    def emit_product(self, n: int, instr: Instruction) -> None:
+    def emit_product(self, name: str, instr: Instruction) -> None:
         """Shared contraction emitter; the three opcodes differ only in
         the ufunc and how their operands are viewed (KRON interleaves
         singleton axes so a broadcast multiply is the outer product)."""
@@ -261,7 +203,7 @@ class _FusedEmitter:
             a_shape = b_shape = out_shape = tuple(instr.a_shape)
             ufunc = "np.multiply"
 
-        a, b, c = f"i{n}_a", f"i{n}_b", f"i{n}_c"
+        a, b, c = f"{name}_a", f"{name}_b", f"{name}_c"
         self.pro.append(f"{_P}{a} = {self.value(instr.a_buf, a_shape)}")
         self.pro.append(f"{_P}{b} = {self.value(instr.b_buf, b_shape)}")
         self.pro.append(f"{_P}{c} = {self.value(instr.out_buf, out_shape)}")
@@ -277,7 +219,7 @@ class _FusedEmitter:
                 _param_positions(instr.params, b_params),
             )
         )
-        GA, GB, GC = f"i{n}_GA", f"i{n}_GB", f"i{n}_GC"
+        GA, GB, GC = f"{name}_GA", f"{name}_GB", f"{name}_GC"
         if any(x >= 0 for x, _ in maps):
             self.pro.append(
                 f"{_P}{GA} = {self.gradstack(instr.a_buf, a_shape)}"
@@ -289,49 +231,20 @@ class _FusedEmitter:
         self.pro.append(
             f"{_P}{GC} = {self.gradstack(instr.out_buf, out_shape)}"
         )
-        scr = f"i{n}_scr"
-        needs_scratch = any(x >= 0 and y >= 0 for x, y in maps)
-        if needs_scratch:
+        scr = f"{name}_scr"
+        if any(x >= 0 and y >= 0 for x, y in maps):
             dims = ", ".join(str(s) for s in out_shape)
-            lead = "B, " if self.batched else ""
-            self.pro.append(
-                f"{_P}{scr} = np.zeros(({lead}{dims}), dtype=dtype)"
-            )
-        if self.batched:
-            self._emit_batched_product_grad(
-                n, ufunc, maps, a, b, GA, GB, GC, scr
-            )
-        else:
-            self._emit_scalar_product_grad(
-                n, ufunc, maps, a, b, GA, GB, GC, scr
-            )
-
-    def _scalar_idx(self, n: int, name: str, ix: list[int]):
-        """An index expression for a row list: ``start:stop`` when
-        consecutive (zero-copy view, valid ``out=`` target), else a
-        prologue-bound fancy-index array."""
-        sl = _index(ix)
-        if isinstance(sl, slice):
-            return f"{sl.start}:{sl.stop}", True
-        arr = f"i{n}_{name}"
-        vals = ", ".join(str(v) for v in ix)
-        self.pro.append(f"{_P}{arr} = np.asarray([{vals}], dtype=np.intp)")
-        return arr, False
-
-    def _emit_scalar_product_grad(
-        self, n, ufunc, maps, a, b, GA, GB, GC, scr
-    ) -> None:
+            self.pro.append(f"{_P}{scr} = np.zeros(({dims}), dtype=dtype)")
         # Row-stacked gradient contraction: all rows of each product-
-        # rule case run as ONE call over a (rows, ...) stack — the
-        # numpy-dispatch collapse that makes fusion beat the closure
-        # loop (which pays one call per row).  Stacked and per-row
-        # contractions are bit-identical: the gufunc applies the same
-        # 2-D kernel to each slice, and every gradient row reads only
-        # operand buffers (never other rows), so case order is free.
+        # rule case run as ONE call over a (rows, ...) stack.  Stacked
+        # and per-row contractions are bit-identical: the gufunc
+        # applies the same 2-D kernel to each slice, and every gradient
+        # row reads only operand buffers (never other rows), so case
+        # order is free.
         a_rows, a_idx, b_rows, b_idx, both = _grouped_rows(maps)
         if a_rows:
-            ra, a_direct = self._scalar_idx(n, "ra", a_rows)
-            ia, _ = self._scalar_idx(n, "ia", a_idx)
+            ra, a_direct = self._idx(name, "ra", a_rows)
+            ia, _ = self._idx(name, "ia", a_idx)
             if a_direct:
                 self.np_call(f"{ufunc}({GA}[{ia}], {b}, out={GC}[{ra}])")
             elif ufunc == "np.matmul":
@@ -339,8 +252,8 @@ class _FusedEmitter:
             else:
                 self.np_call(f"{GC}[{ra}] = {GA}[{ia}] * {b}")
         if b_rows:
-            rb, b_direct = self._scalar_idx(n, "rb", b_rows)
-            ib, _ = self._scalar_idx(n, "ib", b_idx)
+            rb, b_direct = self._idx(name, "rb", b_rows)
+            ib, _ = self._idx(name, "ib", b_idx)
             if b_direct:
                 self.np_call(f"{ufunc}({a}, {GB}[{ib}], out={GC}[{rb}])")
             elif ufunc == "np.matmul":
@@ -353,70 +266,35 @@ class _FusedEmitter:
             self.np_call(f"{ufunc}({a}, {GB}[{y}], out={scr})")
             self.np_call(f"{GC}[{row}] += {scr}")
 
-    def _emit_batched_product_grad(
-        self, n, ufunc, maps, a, b, GA, GB, GC, scr
-    ) -> None:
-        # Mirror the closure backend's row-stacked contraction blocks
-        # verbatim: one broadcasted call per product-rule case, slices
-        # when row ranges are consecutive, fancy indices otherwise.
-        a_rows, a_idx, b_rows, b_idx, both = _grouped_rows(maps)
-        idx_expr = lambda name, ix: self._scalar_idx(n, name, ix)  # noqa: E731
-        ab, bb = f"i{n}_ab", f"i{n}_bb"
-        if a_rows or b_rows:
-            if a_rows:
-                self.pro.append(f"{_P}{bb} = {b}[:, None]")
-            if b_rows:
-                self.pro.append(f"{_P}{ab} = {a}[:, None]")
-        if a_rows:
-            ra, a_direct = idx_expr("ra", a_rows)
-            ia, _ = idx_expr("ia", a_idx)
-            if a_direct:
-                self.np_call(
-                    f"{ufunc}({GA}[:, {ia}], {bb}, out={GC}[:, {ra}])"
-                )
-            elif ufunc == "np.matmul":
-                self.np_call(f"{GC}[:, {ra}] = np.matmul({GA}[:, {ia}], {bb})")
-            else:
-                self.np_call(f"{GC}[:, {ra}] = {GA}[:, {ia}] * {bb}")
-        if b_rows:
-            rb, b_direct = idx_expr("rb", b_rows)
-            ib, _ = idx_expr("ib", b_idx)
-            if b_direct:
-                self.np_call(
-                    f"{ufunc}({ab}, {GB}[:, {ib}], out={GC}[:, {rb}])"
-                )
-            elif ufunc == "np.matmul":
-                self.np_call(f"{GC}[:, {rb}] = np.matmul({ab}, {GB}[:, {ib}])")
-            else:
-                self.np_call(f"{GC}[:, {rb}] = {ab} * {GB}[:, {ib}]")
-        for row, x, y in both:
-            self.np_call(f"{ufunc}({GA}[:, {x}], {b}, out={GC}[:, {row}])")
-            self.np_call(f"{ufunc}({a}, {GB}[:, {y}], out={scr})")
-            self.np_call(f"{GC}[:, {row}] += {scr}")
+    def _idx(self, name: str, label: str, ix: list[int]):
+        """An index expression for a row list: ``start:stop`` when
+        consecutive (zero-copy view, valid ``out=`` target), else a
+        prologue-bound fancy-index array."""
+        sl = _index(ix)
+        if isinstance(sl, slice):
+            return f"{sl.start}:{sl.stop}", True
+        arr = f"{name}_{label}"
+        vals = ", ".join(str(v) for v in ix)
+        self.pro.append(f"{_P}{arr} = np.asarray([{vals}], dtype=np.intp)")
+        return arr, False
 
     # -- TRANSPOSE -----------------------------------------------------
-    def emit_transpose(self, n: int, instr: Instruction) -> None:
+    def emit_transpose(self, name: str, instr: Instruction) -> None:
         shape = tuple(instr.shape)
         perm = tuple(instr.perm)
         out_shape = tuple(shape[p] for p in perm)
-        src, dst = f"i{n}_src", f"i{n}_dst"
-        if self.batched:
-            vperm = (0,) + tuple(p + 1 for p in perm)
-        else:
-            vperm = perm
+        src, dst = f"{name}_src", f"{name}_dst"
         self.pro.append(
             f"{_P}{src} = {self.value(instr.a_buf, shape)}"
-            f".transpose({vperm!r})"
+            f".transpose({perm!r})"
         )
         self.pro.append(f"{_P}{dst} = {self.value(instr.out_buf, out_shape)}")
         self.np_call(f"np.copyto({dst}, {src})")
         if not self.grad or not instr.params:
             return
-        gsrc, gdst = f"i{n}_gsrc", f"i{n}_gdst"
-        if self.batched:
-            gperm = (0, 1) + tuple(p + 2 for p in perm)
-        else:
-            gperm = (0,) + tuple(p + 1 for p in perm)
+        # Input and output parameter sets are identical for a transpose.
+        gsrc, gdst = f"{name}_gsrc", f"{name}_gdst"
+        gperm = (0,) + tuple(p + 1 for p in perm)
         self.pro.append(
             f"{_P}{gsrc} = {self.gradstack(instr.a_buf, shape)}"
             f".transpose({gperm!r})"
@@ -431,46 +309,43 @@ def generate_fused_kernel(
     program: Program,
     compiled: list[CompiledExpression],
     grad: bool,
-    batched: bool,
 ) -> FusedKernel:
-    """Lower ``program``'s dynamic section to one megakernel source.
+    """Lower ``program`` to one megakernel source.
 
     ``compiled`` is the VM's expression list (one entry per
     ``program.expressions``, with gradients exactly when the VM wants
     them) — the inlined WRITE bodies are re-emitted from the same
     simplified entry triples the standalone writers were generated
-    from, so the fused function is bit-identical to the closure sweep.
+    from, so they compute the same values the writers would.
     """
-    emitter = _FusedEmitter(program, grad, batched)
+    const = _FusedEmitter(program, grad=False, prefix="c", indent=_P)
+    for n, instr in enumerate(program.const_section):
+        const.emit(n, instr, compiled)
+    hot = _FusedEmitter(program, grad, prefix="i", indent=_H)
     for n, instr in enumerate(program.dynamic_section):
-        if instr.opcode == "WRITE":
-            emitter.emit_write(n, instr, compiled[instr.expr_id])
-        elif instr.opcode in ("MATMUL", "KRON", "HADAMARD"):
-            emitter.emit_product(n, instr)
-        elif instr.opcode == "TRANSPOSE":
-            emitter.emit_transpose(n, instr)
-        else:
-            raise ValueError(f"unknown opcode {instr.opcode}")
+        hot.emit(n, instr, compiled)
 
-    args = "values, grads, dtype, B" if batched else "values, grads, dtype"
-    lines = [f"def make_fused({args}):"]
-    lines.extend(emitter.pro)
+    lines = ["def make_fused(values, grads, dtype):"]
+    # Bind the constant section's views, then run it once: every sweep
+    # reads its outputs but none rewrites them.
+    lines.extend(const.pro)
+    lines.extend(const.body)
+    lines.extend(hot.pro)
     lines.append(f"{_P}def fused_run(params):")
     unpack = sorted(
-        (int(atom[1:]) for atom in emitter.used_atoms if atom[1:].isdigit()),
+        (int(atom[1:]) for atom in hot.used_atoms if atom[1:].isdigit()),
     )
     lines.extend(f"{_H}p{k} = params[{k}]" for k in unpack)
-    if emitter.hot:
-        lines.extend(emitter.hot)
+    if hot.body:
+        lines.extend(hot.body)
     elif not unpack:
         lines.append(f"{_H}pass")
     lines.append(f"{_P}return fused_run")
     return FusedKernel(
         source="\n".join(lines) + "\n",
         grad=grad,
-        batched=batched,
-        num_numpy_calls=emitter.num_numpy_calls,
-        num_write_stores=emitter.num_write_stores,
+        num_numpy_calls=hot.num_numpy_calls,
+        num_write_stores=hot.num_write_stores,
         num_instructions=len(program.dynamic_section),
     )
 
@@ -480,13 +355,14 @@ def generate_fused_kernel(
 # ----------------------------------------------------------------------
 
 
-def bind_fused_kernel(kernel: FusedKernel, plan) -> callable:
+def bind_fused_kernel(kernel: FusedKernel, plan: MemoryPlan):
     """Compile ``kernel``'s source and bind it to a memory plan.
 
     This is the cheap half of fusion (exactly like
     :func:`~repro.jit.codegen.compile_source` for per-gate writers): a
     kernel shipped from another process rehydrates here without
-    re-walking the program.  Returns the hot ``fused_run(params)``.
+    re-walking the program.  Binding runs the constant section into
+    ``plan``'s arena and returns the hot ``fused_run(params)``.
 
     Under ``REPRO_VERIFY=1`` the kernel source is linted by
     :mod:`repro.analysis` before it is ``exec``-ed — this is the trust
@@ -495,60 +371,39 @@ def bind_fused_kernel(kernel: FusedKernel, plan) -> callable:
     from ..analysis import maybe_lint_kernel
 
     maybe_lint_kernel(kernel, subject="fused kernel (bind)")
-    namespace = writer_globals(kernel.batched)
+    namespace = writer_globals()
     namespace["np"] = np
-    tag = "batched" if kernel.batched else "scalar"
-    code = compile(kernel.source, f"<fused-{tag}>", "exec")
-    exec(code, namespace)
-    factory = namespace["make_fused"]
-    if kernel.batched:
-        if not isinstance(plan, BatchedMemoryPlan):
-            raise TypeError("batched kernel needs a BatchedMemoryPlan")
-        return factory(plan.values, plan.grads, plan.dtype, plan.batch)
-    if not isinstance(plan, MemoryPlan):
-        raise TypeError("scalar kernel needs a MemoryPlan")
-    return factory(plan.values, plan.grads, plan.dtype)
+    exec(compile(kernel.source, "<fused>", "exec"), namespace)
+    return namespace["make_fused"](plan.values, plan.grads, plan.dtype)
 
 
 def fused_kernel_for(
     program: Program,
     compiled: list[CompiledExpression],
     grad: bool,
-    batched: bool,
 ) -> FusedKernel:
-    """The (grad, batched) kernel for ``program``, generated once.
+    """The ``grad`` kernel for ``program``, generated once.
 
     Kernels are cached on the program instance, so every VM bound to
-    one compiled program — e.g. a batched engine's per-batch-size VMs —
-    shares a single generation pass, and kernels attached by
-    :func:`attach_fused_kernels` (engine rehydration) short-circuit
-    generation entirely.
+    one compiled program shares a single generation pass, and a kernel
+    attached by :func:`attach_fused_kernel` (engine rehydration)
+    short-circuits generation entirely.
     """
     cache = program.__dict__.setdefault("_fused_kernels", {})
-    key = (bool(grad), bool(batched))
-    kernel = cache.get(key)
+    kernel = cache.get(bool(grad))
     if kernel is None:
         with telemetry.tracer().span(
             "fuse.codegen", category="fuse",
-            dim=program.dim, grad=bool(grad), batched=bool(batched),
+            dim=program.dim, grad=bool(grad),
         ):
-            kernel = generate_fused_kernel(program, compiled, grad, batched)
+            kernel = generate_fused_kernel(program, compiled, grad)
         telemetry.metrics().counter("fuse.kernels_generated").add()
-        cache[key] = kernel
+        cache[bool(grad)] = kernel
     return kernel
 
 
-def cached_fused_kernels(program: Program) -> dict:
-    """The kernels generated for ``program`` so far (may be empty)."""
-    return dict(program.__dict__.get("_fused_kernels", {}))
-
-
-def attach_fused_kernels(program: Program, kernels) -> None:
-    """Seed ``program``'s kernel cache (rehydration path).
-
-    ``kernels`` maps ``(grad, batched)`` to :class:`FusedKernel`;
-    existing entries win (they may already be bound by live VMs).
-    """
+def attach_fused_kernel(program: Program, kernel: FusedKernel) -> None:
+    """Seed ``program``'s kernel cache (rehydration path); an existing
+    entry wins (it may already be bound by live VMs)."""
     cache = program.__dict__.setdefault("_fused_kernels", {})
-    for key, kernel in dict(kernels).items():
-        cache.setdefault(tuple(key), kernel)
+    cache.setdefault(bool(kernel.grad), kernel)

@@ -9,9 +9,14 @@ Instantiation performs the one-time preparatory steps:
 3. specialize every instruction for the requested precision and
    differentiation level, and execute the constant section once.
 
-After that, :meth:`TNVM.evaluate` / :meth:`TNVM.evaluate_with_grad` are
-straight sweeps over a list of pre-bound closures — no allocation, no
-dispatch, no compilation.
+Each VM then has exactly one execution path.  The scalar :class:`TNVM`
+runs the whole program as one generated megakernel
+(:mod:`repro.tnvm.fused`): binding it runs the constant section, and
+every sweep is a single call.  The :class:`BatchedTNVM` sweeps a list
+of pre-bound batch-vectorized closures (:mod:`repro.tnvm.ad`) whose
+grouped WRITE writers evaluate every same-expression gate in one
+stacked call.  Either way a sweep does no allocation, no dispatch on
+opcodes and no compilation.
 """
 
 from __future__ import annotations
@@ -25,9 +30,9 @@ from .. import telemetry
 from ..jit.cache import ExpressionCache, global_cache
 from ..tensornet.bytecode import Program
 from ..tensornet.contract import OutputContract
-from .ad import build_batched_closure, build_batched_write_group, build_closure
+from .ad import build_batched_closure, build_batched_write_group
 from .buffers import BatchedMemoryPlan, MemoryPlan
-from .fused import bind_fused_kernel, fused_kernel_for, resolve_backend
+from .fused import bind_fused_kernel, fused_kernel_for
 
 __all__ = ["Differentiation", "TNVM", "BatchedTNVM"]
 
@@ -51,11 +56,11 @@ def _bind_bra(contract: OutputContract, dim: int, dtype) -> np.ndarray | None:
 
 
 class Differentiation(enum.Enum):
-    """Requested differentiation level (paper: none/gradient/Hessian)."""
+    """Requested differentiation level: values only, or values plus
+    the forward-mode gradient."""
 
     NONE = 0
     GRADIENT = 1
-    HESSIAN = 2  # reserved; see DESIGN.md non-goals
 
 
 _DTYPES = {
@@ -81,17 +86,15 @@ class TNVM:
     cache:
         Expression cache to pull JIT'd expressions from; defaults to
         the process-wide shared cache.
-    backend:
-        ``"closures"`` (the per-instruction interpreter loop),
-        ``"fused"`` (one megakernel for the whole dynamic section; see
-        :mod:`repro.tnvm.fused`), or ``"auto"`` (fused at or below
-        ``FUSED_DIM_MAX``, or ``FUSED_COLUMN_DIM_MAX`` for
-        column-contract programs).  Both backends are bit-identical.
     contract:
         The :class:`~repro.tensornet.contract.OutputContract` to run
         under.  Defaults to the program's compiled contract; an
         explicit value must match the program's bytecode identity
         (``OVERLAP(bra, j)`` rides a ``COLUMN(j)`` program).
+
+    The program runs as one generated megakernel
+    (:mod:`repro.tnvm.fused`), cached on ``program`` and exposed as
+    :attr:`fused_kernel`.
 
     Output shapes per contract (the one evaluate surface):
 
@@ -110,13 +113,8 @@ class TNVM:
         precision: str = "f64",
         diff: Differentiation = Differentiation.GRADIENT,
         cache: ExpressionCache | None = None,
-        backend: str = "closures",
         contract: OutputContract | None = None,
     ):
-        if diff is Differentiation.HESSIAN:
-            raise NotImplementedError(
-                "Hessian-level differentiation is reserved future work"
-            )
         try:
             dtype = _DTYPES[precision]
         except KeyError:
@@ -143,40 +141,15 @@ class TNVM:
             for expr in program.expressions
         ]
 
-        # Step 3: specialize instructions; run the constant section once.
-        for instr in program.const_section:
-            closure = build_closure(
-                instr, program, self.plan, self.compiled, grad=False
-            )
-            closure(())
-        self.backend = resolve_backend(
-            backend,
-            program.output_shape[0],
-            column=self.contract.column_based,
-        )
-        # Backend selection + sweep counters: bound once here so the
-        # hot path below pays one attribute add per sweep, no registry
-        # lookup or lock.
+        # Step 3: the whole program as ONE generated function; binding
+        # it runs the constant section into this VM's arena.  Sweep
+        # counters are bound here so the hot path below pays one
+        # attribute add per sweep, no registry lookup or lock.
         registry = telemetry.metrics()
-        registry.counter(f"vm.backend.{self.backend}").add()
         self._sweeps = registry.counter("vm.sweeps")
         self._grad_sweeps = registry.counter("vm.grad_sweeps")
-        if self.backend == "fused":
-            # The whole dynamic section as ONE generated function (see
-            # repro.tnvm.fused); the sweep below degenerates to a
-            # single call.
-            self.fused_kernel = fused_kernel_for(
-                program, self.compiled, want_grad, batched=False
-            )
-            self._dynamic = [bind_fused_kernel(self.fused_kernel, self.plan)]
-        else:
-            self.fused_kernel = None
-            self._dynamic = [
-                build_closure(
-                    instr, program, self.plan, self.compiled, grad=want_grad
-                )
-                for instr in program.dynamic_section
-            ]
+        self.fused_kernel = fused_kernel_for(program, self.compiled, want_grad)
+        self._run = bind_fused_kernel(self.fused_kernel, self.plan)
 
         dim = program.output_shape[0]
         # Contract-shaped output: column programs propagate a (D,)
@@ -217,8 +190,7 @@ class TNVM:
         """
         self._check(params)
         self._sweeps.add()
-        for run in self._dynamic:
-            run(params)
+        self._run(params)
         if self._bra is not None:
             return complex(np.vdot(self._bra, self._out_view))
         return self._out_view
@@ -237,8 +209,7 @@ class TNVM:
             )
         self._check(params)
         self._grad_sweeps.add()
-        for run in self._dynamic:
-            run(params)
+        self._run(params)
         if self._out_grad_view is not None:
             self._full_grad[self._out_rows_idx] = self._out_grad_view
         if self._bra is not None:
@@ -268,7 +239,6 @@ class TNVM:
     def __repr__(self) -> str:
         return (
             f"<TNVM {self.precision} diff={self.diff.name} "
-            f"backend={self.backend} "
             f"contract={self.contract.describe()} "
             f"params={self.num_params} dim={self.dim} "
             f"mem={self.memory_bytes}B>"
@@ -299,6 +269,10 @@ class BatchedTNVM:
     ==============  =====================  ============================
     """
 
+    #: the batched VM sweeps per-instruction closures, never a
+    #: megakernel (the attribute mirrors :attr:`TNVM.fused_kernel`)
+    fused_kernel = None
+
     def __init__(
         self,
         program: Program,
@@ -306,13 +280,8 @@ class BatchedTNVM:
         precision: str = "f64",
         diff: Differentiation = Differentiation.GRADIENT,
         cache: ExpressionCache | None = None,
-        backend: str = "closures",
         contract: OutputContract | None = None,
     ):
-        if diff is Differentiation.HESSIAN:
-            raise NotImplementedError(
-                "Hessian-level differentiation is reserved future work"
-            )
         try:
             dtype = _DTYPES[precision]
         except KeyError:
@@ -342,27 +311,10 @@ class BatchedTNVM:
             )
             closure(())
 
-        self.backend = resolve_backend(
-            backend,
-            program.output_shape[0],
-            batched=True,
-            column=self.contract.column_based,
-        )
         registry = telemetry.metrics()
-        registry.counter(f"vm.backend.batched.{self.backend}").add()
         self._sweeps = registry.counter("vm.batched_sweeps")
         self._grad_sweeps = registry.counter("vm.batched_grad_sweeps")
-        if self.backend == "fused":
-            # One megakernel for the whole batched dynamic section
-            # (bit-identical to the closure sweep; "auto" does not pick
-            # this — the grouped writers below win on batched dispatch).
-            self.fused_kernel = fused_kernel_for(
-                program, self.compiled, want_grad, batched=True
-            )
-            self._dynamic = [bind_fused_kernel(self.fused_kernel, self.plan)]
-        else:
-            self.fused_kernel = None
-            self._build_closure_dynamic(program, want_grad)
+        self._build_dynamic(program, want_grad)
 
         dim = program.output_shape[0]
         out_shape = (dim,) if self.contract.column_based else (dim, dim)
@@ -386,7 +338,7 @@ class BatchedTNVM:
             else None
         )
 
-    def _build_closure_dynamic(self, program: Program, want_grad: bool):
+    def _build_dynamic(self, program: Program, want_grad: bool):
         # WRITE instructions sharing one JIT'd expression are grouped
         # into a single batched writer call (effective batch G*S) and
         # hoisted to the front — safe, since WRITEs read no buffers and
@@ -493,7 +445,7 @@ class BatchedTNVM:
     def __repr__(self) -> str:
         return (
             f"<BatchedTNVM batch={self.batch} {self.precision} "
-            f"diff={self.diff.name} backend={self.backend} "
+            f"diff={self.diff.name} "
             f"params={self.num_params} dim={self.dim} "
             f"mem={self.memory_bytes}B>"
         )

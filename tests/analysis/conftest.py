@@ -1,9 +1,9 @@
 """Shared subjects for the static-verification suite.
 
 Session-scoped clean programs and fused-kernel sources covering every
-backend-relevant shape: qubit/qutrit radices, fused and unfused
-bytecode, hoisted and unhoisted constant sections, full/column/overlap
-contracts, and scalar/batched × grad/no-grad kernels.
+relevant shape: qubit/qutrit radices, fused and unfused bytecode,
+hoisted and unhoisted constant sections, full/column/overlap
+contracts, and grad/no-grad kernels.
 """
 
 from __future__ import annotations
@@ -47,14 +47,13 @@ def clean_programs():
 
 @pytest.fixture(scope="session")
 def clean_kernels(clean_programs):
-    """(name, grad, batched) -> FusedKernel for a subject spread."""
+    """(name, grad) -> FusedKernel for a subject spread."""
     kernels = {}
     for name in ("ansatz-2q", "ansatz-qutrit", "column", "dtc-3"):
         program = clean_programs[name]
         vm = TNVM(program, diff=Differentiation.NONE)
         for grad in (False, True):
-            for batched in (False, True):
-                kernels[(name, grad, batched)] = fused_kernel_for(
-                    program, vm.compiled, grad=grad, batched=batched
-                )
+            kernels[(name, grad)] = fused_kernel_for(
+                program, vm.compiled, grad=grad
+            )
     return kernels

@@ -90,7 +90,7 @@ class TestRehydrationBoundary:
     @pytest.fixture(scope="class")
     def payload(self):
         program = build_qsearch_ansatz(2, 2, 2).compile()
-        engine = Instantiater(program=program, backend="fused")
+        engine = Instantiater(program=program)
         engine.instantiate(np.eye(4, dtype=complex), starts=1, rng=0)
         return engine.serialize()
 
@@ -123,13 +123,11 @@ class TestRehydrationBoundary:
     def test_stale_kernel_rejected(self, payload):
         # A kernel fused from a different program: instruction count
         # disagrees with the shipped bytecode.
-        (key, kernel), *rest = list(payload.fused_kernels)
+        kernel = payload.fused_kernel
         stale = dataclasses.replace(
             kernel, num_instructions=kernel.num_instructions + 7
         )
-        bad = dataclasses.replace(
-            payload, fused_kernels=((key, stale),) + tuple(rest)
-        )
+        bad = dataclasses.replace(payload, fused_kernel=stale)
         with pytest.raises(VerificationError) as info:
             Instantiater.from_serialized(bad, verify=True)
         assert "stale" in str(info.value)
@@ -149,16 +147,14 @@ class TestKernelBindBoundary:
         monkeypatch.setenv("REPRO_VERIFY", "1")
         program = build_qsearch_ansatz(2, 2, 2).compile()
         vm = TNVM(program, diff=Differentiation.NONE)
-        kernel = fused_kernel_for(
-            program, vm.compiled, grad=False, batched=False
-        )
+        kernel = fused_kernel_for(program, vm.compiled, grad=False)
         hacked = dataclasses.replace(
             kernel,
             source=kernel.source.replace("np.matmul", "np.dot", 1),
         )
-        program.__dict__["_fused_kernels"][(False, False)] = hacked
+        program.__dict__["_fused_kernels"][False] = hacked
         with pytest.raises(VerificationError) as info:
-            TNVM(program, diff=Differentiation.NONE, backend="fused")
+            TNVM(program, diff=Differentiation.NONE)
         assert "kernel-rogue-callable" in str(info.value)
 
     def test_clean_kernel_binds_under_verify(self, monkeypatch):
@@ -166,7 +162,7 @@ class TestKernelBindBoundary:
         program = build_qsearch_ansatz(2, 2, 2).compile()
         counter = telemetry.metrics().counter("analysis.kernels_linted")
         before = counter.value
-        vm = TNVM(program, backend="fused")
+        vm = TNVM(program)
         assert counter.value > before
         params = np.random.default_rng(0).uniform(
             -np.pi, np.pi, program.num_params

@@ -21,16 +21,14 @@ KERNEL_CLASSES = [c for c in MUTATION_CLASSES if c.kind == "kernel"]
 
 class TestCleanAcceptance:
     def test_every_generated_kernel_lints(self, clean_kernels):
-        for (name, grad, batched), kernel in clean_kernels.items():
+        for (name, grad), kernel in clean_kernels.items():
             report = lint_kernel_source(
-                kernel.source,
-                batched=batched,
-                subject=f"{name} grad={grad} batched={batched}",
+                kernel.source, subject=f"{name} grad={grad}"
             )
             assert report.ok, report.render()
 
     def test_verify_kernel_duck_types(self, clean_kernels):
-        kernel = clean_kernels[("ansatz-2q", True, False)]
+        kernel = clean_kernels[("ansatz-2q", True)]
         report = verify_kernel(kernel)
         assert report.ok
         assert "grad=True" in report.subject
@@ -38,7 +36,6 @@ class TestCleanAcceptance:
     def test_verify_kernel_rejects_non_string_source(self):
         class Broken:
             source = b"def make_fused(): pass"
-            batched = False
             grad = False
 
         report = verify_kernel(Broken())
@@ -62,7 +59,7 @@ class TestMutationRejection:
             except NotApplicable:
                 continue
             applicable += 1
-            report = lint_kernel_source(mutated, batched=key[2])
+            report = lint_kernel_source(mutated)
             assert not report.ok, (cls.name, key)
             assert report.codes() & cls.expected_codes, (
                 cls.name,
@@ -94,8 +91,15 @@ class TestStructuralChecks:
         assert "kernel-structure" in report.codes()
 
     def test_wrong_factory_arity_for_batched(self, clean_kernels):
-        kernel = clean_kernels[("ansatz-2q", False, False)]
-        report = lint_kernel_source(kernel.source, batched=True)
+        # Only the scalar factory exists: a batched-arity factory
+        # (trailing batch size ``B``) is rejected.
+        kernel = clean_kernels[("ansatz-2q", False)]
+        source = kernel.source.replace(
+            "def make_fused(values, grads, dtype):",
+            "def make_fused(values, grads, dtype, B):",
+        )
+        assert source != kernel.source
+        report = lint_kernel_source(source)
         assert "kernel-structure" in report.codes()
 
     def test_non_whitelisted_numpy_attribute(self):

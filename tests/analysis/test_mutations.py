@@ -22,7 +22,7 @@ def _subjects(clean_programs, clean_kernels):
     ]
     kernels = [
         kernel.source
-        for (name, _, _), kernel in sorted(clean_kernels.items())
+        for (name, _), kernel in sorted(clean_kernels.items())
         if name in ("ansatz-2q", "column")
     ]
     return programs, kernels

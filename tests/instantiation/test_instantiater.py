@@ -157,25 +157,26 @@ class TestEngineReuse:
 
     @pytest.mark.parametrize("strategy", ["sequential", "batched"])
     def test_many_targets_one_engine(self, strategy):
+        from repro.utils import hilbert_schmidt_infidelity
+
         circ = build_qsearch_ansatz(2, 2, 2)
         engine = Instantiater(circ, strategy=strategy)
-        aot_before = engine.aot_seconds
+        aot_after_first = None
         for seed in range(3):
             target, p_true = target_from_ansatz(circ, 40 + seed)
             result = engine.instantiate(target, starts=8, rng=seed)
             assert result.success
-            from repro.utils import hilbert_schmidt_infidelity
-
             assert (
                 hilbert_schmidt_infidelity(
                     target, circ.get_unitary(result.params)
                 )
                 < 1e-8
             )
-        if strategy == "sequential":
-            # The scalar VM exists from construction; repeat targets
-            # must not pay any further AOT time.
-            assert engine.aot_seconds == aot_before
+            if aot_after_first is None:
+                # The first fit builds the VM it runs; repeat targets
+                # must not pay any further AOT time.
+                aot_after_first = result.aot_seconds
+            assert result.aot_seconds == aot_after_first
 
     def test_batched_reuses_one_arena_per_start_count(self):
         circ = build_qsearch_ansatz(2, 2, 2)

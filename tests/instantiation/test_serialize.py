@@ -16,7 +16,7 @@ from repro.circuit import build_qsearch_ansatz, gates
 from repro.instantiation import EnginePool, Instantiater, SerializedEngine
 from repro.jit.cache import ExpressionCache
 from repro.tensornet.bytecode import Program
-from repro.tnvm.vm import TNVM
+from repro.tnvm.vm import TNVM, Differentiation
 
 
 @pytest.fixture()
@@ -100,6 +100,7 @@ class TestEngineSerialization:
         assert isinstance(payload, SerializedEngine)
         cache = ExpressionCache()
         clone = Instantiater.from_serialized(payload, cache=cache)
+        _ = clone.vm  # VMs are built on first use
         # Every expression the TNVM needed was seeded: zero misses.
         assert cache.misses == 0
         assert cache.hits == len(engine.program.expressions)
@@ -169,86 +170,49 @@ class TestEngineSerialization:
 
 
 class TestFusedEngineSerialization:
-    """Fused engines ship their megakernel *source*: the receiving
+    """Engines ship their scalar megakernel *source*: the receiving
     process rehydrates with ``compile()`` — it never re-fuses."""
 
     def test_payload_carries_fused_kernels(self, circuit):
-        engine = Instantiater(circuit, strategy="auto", backend="fused")
+        engine = Instantiater(circuit, strategy="auto")
         payload = pickle.loads(pickle.dumps(engine.serialize()))
-        assert payload.backend == "fused"
-        kernels = dict(payload.fused_kernels)
-        # Scalar and batched gradient megakernels for a non-sequential
-        # engine (grad, batched).
-        assert (True, False) in kernels
-        assert (True, True) in kernels
-        assert "def make_fused(" in kernels[(True, False)].source
+        # The scalar gradient megakernel: batched fits run closures.
+        kernel = payload.fused_kernel
+        assert kernel.grad
+        assert "def make_fused(" in kernel.source
 
     def test_rehydrated_fused_engine_skips_fusing(self, circuit, target):
-        engine = Instantiater(circuit, strategy="auto", backend="fused")
+        engine = Instantiater(circuit, strategy="auto")
         r1 = engine.instantiate(target, starts=8, rng=42)
         payload = pickle.loads(pickle.dumps(engine.serialize()))
         clone = Instantiater.from_serialized(payload, cache=ExpressionCache())
-        # The shipped kernels are attached to the rehydrated program:
+        # The shipped kernel is attached to the rehydrated program:
         # VM setup binds the shipped source instead of re-generating.
-        assert clone.backend == "fused"
-        assert clone.vm.fused_kernel is dict(clone.program._fused_kernels)[
-            (True, False)
-        ]
+        assert clone.vm.fused_kernel is clone.program._fused_kernels[True]
         r2 = clone.instantiate(target, starts=8, rng=42)
         assert np.array_equal(r1.params, r2.params)
         assert r1.infidelity == r2.infidelity
         assert r1.starts_used == r2.starts_used
 
-    def test_closures_engine_ships_no_kernels(self, circuit):
-        engine = Instantiater(circuit, backend="closures")
-        payload = engine.serialize()
-        assert payload.backend == "closures"
-        assert payload.fused_kernels == ()
-
     def test_shared_program_kernels_not_shipped_by_closures_engine(
         self, circuit
     ):
-        # A fused sibling caches kernels on the shared Program; a
-        # closures engine's payload must not pick them up.
+        # A gradient-free sibling caches its own kernel on the shared
+        # Program; an engine whose fits run the batched closures still
+        # ships only the scalar gradient kernel.
         program = circuit.compile()
-        fused = Instantiater(program=program, backend="fused")
-        assert fused.vm.fused_kernel is not None  # cached on program
-        closures = Instantiater(program=program, backend="closures")
-        assert closures.serialize().fused_kernels == ()
-        # And a sequential fused engine ships only the scalar variant.
-        sequential = Instantiater(
-            program=program, backend="fused", strategy="sequential"
-        )
-        keys = {k for k, _ in sequential.serialize().fused_kernels}
-        assert keys == {(True, False)}
-
-    def test_fused_vs_closures_engines_identical(self, circuit, target):
-        # The backend is an execution detail: the full multi-start
-        # InstantiationResult must agree bit-for-bit.
-        for strategy in ("sequential", "auto"):
-            fused = Instantiater(
-                circuit.copy(), strategy=strategy, backend="fused"
-            )
-            closures = Instantiater(
-                circuit.copy(), strategy=strategy, backend="closures"
-            )
-            r1 = fused.instantiate(target, starts=6, rng=13)
-            r2 = closures.instantiate(target, starts=6, rng=13)
-            assert np.array_equal(r1.params, r2.params)
-            assert r1.infidelity == r2.infidelity
-            assert r1.starts_used == r2.starts_used
-            assert r1.total_iterations == r2.total_iterations
+        plain = TNVM(program, diff=Differentiation.NONE)
+        batched = Instantiater(program=program, strategy="batched")
+        kernel = batched.serialize().fused_kernel
+        assert kernel.grad
+        assert kernel is not plain.fused_kernel
 
     def test_fused_rehydrated_in_spawned_child(self, circuit, target):
-        payload_bytes = pickle.dumps(
-            Instantiater(circuit, backend="fused").serialize()
-        )
+        payload_bytes = pickle.dumps(Instantiater(circuit).serialize())
         ctx = multiprocessing.get_context("spawn")
         with ctx.Pool(1) as pool:
             child = pool.apply(_child_instantiate, (payload_bytes, target))
-        parent = Instantiater(circuit, backend="fused").instantiate(
-            target, starts=4, rng=9
-        )
+        parent = Instantiater(circuit).instantiate(target, starts=4, rng=9)
         child_params, child_infidelity = child
         assert np.array_equal(parent.params, child_params)
         assert parent.infidelity == child_infidelity

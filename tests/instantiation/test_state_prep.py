@@ -146,7 +146,7 @@ class TestConversions:
 
 
 class TestEngineMatrix:
-    """Scalar vs batched vs fused engines on one state target."""
+    """Sequential vs batched engines on one state target."""
 
     @pytest.fixture(scope="class")
     def problem(self):
@@ -160,20 +160,6 @@ class TestEngineMatrix:
         assert state_prep_infidelity(
             ghz, circ.get_unitary(result.params)
         ) < 1e-7
-
-    def test_closures_vs_fused_bit_identical(self, problem):
-        circ, ghz = problem
-        for strategy in ("sequential", "auto"):
-            r1 = Instantiater(
-                circ.copy(), strategy=strategy, backend="closures"
-            ).instantiate(ghz, starts=6, rng=13)
-            r2 = Instantiater(
-                circ.copy(), strategy=strategy, backend="fused"
-            ).instantiate(ghz, starts=6, rng=13)
-            assert np.array_equal(r1.params, r2.params)
-            assert r1.infidelity == r2.infidelity
-            assert r1.starts_used == r2.starts_used
-            assert r1.total_iterations == r2.total_iterations
 
     def test_batched_matches_sequential(self, problem):
         circ, ghz = problem

@@ -1,9 +1,8 @@
 """State-preparation synthesis tests: the acceptance-bar scenarios.
 
 A GHZ-3 preparation circuit must synthesize to threshold with
-bit-identical results across TNVM backends (closures vs fused) and
-worker counts (1 vs 2), and state targets must flow through the
-compression pass and the shared engine pool.
+bit-identical results across worker counts (1 vs 2), and state targets
+must flow through the compression pass and the shared engine pool.
 """
 
 import numpy as np
@@ -66,14 +65,6 @@ class TestStateSearch:
     def test_rejects_bad_target_rank(self):
         with pytest.raises(ValueError):
             SynthesisSearch().synthesize(np.zeros((2, 2, 2)), rng=0)
-
-    def test_backends_bit_identical(self):
-        ghz = Statevector.ghz(3)
-        snaps = []
-        for backend in ("closures", "fused"):
-            search = SynthesisSearch(backend=backend)
-            snaps.append(result_snapshot(search.synthesize(ghz, rng=7)))
-        assert snaps[0] == snaps[1]
 
     def test_workers_bit_identical(self):
         ghz = Statevector.ghz(3)

@@ -4,8 +4,8 @@ Column programs are checked against the full program's corresponding
 column at machine precision (tight ``allclose``): BLAS matrix-matrix
 and matrix-vector kernels accumulate in different orders, so literal
 bitwise identity *between* the two worlds is not promised.  Within the
-column world — closures vs fused, scalar vs batched rows, rehydrated
-payloads — identity IS bitwise and asserted with ``array_equal``.
+column world, rehydrated payloads are bitwise identical (asserted with
+``array_equal`` in the state-prep serialization tests).
 """
 
 import numpy as np
@@ -13,14 +13,7 @@ import pytest
 
 from repro.circuit import build_qsearch_ansatz
 from repro.tensornet import FULL_UNITARY, OutputContract, column_digits
-from repro.tnvm import (
-    TNVM,
-    BatchedTNVM,
-    Differentiation,
-    FUSED_COLUMN_DIM_MAX,
-    FUSED_DIM_MAX,
-    resolve_backend,
-)
+from repro.tnvm import TNVM, BatchedTNVM, Differentiation
 
 ATOL = 1e-12
 
@@ -111,22 +104,12 @@ class TestColumnVsFull:
         np.testing.assert_allclose(v, U[:, j], atol=atol, rtol=0)
         np.testing.assert_allclose(g, G[:, :, j], atol=atol, rtol=0)
 
-    def test_closures_vs_fused_bitwise_for_column(self):
-        circ = build_qsearch_ansatz(3, 2, 2)
-        col = circ.compile(contract=OutputContract.column(0))
-        x = _params(col, seed=3)
-        vc, gc = TNVM(col, backend="closures").evaluate_with_grad(x)
-        vf, gf = TNVM(col, backend="fused").evaluate_with_grad(x)
-        assert np.array_equal(vc, vf)
-        assert np.array_equal(gc, gf)
-
-    @pytest.mark.parametrize("backend", ["closures", "fused"])
-    def test_batched_matches_scalar_rows(self, backend):
+    def test_batched_matches_scalar_rows(self):
         circ = build_qsearch_ansatz(3, 2, 2)
         col = circ.compile(contract=OutputContract.column(0))
         xs = _params(col, seed=5, batch=4)
-        scalar = TNVM(col, backend=backend)
-        batched = BatchedTNVM(col, batch=4, backend=backend)
+        scalar = TNVM(col)
+        batched = BatchedTNVM(col, batch=4)
         bv, bg = batched.evaluate_with_grad(xs)
         assert bv.shape == (4, col.dim)
         assert bg.shape == (4, col.num_params, col.dim)
@@ -179,24 +162,15 @@ class TestOverlap:
 
 
 class TestBackendResolution:
-    def test_column_threshold_is_separate(self):
-        assert FUSED_COLUMN_DIM_MAX > FUSED_DIM_MAX
-        dim = FUSED_DIM_MAX * 2
-        assert dim <= FUSED_COLUMN_DIM_MAX
-        # Above the matrix threshold, auto keeps full-unitary programs
-        # on closures but still fuses the cheaper column programs.
-        assert resolve_backend("auto", dim) == "closures"
-        assert resolve_backend("auto", dim, column=True) == "fused"
-        assert (
-            resolve_backend("auto", FUSED_COLUMN_DIM_MAX + 1, column=True)
-            == "closures"
-        )
-        # Explicit backends are never overridden.
-        assert resolve_backend("fused", dim) == "fused"
-
     def test_auto_fuses_a_d16_column_vm(self):
+        # No dimension threshold: column and full D=16 VMs both fuse.
         circ = build_qsearch_ansatz(4, 1, 2)
         col = circ.compile(contract=OutputContract.column(0))
         full = circ.compile()
-        assert TNVM(col, backend="auto").backend == "fused"
-        assert TNVM(full, backend="auto").backend == "closures"
+        x = _params(full, seed=4)
+        vcol, full_vm = TNVM(col), TNVM(full)
+        assert vcol.fused_kernel is not None
+        assert full_vm.fused_kernel is not None
+        np.testing.assert_allclose(
+            vcol.evaluate(x), full_vm.evaluate(x)[:, 0], atol=ATOL, rtol=0
+        )

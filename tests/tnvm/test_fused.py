@@ -1,10 +1,14 @@
-"""Fused program backend tests.
+"""Scalar megakernel tests.
 
-The contract under test: the fused megakernel backend is **bit
-identical** to the closure interpreter — same unitary, same gradient,
-to the last ulp — across every opcode, both precisions, with and
-without differentiation, on scalar and batched VMs; and a fused kernel
-survives pickling as source text that rehydrates with ``compile()``.
+The scalar TNVM runs every program as one generated megakernel; the
+batched TNVM runs grouped per-instruction closures.  Both are checked
+against the interpreted baseline in ``test_differential.py``.  This
+module pins what the execution paths must keep across every opcode,
+both precisions, and with and without differentiation: a VM rebuilt
+from shipped artifacts (program bytes, pickled compiled expressions,
+pickled kernel source) is bit-identical to the original; kernels are
+generated once per program and survive pickling as source text; and
+neither VM takes a backend knob.
 """
 
 import pickle
@@ -13,17 +17,11 @@ import numpy as np
 import pytest
 
 from repro.circuit import QuditCircuit, build_qft_circuit, build_qsearch_ansatz, gates
+from repro.jit.cache import ExpressionCache
 from repro.tensornet.bytecode import BufferSpec, Instruction, Program
 from repro.tensornet.network import ParamSlot
-from repro.tnvm import (
-    TNVM,
-    BatchedTNVM,
-    Differentiation,
-    FUSED_DIM_MAX,
-    bind_fused_kernel,
-    resolve_backend,
-)
-from repro.tnvm.fused import fused_kernel_for
+from repro.tnvm import TNVM, BatchedTNVM, Differentiation, bind_fused_kernel
+from repro.tnvm.fused import attach_fused_kernel, fused_kernel_for
 
 
 # ----------------------------------------------------------------------
@@ -174,6 +172,39 @@ def _params_for(program, seed=0):
     )
 
 
+def _shipped_cache(vm) -> ExpressionCache:
+    """A fresh expression cache holding ``vm``'s compiled expressions
+    after a pickle round trip, as a rehydrating worker holds them."""
+    cache = ExpressionCache()
+    for compiled in pickle.loads(pickle.dumps(vm.compiled)):
+        cache.put(compiled)
+    return cache
+
+
+def _scalar_twin(vm: TNVM) -> TNVM:
+    """``vm`` rebuilt from shipped artifacts: program bytes, pickled
+    compiled expressions and the pickled megakernel source."""
+    clone = Program.from_bytes(vm.program.to_bytes())
+    kernel = pickle.loads(pickle.dumps(vm.fused_kernel))
+    attach_fused_kernel(clone, kernel)
+    twin = TNVM(
+        clone, precision=vm.precision, diff=vm.diff,
+        cache=_shipped_cache(vm),
+    )
+    assert twin.fused_kernel is kernel  # bound, not regenerated
+    return twin
+
+
+def _batched_twin(vm: BatchedTNVM) -> BatchedTNVM:
+    """``vm`` rebuilt from program bytes and pickled expressions (the
+    batched writers regenerate from their shipped source)."""
+    clone = Program.from_bytes(vm.program.to_bytes())
+    return BatchedTNVM(
+        clone, vm.batch, precision=vm.precision, diff=vm.diff,
+        cache=_shipped_cache(vm),
+    )
+
+
 class TestOpcodeCoverage:
     def test_zoo_spans_all_five_opcodes(self, programs):
         seen = {
@@ -185,17 +216,18 @@ class TestOpcodeCoverage:
 
 
 class TestScalarEquivalence:
+    """A scalar VM rebuilt from shipped artifacts is bit-identical."""
+
     @pytest.mark.parametrize("name", list(PROGRAMS))
     @pytest.mark.parametrize("precision", ["f32", "f64"])
     def test_grad_bit_identical(self, programs, name, precision):
         program = programs[name]
-        closures = TNVM(program, precision=precision, backend="closures")
-        fused = TNVM(program, precision=precision, backend="fused")
-        assert fused.backend == "fused" and fused.fused_kernel is not None
+        vm = TNVM(program, precision=precision)
+        twin = _scalar_twin(vm)
         for seed in range(3):
             p = _params_for(program, seed)
-            u1, g1 = closures.evaluate_with_grad(p)
-            u2, g2 = fused.evaluate_with_grad(p)
+            u1, g1 = vm.evaluate_with_grad(p)
+            u2, g2 = twin.evaluate_with_grad(p)
             assert np.array_equal(u1, u2)
             assert np.array_equal(g1, g2)
 
@@ -203,39 +235,24 @@ class TestScalarEquivalence:
     @pytest.mark.parametrize("precision", ["f32", "f64"])
     def test_no_grad_bit_identical(self, programs, name, precision):
         program = programs[name]
-        closures = TNVM(
-            program,
-            precision=precision,
-            diff=Differentiation.NONE,
-            backend="closures",
-        )
-        fused = TNVM(
-            program,
-            precision=precision,
-            diff=Differentiation.NONE,
-            backend="fused",
-        )
+        vm = TNVM(program, precision=precision, diff=Differentiation.NONE)
         p = _params_for(program, 7)
-        assert np.array_equal(closures.evaluate(p), fused.evaluate(p))
+        assert np.array_equal(vm.evaluate(p), _scalar_twin(vm).evaluate(p))
 
 
 class TestBatchedEquivalence:
+    """A batched VM rebuilt from shipped artifacts is bit-identical."""
+
     @pytest.mark.parametrize("name", list(PROGRAMS))
     @pytest.mark.parametrize("precision", ["f32", "f64"])
     def test_grad_bit_identical(self, programs, name, precision):
         program = programs[name]
-        batch = 5
         rows = np.random.default_rng(11).uniform(
-            -2 * np.pi, 2 * np.pi, (batch, program.num_params)
+            -2 * np.pi, 2 * np.pi, (5, program.num_params)
         )
-        closures = BatchedTNVM(
-            program, batch, precision=precision, backend="closures"
-        )
-        fused = BatchedTNVM(
-            program, batch, precision=precision, backend="fused"
-        )
-        u1, g1 = closures.evaluate_with_grad(rows)
-        u2, g2 = fused.evaluate_with_grad(rows)
+        vm = BatchedTNVM(program, 5, precision=precision)
+        u1, g1 = vm.evaluate_with_grad(rows)
+        u2, g2 = _batched_twin(vm).evaluate_with_grad(rows)
         assert np.array_equal(u1, u2)
         assert np.array_equal(g1, g2)
 
@@ -245,20 +262,16 @@ class TestBatchedEquivalence:
         rows = np.random.default_rng(13).uniform(
             -2 * np.pi, 2 * np.pi, (3, program.num_params)
         )
-        closures = BatchedTNVM(
-            program, 3, diff=Differentiation.NONE, backend="closures"
-        )
-        fused = BatchedTNVM(
-            program, 3, diff=Differentiation.NONE, backend="fused"
-        )
-        assert np.array_equal(closures.evaluate(rows), fused.evaluate(rows))
+        vm = BatchedTNVM(program, 3, diff=Differentiation.NONE)
+        twin = _batched_twin(vm)
+        assert np.array_equal(vm.evaluate(rows), twin.evaluate(rows))
 
     def test_batched_matches_scalar_rows(self, programs):
-        # Cross-check: each fused batch row equals the fused scalar VM.
+        # Cross-check: each batch row equals the scalar VM.
         program = programs["qsearch-2q"]
         rows = np.random.default_rng(17).uniform(-np.pi, np.pi, (4, 18))
-        scalar = TNVM(program, backend="fused")
-        batched = BatchedTNVM(program, 4, backend="fused")
+        scalar = TNVM(program)
+        batched = BatchedTNVM(program, 4)
         ub, gb = batched.evaluate_with_grad(rows)
         for s in range(4):
             us, gs = scalar.evaluate_with_grad(rows[s])
@@ -267,64 +280,54 @@ class TestBatchedEquivalence:
 
 
 class TestBackendKnob:
-    def test_resolve(self):
-        assert resolve_backend("auto", FUSED_DIM_MAX) == "fused"
-        assert resolve_backend("auto", FUSED_DIM_MAX + 1) == "closures"
-        assert resolve_backend("closures", 2) == "closures"
-        assert resolve_backend("fused", 1024) == "fused"
-        # Batched "auto" keeps the grouped-writer closure backend (its
-        # G*S-stacked WRITE dispatch already beats per-gate inlining);
-        # an explicit "fused" still forces the megakernel.
-        assert resolve_backend("auto", 2, batched=True) == "closures"
-        assert resolve_backend("fused", 2, batched=True) == "fused"
-        with pytest.raises(ValueError):
-            resolve_backend("jit", 2)
+    """No backend knob: the scalar VM always runs the megakernel, the
+    batched VM always runs grouped closures."""
 
     def test_batched_auto_stays_on_closures(self, programs):
-        vm = BatchedTNVM(programs["qsearch-2q"], 4, backend="auto")
-        assert vm.backend == "closures"
+        program = programs["qsearch-2q"]
+        vm = BatchedTNVM(program, 4)
+        assert vm.fused_kernel is None
+        # Same-expression WRITEs share one grouped writer call.
+        assert len(vm._dynamic) < len(program.dynamic_section)
 
     def test_vm_rejects_unknown_backend(self, programs):
-        with pytest.raises(ValueError):
-            TNVM(programs["single-gate"], backend="nope")
-        with pytest.raises(ValueError):
-            BatchedTNVM(programs["single-gate"], 2, backend="nope")
+        with pytest.raises(TypeError):
+            TNVM(programs["single-gate"], backend="fused")
+        with pytest.raises(TypeError):
+            BatchedTNVM(programs["single-gate"], 2, backend="closures")
 
     def test_auto_picks_fused_for_small_dims(self, programs):
-        vm = TNVM(programs["qsearch-3q"], backend="auto")
-        assert vm.backend == "fused"
+        # No dimension threshold: every scalar VM fuses.
+        for name in ("single-gate", "qsearch-3q"):
+            kernel = TNVM(programs[name]).fused_kernel
+            assert kernel is not None and kernel.grad
 
-    def test_closures_vm_has_no_kernel(self, programs):
-        vm = TNVM(programs["qsearch-2q"], backend="closures")
-        assert vm.fused_kernel is None
-        assert len(vm._dynamic) == len(
-            programs["qsearch-2q"].dynamic_section
-        )
+    def test_closures_vm_has_no_kernel(self):
+        program = PROGRAMS["qsearch-2q"]()
+        BatchedTNVM(program, 3)
+        assert "_fused_kernels" not in program.__dict__
 
     def test_fused_vm_single_dispatch(self, programs):
-        vm = TNVM(programs["qsearch-2q"], backend="fused")
-        assert len(vm._dynamic) == 1
-        kernel = vm.fused_kernel
-        assert kernel.num_instructions == len(
-            programs["qsearch-2q"].dynamic_section
-        )
+        program = programs["qsearch-2q"]
+        kernel = TNVM(program).fused_kernel
+        assert kernel.num_instructions == len(program.dynamic_section)
         assert kernel.num_write_stores > 0
+        assert kernel.source.count("def fused_run(params):") == 1
 
 
 class TestKernelCachingAndSerialization:
     def test_kernel_cached_per_program(self, programs):
         program = PROGRAMS["qsearch-2q"]()
-        vm1 = TNVM(program, backend="fused")
-        vm2 = TNVM(program, backend="fused")
+        vm1 = TNVM(program)
+        vm2 = TNVM(program)
         assert vm1.fused_kernel is vm2.fused_kernel  # one generation
-        b1 = BatchedTNVM(program, 2, backend="fused")
-        b2 = BatchedTNVM(program, 3, backend="fused")
-        assert b1.fused_kernel is b2.fused_kernel  # batch-size agnostic
-        assert b1.fused_kernel is not vm1.fused_kernel
+        plain = TNVM(program, diff=Differentiation.NONE)
+        assert plain.fused_kernel is not vm1.fused_kernel
+        assert not plain.fused_kernel.grad
 
     def test_kernel_pickle_round_trip_rebinds(self, programs):
         program = programs["qsearch-2q"]
-        vm = TNVM(program, backend="fused")
+        vm = TNVM(program)
         clone_kernel = pickle.loads(pickle.dumps(vm.fused_kernel))
         assert clone_kernel.source == vm.fused_kernel.source
         run = bind_fused_kernel(clone_kernel, vm.plan)
@@ -342,8 +345,8 @@ class TestKernelCachingAndSerialization:
         # ship explicitly with SerializedEngine instead.
         program = PROGRAMS["qsearch-2q"]()
         bare = len(program.to_bytes())
-        vm = TNVM(program, backend="fused")
-        fused_kernel_for(program, vm.compiled, grad=True, batched=True)
+        vm = TNVM(program)
+        fused_kernel_for(program, vm.compiled, grad=False)
         assert len(program.to_bytes()) == bare
         clone = Program.from_bytes(program.to_bytes())
         assert "_fused_kernels" not in clone.__dict__

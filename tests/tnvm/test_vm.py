@@ -67,11 +67,6 @@ class TestDifferentiationLevels:
                 tuple(np.zeros(circ.num_params))
             )
 
-    def test_hessian_reserved(self):
-        circ = build_qsearch_ansatz(2, 1, 2)
-        with pytest.raises(NotImplementedError):
-            TNVM(circ.compile(), diff=Differentiation.HESSIAN)
-
     def test_gradient_zero_rows_for_constant_params(self):
         # A circuit parameter that feeds no gate cannot exist by
         # construction, but constant ops produce no gradient rows; the
