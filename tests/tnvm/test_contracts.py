@@ -104,17 +104,31 @@ class TestColumnVsFull:
         np.testing.assert_allclose(v, U[:, j], atol=atol, rtol=0)
         np.testing.assert_allclose(g, G[:, :, j], atol=atol, rtol=0)
 
-    def test_batched_matches_scalar_rows(self):
+    @pytest.mark.parametrize("backend", ["closures", "fused"])
+    def test_batched_matches_scalar_rows(self, backend):
+        # Each row of a batch-4 sweep is checked against that row run
+        # alone: through the batched closures at batch 1 ("closures"),
+        # or through the scalar megakernel ("fused").
         circ = build_qsearch_ansatz(3, 2, 2)
         col = circ.compile(contract=OutputContract.column(0))
         xs = _params(col, seed=5, batch=4)
-        scalar = TNVM(col)
         batched = BatchedTNVM(col, batch=4)
+        if backend == "fused":
+            scalar = TNVM(col)
+            assert scalar.fused_kernel is not None
+            row_eval = scalar.evaluate_with_grad
+        else:
+            single = BatchedTNVM(col, batch=1)
+
+            def row_eval(x):
+                v, g = single.evaluate_with_grad(x[None, :])
+                return v[0], g[0]
+
         bv, bg = batched.evaluate_with_grad(xs)
         assert bv.shape == (4, col.dim)
         assert bg.shape == (4, col.num_params, col.dim)
         for s in range(4):
-            v, g = scalar.evaluate_with_grad(xs[s])
+            v, g = row_eval(xs[s])
             np.testing.assert_allclose(bv[s], v, atol=ATOL, rtol=0)
             np.testing.assert_allclose(bg[s], g, atol=ATOL, rtol=0)
 
