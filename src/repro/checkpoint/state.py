@@ -1,12 +1,10 @@
 """Pass-side checkpoint plumbing shared by the synthesis passes.
 
 A synthesis pass wires a :class:`PassCheckpointer` between its rounds:
-at every round boundary the checkpointer first checks the
-:class:`~repro.checkpoint.preempt.PreemptionGuard` (SIGTERM/SIGINT →
-flush a final snapshot, abandon the executor, raise
-:class:`~repro.checkpoint.preempt.PreemptedError`), then applies the
-cadence knobs (``every_rounds`` and/or ``every_seconds``) to decide
-whether to write a periodic snapshot.
+every round boundary writes a snapshot, and a pending
+:class:`~repro.checkpoint.preempt.PreemptionGuard` signal (SIGTERM/
+SIGINT) then abandons the executor and raises
+:class:`~repro.checkpoint.preempt.PreemptedError` naming that snapshot.
 
 Snapshots are self-describing: alongside the pass state they carry the
 pass ``kind``, a fingerprint of the synthesis *target*, and a
@@ -20,7 +18,6 @@ wrong-but-plausible circuit, the worst failure mode a resume can have.
 from __future__ import annotations
 
 import hashlib
-import time
 
 import numpy as np
 
@@ -57,8 +54,8 @@ def config_fingerprint(**fields) -> str:
     """Content hash of the knobs that shape a pass's search trajectory.
 
     Only knobs that change *which states are explored in which order*
-    belong here — worker count and checkpoint cadence explicitly do
-    not, because results are bit-identical across them.
+    belong here — worker count explicitly does not, because results
+    are bit-identical across it.
     """
     digest = hashlib.sha256()
     for name in sorted(fields):
@@ -72,20 +69,19 @@ def load_resume_state(
     kind: str,
     target: str,
     config: str,
-    keep: int = 3,
-) -> tuple[CheckpointStore, dict, str]:
+) -> tuple[CheckpointStore, dict]:
     """Open ``resume_from`` and return its newest compatible snapshot.
 
     ``resume_from`` is a checkpoint directory path or an existing
-    :class:`CheckpointStore`.  Returns ``(store, payload, path)`` so
-    the resumed pass keeps checkpointing into the same store.  Raises
+    :class:`CheckpointStore`.  Returns ``(store, payload)`` so the
+    resumed pass keeps checkpointing into the same store.  Raises
     :class:`CheckpointError` when no valid snapshot exists or the
     snapshot belongs to a different pass kind, target, or config.
     """
     store = (
         resume_from
         if isinstance(resume_from, CheckpointStore)
-        else CheckpointStore(resume_from, keep=keep)
+        else CheckpointStore(resume_from)
     )
     loaded = store.load_latest()
     if loaded is None:
@@ -119,17 +115,16 @@ def load_resume_state(
         "checkpoint.resume", category="checkpoint",
         kind=kind, round=payload.get("round"),
     )
-    return store, payload, path
+    return store, payload
 
 
 class PassCheckpointer:
-    """Round-boundary driver: preemption check + cadence snapshots.
+    """Round-boundary driver: one snapshot per boundary, then the
+    preemption check.
 
     Enter it as a context manager for the duration of the pass (this
     installs the signal guard) and call :meth:`round_boundary` between
-    rounds with a zero-argument ``state_fn`` that captures the pass
-    state; the function is only invoked when a snapshot is actually
-    due, so cheap rounds stay cheap.
+    rounds with the pass state.
     """
 
     def __init__(
@@ -139,19 +134,14 @@ class PassCheckpointer:
         kind: str,
         target: str,
         config: str,
-        every_rounds: int | None = 1,
-        every_seconds: float | None = None,
         executor=None,
     ):
         self.store = store
         self.kind = kind
         self.target = target
         self.config = config
-        self.every_rounds = every_rounds
-        self.every_seconds = every_seconds
         self.executor = executor
         self.guard = PreemptionGuard()
-        self._last_write = time.monotonic()
 
     def __enter__(self) -> PassCheckpointer:
         self.guard.__enter__()
@@ -170,45 +160,25 @@ class PassCheckpointer:
             "state": state,
         }
 
-    def _due(self, round_index: int) -> bool:
-        if (
-            self.every_rounds is not None
-            and round_index % self.every_rounds == 0
-        ):
-            return True
-        return (
-            self.every_seconds is not None
-            and time.monotonic() - self._last_write >= self.every_seconds
-        )
+    def round_boundary(self, round_index: int, state) -> None:
+        """Between-rounds hook: write a snapshot, then flush-and-raise
+        if a preemption signal is pending.
 
-    def write(self, round_index: int, state: dict) -> str:
+        ``round_index`` counts *completed* rounds — ``state`` must
+        describe exactly that boundary, so a resume replays no
+        completed work and skips none.
+        """
         path = self.store.save(
             self._payload(round_index, state, complete=False)
         )
-        self._last_write = time.monotonic()
-        return path
-
-    def round_boundary(self, round_index: int, state_fn) -> None:
-        """Between-rounds hook: flush-and-raise on preemption, else
-        write a periodic snapshot when the cadence says one is due.
-
-        ``round_index`` counts *completed* rounds — the state returned
-        by ``state_fn`` must describe exactly that boundary, so a
-        resume replays no completed work and skips none.
-        """
         if self.guard.pending is not None:
-            path = self.write(round_index, state_fn())
             if self.executor is not None:
                 self.executor.abandon()
             raise PreemptedError(self.guard.pending, round_index, path)
-        if self._due(round_index):
-            self.write(round_index, state_fn())
 
     def complete(self, round_index: int, result) -> str:
         """Record the finished pass so a later resume is a no-op that
         returns the stored result instead of redoing work."""
         payload = self._payload(round_index, {}, complete=True)
         payload["result"] = result
-        path = self.store.save(payload)
-        self._last_write = time.monotonic()
-        return path
+        return self.store.save(payload)

@@ -55,7 +55,7 @@ logger = logging.getLogger(__name__)
 
 #: Bumped whenever the snapshot *envelope or state layout* changes
 #: incompatibly; a mismatch is a pointed error, never a silent decode.
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 _MAGIC = b"RPCK"
 _HEADER = struct.Struct(">4sI32s")  # magic, schema, sha256(payload)

@@ -23,38 +23,25 @@ are bit-identical across worker counts.
 
 from __future__ import annotations
 
-import contextlib
 import time
 from collections.abc import Sequence
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .. import telemetry
-from ..checkpoint import (
-    CheckpointStore,
-    PassCheckpointer,
-    config_fingerprint,
-    load_resume_state,
-    target_fingerprint,
-)
+from ..checkpoint import CheckpointStore, config_fingerprint, target_fingerprint
 from ..circuit.circuit import Operation, QuditCircuit
 from ..instantiation.cost import as_target_array
 from ..instantiation.instantiater import SUCCESS_THRESHOLD
 from ..instantiation.lm import LMOptions
 from ..instantiation.pool import EnginePool
-from ..tensornet.contract import OutputContract
-from ..testing.faults import maybe_fault
 from ..utils.statevector import Statevector
 from ..utils.unitary import hilbert_schmidt_infidelity
-from .executor import CandidateExecutor, FitJob, candidate_seed, make_executor
+from .executor import CandidateExecutor, candidate_seed
+from .passrun import PassRun, SynthesisPass
 from .result import SynthesisResult
-from .search import (
-    SynthesisSearch,
-    _parallel_efficiency,
-    _PassCounters,
-    _resolve_pool,
-    _run_round,
-)
+from .search import SynthesisSearch
 
 __all__ = ["Resynthesizer", "PartitionedSynthesizer", "SCAN_ORDERS"]
 
@@ -62,7 +49,33 @@ __all__ = ["Resynthesizer", "PartitionedSynthesizer", "SCAN_ORDERS"]
 SCAN_ORDERS = ("backward", "forward", "entangler-first")
 
 
-class Resynthesizer:
+@dataclass
+class _ScanState:
+    """The compression scan's resumable state at a wave boundary: the
+    circuit compressed so far, and the next work — wave ``wave`` (a
+    start index into the scan order, which is a pure function of the
+    circuit) of pass ``passes``."""
+
+    circuit: QuditCircuit
+    params: np.ndarray
+    infidelity: float
+    passes: int = 0
+    wave: int = 0
+
+
+@dataclass
+class _StitchState:
+    """The partitioned pass's resumable state at a window boundary:
+    the stitched prefix (windows before the boundary are done, their
+    gates already in ``circuit``) and those windows' results."""
+
+    circuit: QuditCircuit
+    params: list[float] = field(default_factory=list)
+    windows: list[SynthesisResult] = field(default_factory=list)
+    all_solved: bool = True
+
+
+class Resynthesizer(SynthesisPass):
     """Gate-deletion compression against a fixed target unitary.
 
     Each pass scans the circuit in ``scan_order``, tentatively deleting
@@ -110,9 +123,6 @@ class Resynthesizer:
         round_timeout: float | None = None,
         max_retries: int = 2,
         checkpoint_dir: str | None = None,
-        checkpoint_every: int | None = 1,
-        checkpoint_seconds: float | None = None,
-        checkpoint_keep: int = 3,
     ):
         if scan_order not in SCAN_ORDERS:
             raise ValueError(
@@ -121,77 +131,23 @@ class Resynthesizer:
             )
         if scan_batch is not None and scan_batch < 1:
             raise ValueError("scan_batch must be >= 1 (or None)")
-        if workers < 1:
-            raise ValueError("workers must be >= 1")
-        if job_timeout is not None and job_timeout <= 0:
-            raise ValueError("job_timeout must be positive (or None)")
-        if round_timeout is not None and round_timeout <= 0:
-            raise ValueError("round_timeout must be positive (or None)")
-        if checkpoint_every is not None and checkpoint_every < 1:
-            raise ValueError("checkpoint_every must be >= 1 (or None)")
-        if checkpoint_seconds is not None and checkpoint_seconds <= 0:
-            raise ValueError("checkpoint_seconds must be positive (or None)")
-        if checkpoint_keep < 1:
-            raise ValueError("checkpoint_keep must be >= 1")
-        self.success_threshold = success_threshold
-        self.starts = starts
+        super().__init__(
+            success_threshold=success_threshold,
+            starts=starts,
+            strategy=strategy,
+            precision=precision,
+            lm_options=lm_options,
+            pool=pool,
+            workers=workers,
+            executor=executor,
+            job_timeout=job_timeout,
+            round_timeout=round_timeout,
+            max_retries=max_retries,
+            checkpoint_dir=checkpoint_dir,
+        )
         self.max_passes = max_passes
         self.scan_order = scan_order
         self.scan_batch = scan_batch
-        # Fault-tolerance budgets (see SynthesisSearch): per-candidate
-        # and per-wave wall clocks, and the crash-retry budget.
-        self.job_timeout = job_timeout
-        self.round_timeout = round_timeout
-        self.max_retries = max_retries
-        # Durability knobs (see SynthesisSearch): one snapshot per
-        # ``checkpoint_every`` scan waves and/or ``checkpoint_seconds``.
-        self.checkpoint_dir = checkpoint_dir
-        self.checkpoint_every = checkpoint_every
-        self.checkpoint_seconds = checkpoint_seconds
-        self.checkpoint_keep = checkpoint_keep
-        self.pool = _resolve_pool(
-            pool, success_threshold, strategy, precision, lm_options
-        )
-        if executor is not None and executor.pool is not self.pool:
-            raise ValueError(
-                "an injected executor must wrap the pass's engine pool"
-            )
-        if (
-            executor is not None
-            and workers != 1
-            and workers != executor.workers
-        ):
-            raise ValueError(
-                f"workers={workers} conflicts with the injected "
-                f"executor's {executor.workers} worker(s); pass one or "
-                "the other"
-            )
-        self.workers = executor.workers if executor is not None else workers
-        self._executor = executor
-        self._owns_executor = executor is None
-
-    @property
-    def executor(self) -> CandidateExecutor:
-        if self._executor is None:
-            self._executor = make_executor(
-                self.pool,
-                self.workers,
-                max_retries=self.max_retries,
-                job_timeout=self.job_timeout,
-            )
-        return self._executor
-
-    def close(self) -> None:
-        """Shut down worker processes this pass created."""
-        if self._owns_executor and self._executor is not None:
-            self._executor.close()
-            self._executor = None
-
-    def __enter__(self) -> Resynthesizer:
-        return self
-
-    def __exit__(self, *_exc) -> None:
-        self.close()
 
     def _scan_indices(self, circuit: QuditCircuit) -> list[int]:
         """Deletion-candidate indices for one pass, in scan order."""
@@ -244,222 +200,88 @@ class Resynthesizer:
         scan bit-identically — the wave in flight at the kill is
         re-run, completed waves are not.
         """
-        t0 = time.perf_counter()
         params = np.asarray(params, dtype=np.float64)
+        if len(params) != circuit.num_params and (len(params) or target is None):
+            raise ValueError(
+                f"expected {circuit.num_params} parameter values, "
+                f"got {len(params)}"
+            )
         if target is None:
             target = circuit.get_unitary(params)
         else:
             target = as_target_array(target)
-        # State-prep compression fits through column-contract engines
-        # (the deletions only have to preserve ``U(theta)|0>``).
-        contract = (
-            OutputContract.column(0) if target.ndim == 1 else None
-        )
-        rng = np.random.default_rng(rng)
-        base_seed = int(rng.integers(2**63))
 
-        target_fp = target_fingerprint(
-            target, extra=(circuit.structure_key(),)
-        )
-        config_fp = self._config_fingerprint()
-        store: CheckpointStore | None = None
-        resume_payload: dict | None = None
-        if resume_from is not None:
-            store, payload, _ = load_resume_state(
-                resume_from,
-                kind="resynth",
-                target=target_fp,
-                config=config_fp,
-                keep=self.checkpoint_keep,
-            )
-            if payload["complete"]:
-                return payload["result"]
-            resume_payload = payload
-        elif self.checkpoint_dir is not None:
-            store = CheckpointStore(
-                self.checkpoint_dir, keep=self.checkpoint_keep
-            )
-
-        registry = telemetry.metrics()
-        metrics0 = registry.snapshot()
-        hits0, misses0 = self.pool.hits, self.pool.misses
-        counters = _PassCounters()
-        executor = self.executor
-        round_index = 0
-        resumed_from: int | None = None
-        ck: PassCheckpointer | None = None
-        if store is not None:
-            ck = PassCheckpointer(
-                store,
-                kind="resynth",
-                target=target_fp,
-                config=config_fp,
-                every_rounds=self.checkpoint_every,
-                every_seconds=self.checkpoint_seconds,
-                executor=executor,
-            )
-        resynth_span = telemetry.tracer().span(
-            "resynthesize", category="synthesize",
-            ops=circuit.num_operations, workers=executor.workers,
-        )
-
-        with contextlib.ExitStack() as stack:
-            if ck is not None:
-                stack.enter_context(ck)
-            if resume_payload is not None:
-                state = resume_payload["state"]
-                base_seed = state["base_seed"]
-                current = state["current"]
-                cur_params = state["cur_params"]
-                cur_inf = state["cur_inf"]
-                # Re-enter the interrupted pass at the wave that was in
-                # flight; the while loop's `passes += 1` restores the
-                # stored pass number.
-                passes = state["next_pass"] - 1
-                resume_wave: int | None = state["next_wave"]
-                improved = True
-                round_index = resumed_from = int(resume_payload["round"])
-                counters.calls.add(state["counters"]["calls"])
-                counters.expanded.add(state["counters"]["expanded"])
-                counters.busy.add(state["counters"]["busy"])
-                counters.eval_wall.add(state["counters"]["eval_wall"])
-            else:
+        with PassRun(
+            self,
+            "resynth",
+            target_fingerprint(target, extra=(circuit.structure_key(),)),
+            self._config_fingerprint(),
+            rng=rng,
+            resume_from=resume_from,
+            checkpoint_dir=self.checkpoint_dir,
+            span="resynthesize",
+            ops=circuit.num_operations,
+        ) as run:
+            if run.stored is not None:
+                return run.stored
+            scan: _ScanState | None = run.state
+            if scan is None:
                 current = circuit.copy()
                 x0 = params if len(params) == current.num_params else None
-                [baseline] = _run_round(
-                    executor,
-                    [
-                        FitJob(
-                            current,
-                            target,
-                            self.starts,
-                            candidate_seed(
-                                base_seed, current.structure_key()
-                            ),
-                            x0,
-                            contract=contract,
-                            timeout=self.job_timeout,
-                        )
-                    ],
-                    counters,
-                    round_timeout=self.round_timeout,
-                )
-                cur_params, cur_inf = baseline.params, baseline.infidelity
-                improved = cur_inf <= self.success_threshold
-                passes = 0
-                resume_wave = None
-
-            next_wave = 0
-
-            def scan_state() -> dict:
-                # The scan's replay point: the compressed circuit so
-                # far plus "next work is wave `next_wave` of pass
-                # `passes`".  Scan order is a pure function of the
-                # circuit, so the resumed pass recomputes it.
-                return {
-                    "base_seed": base_seed,
-                    "current": current,
-                    "cur_params": cur_params,
-                    "cur_inf": cur_inf,
-                    "next_pass": passes,
-                    "next_wave": next_wave,
-                    "counters": {
-                        "calls": counters.calls.value,
-                        "expanded": counters.expanded.value,
-                        "busy": counters.busy.value,
-                        "eval_wall": counters.eval_wall.value,
-                    },
-                }
+                baseline = run.fit(run.job(current, target, x0))
+                scan = _ScanState(current, baseline.params, baseline.infidelity)
+                improved = scan.infidelity <= self.success_threshold
+                first_wave = 0
+            else:
+                # Re-enter the stored pass at the wave that was in
+                # flight; the loop's `passes += 1` restores the stored
+                # pass number.
+                improved = True
+                first_wave = scan.wave
+                scan.passes -= 1
 
             while improved and (
-                self.max_passes is None or passes < self.max_passes
+                self.max_passes is None or scan.passes < self.max_passes
             ):
                 improved = False
-                passes += 1
-                if current.num_operations <= 1:
+                scan.passes += 1
+                if scan.circuit.num_operations <= 1:
                     break
-                order = self._scan_indices(current)
+                order = self._scan_indices(scan.circuit)
                 batch = self.scan_batch or len(order)
-                first_wave = resume_wave if resume_wave is not None else 0
-                resume_wave = None
-                for wave_start in range(first_wave, len(order), batch):
-                    # Wave boundary: state describes this wave as the
-                    # next work, so a snapshot (or preemption flush)
-                    # here never replays a completed wave.
-                    next_wave = wave_start
-                    maybe_fault("round", key=round_index)
-                    if ck is not None:
-                        ck.round_boundary(round_index, scan_state)
-                    wave = order[wave_start:wave_start + batch]
-                    jobs: list[FitJob] = []
-                    candidates: list[QuditCircuit] = []
-                    for i in wave:
-                        candidate, kept = current.without_operation(i)
-                        jobs.append(
-                            FitJob(
-                                candidate,
-                                target,
-                                self.starts,
-                                candidate_seed(
-                                    base_seed, candidate.structure_key()
-                                ),
-                                cur_params[list(kept)],
-                                contract=contract,
-                                timeout=self.job_timeout,
-                            )
-                        )
-                        candidates.append(candidate)
-                    counters.expanded.add(len(wave))
-                    outcomes = _run_round(
-                        executor, jobs, counters,
-                        round_timeout=self.round_timeout,
-                    )
-                    round_index += 1
+                for wave in range(first_wave, len(order), batch):
+                    scan.wave = wave
+                    run.boundary(scan)
+                    deletions = [
+                        scan.circuit.without_operation(i)
+                        for i in order[wave:wave + batch]
+                    ]
+                    run.counters.expanded.add(len(deletions))
+                    jobs = [
+                        run.job(candidate, target, scan.params[list(kept)])
+                        for candidate, kept in deletions
+                    ]
+                    outcomes = run.round(jobs)
                     # Accept the first fitting deletion in scan order —
                     # the same winner regardless of how the wave was
                     # scheduled.
-                    for candidate, outcome in zip(candidates, outcomes):
+                    for (candidate, _), outcome in zip(deletions, outcomes):
                         if outcome.infidelity <= self.success_threshold:
-                            current = candidate
-                            cur_params = outcome.params
-                            cur_inf = outcome.infidelity
+                            scan.circuit = candidate
+                            scan.params = outcome.params
+                            scan.infidelity = outcome.infidelity
                             improved = True
-                            registry.counter(
+                            telemetry.metrics().counter(
                                 "resynth.deletions_accepted"
                             ).add()
                             break
                     if improved:
                         break  # rescan the shorter circuit
+                first_wave = 0
 
-            registry.counter("resynth.passes").add(passes)
-            resynth_span.set(
-                passes=passes, examined=counters.expanded.value
-            )
-            resynth_span.__exit__(None, None, None)
-            pass_metrics = telemetry.delta(metrics0, registry.snapshot())
-            result = SynthesisResult(
-                circuit=current,
-                params=cur_params,
-                infidelity=cur_inf,
-                success=cur_inf <= self.success_threshold,
-                instantiation_calls=counters.calls.value,
-                engine_cache_hits=self.pool.hits - hits0,
-                engine_cache_misses=self.pool.misses - misses0,
-                nodes_expanded=counters.expanded.value,
-                wall_seconds=time.perf_counter() - t0,
-                workers=executor.workers,
-                parallel_efficiency=_parallel_efficiency(executor, counters),
-                metrics=pass_metrics,
-                failed_candidates=int(
-                    pass_metrics.get("executor.failed_candidates", 0)
-                ),
-                retries=int(pass_metrics.get("executor.retries", 0)),
-                timed_out=int(pass_metrics.get("executor.timeouts", 0)),
-                resumed_from_round=resumed_from,
-            )
-            if ck is not None:
-                ck.complete(round_index, result)
-            return result
+            telemetry.metrics().counter("resynth.passes").add(scan.passes)
+            run.span.set(passes=scan.passes)
+            return run.result(scan.circuit, scan.params, scan.infidelity)
 
 
 class PartitionedSynthesizer:
@@ -479,29 +301,16 @@ class PartitionedSynthesizer:
         search: SynthesisSearch | None = None,
         window: int = 3,
         checkpoint_dir: str | None = None,
-        checkpoint_every: int | None = 1,
-        checkpoint_seconds: float | None = None,
-        checkpoint_keep: int = 3,
     ):
         if window < 2:
             raise ValueError("window must span at least 2 qudits")
-        if checkpoint_every is not None and checkpoint_every < 1:
-            raise ValueError("checkpoint_every must be >= 1 (or None)")
-        if checkpoint_seconds is not None and checkpoint_seconds <= 0:
-            raise ValueError("checkpoint_seconds must be positive (or None)")
-        if checkpoint_keep < 1:
-            raise ValueError("checkpoint_keep must be >= 1")
         self.search = search or SynthesisSearch()
         self.window = window
-        # Durability knobs: one snapshot per ``checkpoint_every``
-        # completed windows and/or ``checkpoint_seconds``; the stitched
-        # prefix is stored, so a resume re-synthesizes at most the
-        # window in flight.  The inner search keeps its own (per-window)
-        # checkpoint knobs if its owner configured any.
+        # One snapshot per window boundary: the stitched prefix is
+        # stored, so a resume re-synthesizes at most the window in
+        # flight.  The inner search keeps its own (per-window)
+        # checkpoint directory if its owner configured one.
         self.checkpoint_dir = checkpoint_dir
-        self.checkpoint_every = checkpoint_every
-        self.checkpoint_seconds = checkpoint_seconds
-        self.checkpoint_keep = checkpoint_keep
 
     def _partition(
         self, circuit: QuditCircuit
@@ -562,93 +371,39 @@ class PartitionedSynthesizer:
         flight (per-window seeds derive from the stored base seed, so
         the stitched result is bit-identical to an uninterrupted run).
         """
-        t0 = time.perf_counter()
         params = np.asarray(params, dtype=np.float64)
         if len(params) != circuit.num_params:
             raise ValueError(
                 f"expected {circuit.num_params} parameter values, "
                 f"got {len(params)}"
             )
-        rng = np.random.default_rng(rng)
-        # Stable per-window seeds (index-derived, not draw-ordered), so
-        # a window's result does not depend on how many windows precede
-        # it or on how earlier windows were evaluated.
-        base_seed = int(rng.integers(2**63))
-
-        target_fp = target_fingerprint(
-            params, extra=(circuit.structure_key(),)
-        )
-        config_fp = config_fingerprint(
-            pass_kind="partitioned",
-            window=self.window,
-            search=self.search._config_fingerprint(),
-        )
-        store: CheckpointStore | None = None
-        resume_payload: dict | None = None
-        if resume_from is not None:
-            store, payload, _ = load_resume_state(
-                resume_from,
-                kind="partitioned",
-                target=target_fp,
-                config=config_fp,
-                keep=self.checkpoint_keep,
-            )
-            if payload["complete"]:
-                return payload["result"]
-            resume_payload = payload
-        elif self.checkpoint_dir is not None:
-            store = CheckpointStore(
-                self.checkpoint_dir, keep=self.checkpoint_keep
-            )
-        ck: PassCheckpointer | None = None
-        if store is not None:
-            ck = PassCheckpointer(
-                store,
-                kind="partitioned",
-                target=target_fp,
-                config=config_fp,
-                every_rounds=self.checkpoint_every,
-                every_seconds=self.checkpoint_seconds,
-                executor=self.search.executor,
-            )
-
-        out = QuditCircuit(circuit.radices)
-        out_params: list[float] = []
-        windows: list[SynthesisResult] = []
-        all_solved = True
-        next_window = 0
-        resumed_from: int | None = None
-        if resume_payload is not None:
-            state = resume_payload["state"]
-            base_seed = state["base_seed"]
-            out = state["out"]
-            out_params = state["out_params"]
-            windows = state["windows"]
-            all_solved = state["all_solved"]
-            next_window = resumed_from = int(resume_payload["round"])
-
-        def window_state() -> dict:
-            # The stitched prefix is the replay point: windows before
-            # `round` are done (their gates already in `out`), windows
-            # from `round` on have not started.
-            return {
-                "base_seed": base_seed,
-                "out": out,
-                "out_params": list(out_params),
-                "windows": windows,
-                "all_solved": all_solved,
-            }
-
         blocks = self._partition(circuit)
-        with contextlib.ExitStack() as stack:
-            if ck is not None:
-                stack.enter_context(ck)
-            for index, (wires, ops) in enumerate(blocks):
-                if index < next_window:
-                    continue  # restored from the stitched prefix
-                maybe_fault("round", key=index)
-                if ck is not None:
-                    ck.round_boundary(index, window_state)
+        # The inner search supplies the executor a preemption abandons.
+        # Per-window seeds derive from the base seed and the window
+        # index (not draw order), so a window's result does not depend
+        # on how many windows precede it or how they were evaluated.
+        with PassRun(
+            self.search,
+            "partitioned",
+            target_fingerprint(params, extra=(circuit.structure_key(),)),
+            config_fingerprint(
+                pass_kind="partitioned",
+                window=self.window,
+                search=self.search._config_fingerprint(),
+            ),
+            rng=rng,
+            resume_from=resume_from,
+            checkpoint_dir=self.checkpoint_dir,
+        ) as run:
+            if run.stored is not None:
+                return run.stored
+            stitched: _StitchState = run.state or _StitchState(
+                QuditCircuit(circuit.radices)
+            )
+            out, windows = stitched.circuit, stitched.windows
+            for index in range(run.round_index, len(blocks)):
+                run.boundary(stitched)
+                wires, ops = blocks[index]
                 sub = self._block_circuit(circuit, wires, ops, params)
                 with telemetry.tracer().span(
                     "window", category="synthesize",
@@ -657,17 +412,17 @@ class PartitionedSynthesizer:
                     result = self.search.synthesize(
                         sub.get_unitary(()),
                         radices=sub.radices,
-                        rng=candidate_seed(base_seed, ("window", index)),
+                        rng=candidate_seed(run.base_seed, ("window", index)),
                     )
                 windows.append(result)
                 if result.success:
                     added = out.append_circuit(
                         result.circuit, location=wires
                     )
-                    out_params.extend(result.params[j] for j in added)
+                    stitched.params.extend(result.params[j] for j in added)
                 else:
                     # Fall back to the original gates for this window.
-                    all_solved = False
+                    stitched.all_solved = False
                     for op, sub_op in zip(ops, sub):
                         ref = out.cache_operation(
                             circuit.expression(op.ref), check=False
@@ -677,8 +432,9 @@ class PartitionedSynthesizer:
                             op.location,
                             [s.value for s in sub_op.slots],
                         )
+                run.round_index += 1
 
-        final_params = np.asarray(out_params, dtype=np.float64)
+        final_params = np.asarray(stitched.params, dtype=np.float64)
         infidelity = (
             hilbert_schmidt_infidelity(
                 circuit.get_unitary(params), out.get_unitary(final_params)
@@ -699,7 +455,7 @@ class PartitionedSynthesizer:
             circuit=out,
             params=final_params,
             infidelity=infidelity,
-            success=all_solved
+            success=stitched.all_solved
             and infidelity
             <= self.search.success_threshold * max(1, len(windows)),
             instantiation_calls=sum(w.instantiation_calls for w in windows),
@@ -709,7 +465,7 @@ class PartitionedSynthesizer:
             failed_candidates=sum(w.failed_candidates for w in windows),
             retries=sum(w.retries for w in windows),
             timed_out=sum(w.timed_out for w in windows),
-            wall_seconds=time.perf_counter() - t0,
+            wall_seconds=time.perf_counter() - run.t0,
             windows=windows,
             workers=self.search.workers,
             parallel_efficiency=(
@@ -719,8 +475,6 @@ class PartitionedSynthesizer:
                 else None
             ),
             metrics=merged_metrics.snapshot(),
-            resumed_from_round=resumed_from,
+            resumed_from_round=run.resumed_from,
         )
-        if ck is not None:
-            ck.complete(len(blocks), result)
-        return result
+        return run.complete(result)

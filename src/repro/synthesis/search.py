@@ -30,135 +30,26 @@ The instantiation inner loop is where the paper's machinery composes:
 
 from __future__ import annotations
 
-import contextlib
 import heapq
-import time
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .. import telemetry
-from ..checkpoint import (
-    CheckpointStore,
-    PassCheckpointer,
-    config_fingerprint,
-    load_resume_state,
-    target_fingerprint,
-)
+from ..checkpoint import CheckpointStore, config_fingerprint, target_fingerprint
 from ..circuit.circuit import QuditCircuit
 from ..instantiation.cost import as_target_array
 from ..instantiation.instantiater import SUCCESS_THRESHOLD
 from ..instantiation.lm import LMOptions
 from ..instantiation.pool import EnginePool
-from ..tensornet.contract import OutputContract
-from ..testing.faults import maybe_fault
 from ..utils.statevector import Statevector
-from .executor import CandidateExecutor, FitJob, candidate_seed, make_executor
+from .executor import CandidateExecutor, FitJob
 from .layers import LayerGenerator, QSearchLayerGenerator
+from .passrun import PassRun, SynthesisPass
 from .result import SynthesisResult
 
 __all__ = ["SynthesisSearch", "infer_radices"]
-
-
-def _resolve_pool(
-    pool: EnginePool | None,
-    success_threshold: float,
-    strategy: str | None,
-    precision: str | None,
-    lm_options: LMOptions | None,
-) -> EnginePool:
-    """The engine pool for a synthesis pass: the injected one, after
-    rejecting silently-conflicting engine options (pooled engines are
-    built from the *pool's* settings, so per-pass strategy/precision/
-    lm_options would be ignored, and a pool threshold looser than the
-    pass threshold would make the engines' multi-start short-circuit
-    stop above the pass's bar), or a private pool built from the pass
-    settings."""
-    if pool is not None:
-        if (
-            strategy is not None
-            or precision is not None
-            or lm_options is not None
-        ):
-            raise ValueError(
-                "strategy/precision/lm_options are engine settings; "
-                "when injecting an EnginePool, configure them on the pool "
-                "instead"
-            )
-        if pool.success_threshold > success_threshold:
-            raise ValueError(
-                f"pool.success_threshold ({pool.success_threshold:g}) is "
-                f"looser than the requested success_threshold "
-                f"({success_threshold:g}); pooled engines would "
-                "short-circuit before reaching it"
-            )
-        return pool
-    return EnginePool(
-        strategy=strategy if strategy is not None else "auto",
-        precision=precision if precision is not None else "f64",
-        success_threshold=success_threshold,
-        lm_options=lm_options,
-    )
-
-
-class _PassCounters:
-    """Per-pass telemetry counters for one synthesis/resynthesis run.
-
-    Each field is a child of the process-global registry counter of
-    the same name, so a pass reads its own exact values (the
-    deterministic numbers that populate :class:`SynthesisResult`)
-    while BENCH/trace artifacts see whole-process aggregates.
-    ``expanded`` counts frontier expansions for the search and
-    examined deletion candidates for the resynthesizer.
-    """
-
-    __slots__ = ("calls", "expanded", "busy", "eval_wall")
-
-    def __init__(self):
-        registry = telemetry.metrics()
-        self.calls = registry.counter("synthesis.instantiation_calls").child()
-        self.expanded = registry.counter("synthesis.nodes_expanded").child()
-        self.busy = registry.counter("synthesis.busy_seconds").child()
-        self.eval_wall = registry.counter("synthesis.eval_wall_seconds").child()
-
-
-def _run_round(
-    executor: CandidateExecutor,
-    jobs: list[FitJob],
-    counters: _PassCounters,
-    round_timeout: float | None = None,
-):
-    """Evaluate one round of candidate fits and update the pass
-    counters (shared by the search and resynthesis passes).
-
-    ``calls`` counts engine invocations (constant candidates have
-    nothing to optimize and are evaluated directly, without counting);
-    ``busy``/``eval_wall`` feed the ``parallel_efficiency`` report.
-    ``round_timeout`` bounds the whole round's wall clock: stragglers
-    past it degrade to failed outcomes instead of stalling the pass.
-    """
-    with telemetry.tracer().span(
-        "round", category="synthesize",
-        jobs=len(jobs), workers=executor.workers,
-    ):
-        t0 = time.perf_counter()
-        outcomes = executor.run(jobs, round_timeout=round_timeout)
-        counters.eval_wall.add(time.perf_counter() - t0)
-    for outcome in outcomes:
-        counters.busy.add(outcome.busy_seconds)
-        if outcome.engine_call:
-            counters.calls.add()
-    return outcomes
-
-
-def _parallel_efficiency(
-    executor: CandidateExecutor, counters: _PassCounters
-) -> float | None:
-    """Engine busy time over the ``workers x wall`` evaluation budget."""
-    eval_wall = counters.eval_wall.value
-    if eval_wall <= 0.0:
-        return None
-    return counters.busy.value / (executor.workers * eval_wall)
 
 
 def infer_radices(dim: int) -> tuple[int, ...]:
@@ -187,7 +78,22 @@ class _Node:
     layers: int
 
 
-class SynthesisSearch:
+@dataclass
+class _SearchState:
+    """The search's resumable state at a round boundary.
+
+    The heap is stored verbatim: it already satisfies the heap
+    invariant, so a resumed pass pops it in the same order.
+    """
+
+    frontier: list[tuple[float, int, _Node]]
+    visited: set[tuple]
+    best: _Node
+    #: FIFO tiebreak for equal priorities: keeps the heap deterministic.
+    tick: int = 0
+
+
+class SynthesisSearch(SynthesisPass):
     """Frontier-based bottom-up synthesis over a layer-generator grammar.
 
     ``heuristic`` selects the frontier order:
@@ -225,8 +131,7 @@ class SynthesisSearch:
     Durability: with ``checkpoint_dir`` set, the pass snapshots its
     round-boundary state (frontier, visited set, best-so-far, base
     seed, counters) into a :class:`~repro.checkpoint.CheckpointStore`
-    every ``checkpoint_every`` rounds and/or ``checkpoint_seconds``
-    seconds, flushes a final snapshot on SIGTERM/SIGINT (then tears
+    at every round boundary, flushes it on SIGTERM/SIGINT (then tears
     the pool down via the non-waiting abandon path and raises
     :class:`~repro.checkpoint.PreemptedError`), and resumes with
     ``synthesize(resume_from=...)``.  Because candidate seeds derive
@@ -256,101 +161,34 @@ class SynthesisSearch:
         round_timeout: float | None = None,
         max_retries: int = 2,
         checkpoint_dir: str | None = None,
-        checkpoint_every: int | None = 1,
-        checkpoint_seconds: float | None = None,
-        checkpoint_keep: int = 3,
     ):
         if not callable(heuristic) and heuristic not in ("astar", "dijkstra"):
             raise ValueError(
                 "heuristic must be 'astar', 'dijkstra', or a callable"
             )
-        if workers < 1:
-            raise ValueError("workers must be >= 1")
         if expansion_width < 1:
             raise ValueError("expansion_width must be >= 1")
-        if job_timeout is not None and job_timeout <= 0:
-            raise ValueError("job_timeout must be positive (or None)")
-        if round_timeout is not None and round_timeout <= 0:
-            raise ValueError("round_timeout must be positive (or None)")
-        if checkpoint_every is not None and checkpoint_every < 1:
-            raise ValueError("checkpoint_every must be >= 1 (or None)")
-        if checkpoint_seconds is not None and checkpoint_seconds <= 0:
-            raise ValueError("checkpoint_seconds must be positive (or None)")
-        if checkpoint_keep < 1:
-            raise ValueError("checkpoint_keep must be >= 1")
+        super().__init__(
+            success_threshold=success_threshold,
+            starts=starts,
+            strategy=strategy,
+            precision=precision,
+            lm_options=lm_options,
+            pool=pool,
+            workers=workers,
+            executor=executor,
+            job_timeout=job_timeout,
+            round_timeout=round_timeout,
+            max_retries=max_retries,
+            checkpoint_dir=checkpoint_dir,
+        )
         self.layer_generator = layer_generator or QSearchLayerGenerator()
-        self.success_threshold = success_threshold
         self.heuristic = heuristic
         self.heuristic_weight = heuristic_weight
         self.max_layers = max_layers
         self.max_expansions = max_expansions
-        self.starts = starts
         self.warm_start = warm_start
         self.expansion_width = expansion_width
-        #: Fault-tolerance budgets, threaded into every round's
-        #: :class:`FitJob`\ s (per-job wall clock) and executor calls
-        #: (per-round wall clock); ``None`` = unbounded, the default.
-        self.job_timeout = job_timeout
-        self.round_timeout = round_timeout
-        self.max_retries = max_retries
-        #: Durability knobs: where round-boundary snapshots go (``None``
-        #: disables checkpointing), how often (rounds and/or seconds —
-        #: whichever fires first), and how many snapshots the store
-        #: retains for corrupt-latest fallback.
-        self.checkpoint_dir = checkpoint_dir
-        self.checkpoint_every = checkpoint_every
-        self.checkpoint_seconds = checkpoint_seconds
-        self.checkpoint_keep = checkpoint_keep
-        #: The engine pool persists across ``synthesize`` calls, so a
-        #: search object reused for many targets pays each template
-        #: shape's AOT compile once (the Listing 3 amortization).
-        self.pool = _resolve_pool(
-            pool, success_threshold, strategy, precision, lm_options
-        )
-        if executor is not None and executor.pool is not self.pool:
-            raise ValueError(
-                "an injected executor must wrap the search's engine pool"
-            )
-        if (
-            executor is not None
-            and workers != 1
-            and workers != executor.workers
-        ):
-            raise ValueError(
-                f"workers={workers} conflicts with the injected "
-                f"executor's {executor.workers} worker(s); pass one or "
-                "the other"
-            )
-        self.workers = executor.workers if executor is not None else workers
-        self._executor = executor
-        self._owns_executor = executor is None
-
-    @property
-    def executor(self) -> CandidateExecutor:
-        """The candidate executor (built lazily so serial searches and
-        unpicklable process machinery never mix)."""
-        if self._executor is None:
-            self._executor = make_executor(
-                self.pool,
-                self.workers,
-                max_retries=self.max_retries,
-                job_timeout=self.job_timeout,
-            )
-        return self._executor
-
-    def close(self) -> None:
-        """Shut down worker processes this search created (no-op for
-        serial searches and injected executors, which their owner
-        closes)."""
-        if self._owns_executor and self._executor is not None:
-            self._executor.close()
-            self._executor = None
-
-    def __enter__(self) -> SynthesisSearch:
-        return self
-
-    def __exit__(self, *_exc) -> None:
-        self.close()
 
     # ------------------------------------------------------------------
     def _priority(self, infidelity: float, layers: int) -> float:
@@ -361,10 +199,10 @@ class SynthesisSearch:
         return layers + self.heuristic_weight * infidelity
 
     def _config_fingerprint(self) -> str:
-        # Only trajectory-shaping knobs: worker count and checkpoint
-        # cadence are excluded because results are bit-identical
-        # across them.  A callable heuristic hashes by a placeholder
-        # (its repr would embed a memory address and never match).
+        # Only trajectory-shaping knobs: the worker count is excluded
+        # because results are bit-identical across it.  A callable
+        # heuristic hashes by a placeholder (its repr would embed a
+        # memory address and never match).
         return config_fingerprint(
             pass_kind="search",
             success_threshold=self.success_threshold,
@@ -414,7 +252,6 @@ class SynthesisSearch:
         Resuming a finished pass returns the stored result without
         redoing any work.
         """
-        t0 = time.perf_counter()
         if isinstance(target, Statevector) and radices is None:
             radices = target.radices
         target = as_target_array(target)
@@ -430,193 +267,56 @@ class SynthesisSearch:
             if radices is not None
             else infer_radices(target.shape[0])
         )
-        dim = 1
-        for r in radices:
-            dim *= r
+        dim = math.prod(radices)
         if dim != target.shape[0]:
             raise ValueError(
                 f"radices {radices} give dimension {dim}, target has "
                 f"dimension {target.shape[0]}"
             )
-        # State-prep rounds run column engines end-to-end; unitary
-        # targets keep the default full contract.
-        contract = (
-            OutputContract.column(0) if target.ndim == 1 else None
-        )
-        rng = np.random.default_rng(rng)
-        # One base seed per pass; every candidate derives its own seed
-        # from this and its structure key, so results do not depend on
-        # the order candidates are drawn or scheduled in.  A resume
-        # below overwrites this with the stored seed.
-        base_seed = int(rng.integers(2**63))
 
-        target_fp = target_fingerprint(target, extra=(radices,))
-        config_fp = self._config_fingerprint()
-        directory = (
-            checkpoint_dir
-            if checkpoint_dir is not None
-            else self.checkpoint_dir
-        )
-        store: CheckpointStore | None = None
-        resume_payload: dict | None = None
-        if resume_from is not None:
-            store, payload, _ = load_resume_state(
-                resume_from,
-                kind="search",
-                target=target_fp,
-                config=config_fp,
-                keep=self.checkpoint_keep,
-            )
-            if payload["complete"]:
-                # The pass already finished: a no-op resume returning
-                # the stored result, not a re-run.
-                return payload["result"]
-            resume_payload = payload
-        elif directory is not None:
-            store = CheckpointStore(directory, keep=self.checkpoint_keep)
-
-        registry = telemetry.metrics()
-        metrics0 = registry.snapshot()
-        frontier_depth = registry.histogram("synthesis.frontier_depth")
-        hits0, misses0 = self.pool.hits, self.pool.misses
-        counters = _PassCounters()
-        executor = self.executor
-        round_index = 0
-        resumed_from: int | None = None
-        ck: PassCheckpointer | None = None
-        if store is not None:
-            ck = PassCheckpointer(
-                store,
-                kind="search",
-                target=target_fp,
-                config=config_fp,
-                every_rounds=self.checkpoint_every,
-                every_seconds=self.checkpoint_seconds,
-                executor=executor,
-            )
-        pass_span = telemetry.tracer().span(
-            "synthesize", category="synthesize",
-            dim=int(target.shape[0]), workers=executor.workers,
-        )
-
-        def finish(node: _Node, success: bool) -> SynthesisResult:
-            pass_span.set(
-                success=success, expanded=counters.expanded.value
-            )
-            pass_span.__exit__(None, None, None)
-            pass_metrics = telemetry.delta(metrics0, registry.snapshot())
-            result = SynthesisResult(
-                circuit=node.circuit,
-                params=node.params,
-                infidelity=node.infidelity,
-                success=success,
-                instantiation_calls=counters.calls.value,
-                engine_cache_hits=self.pool.hits - hits0,
-                engine_cache_misses=self.pool.misses - misses0,
-                nodes_expanded=counters.expanded.value,
-                wall_seconds=time.perf_counter() - t0,
-                workers=executor.workers,
-                parallel_efficiency=_parallel_efficiency(executor, counters),
-                metrics=pass_metrics,
-                failed_candidates=int(
-                    pass_metrics.get("executor.failed_candidates", 0)
-                ),
-                retries=int(pass_metrics.get("executor.retries", 0)),
-                timed_out=int(pass_metrics.get("executor.timeouts", 0)),
-                resumed_from_round=resumed_from,
-            )
-            if ck is not None:
-                ck.complete(round_index, result)
-            return result
-
-        def search_state() -> dict:
-            # Everything a resume needs to replay the loop from this
-            # round boundary: the heap is stored verbatim (it already
-            # satisfies the heap invariant, so pops replay identically)
-            # and counters are stored as totals, restored via add()
-            # into the new process's child counters.
-            return {
-                "base_seed": base_seed,
-                "tick": tick,
-                "visited": visited,
-                "frontier": frontier,
-                "best": best,
-                "counters": {
-                    "calls": counters.calls.value,
-                    "expanded": counters.expanded.value,
-                    "busy": counters.busy.value,
-                    "eval_wall": counters.eval_wall.value,
-                },
-            }
-
-        with contextlib.ExitStack() as stack:
-            if ck is not None:
-                stack.enter_context(ck)
-            if resume_payload is not None:
-                state = resume_payload["state"]
-                base_seed = state["base_seed"]
-                tick = state["tick"]
-                visited = state["visited"]
-                frontier = state["frontier"]
-                best = state["best"]
-                round_index = resumed_from = int(resume_payload["round"])
-                counters.calls.add(state["counters"]["calls"])
-                counters.expanded.add(state["counters"]["expanded"])
-                counters.busy.add(state["counters"]["busy"])
-                counters.eval_wall.add(state["counters"]["eval_wall"])
-            else:
-                root_circuit = self.layer_generator.initial(radices)
-                [root_outcome] = _run_round(
-                    executor,
-                    [
-                        FitJob(
-                            root_circuit,
-                            target,
-                            self.starts,
-                            candidate_seed(
-                                base_seed, root_circuit.structure_key()
-                            ),
-                            contract=contract,
-                            timeout=self.job_timeout,
-                        )
-                    ],
-                    counters,
-                    round_timeout=self.round_timeout,
-                )
-                root = _Node(
-                    root_circuit,
-                    root_outcome.params,
-                    root_outcome.infidelity,
-                    0,
-                )
+        with PassRun(
+            self,
+            "search",
+            target_fingerprint(target, extra=(radices,)),
+            self._config_fingerprint(),
+            rng=rng,
+            resume_from=resume_from,
+            checkpoint_dir=checkpoint_dir or self.checkpoint_dir,
+            span="synthesize",
+            dim=int(target.shape[0]),
+        ) as run:
+            if run.stored is not None:
+                return run.stored
+            search: _SearchState | None = run.state
+            if search is None:
+                circuit = self.layer_generator.initial(radices)
+                root_fit = run.fit(run.job(circuit, target))
+                root = _Node(circuit, root_fit.params, root_fit.infidelity, 0)
                 if root.infidelity <= self.success_threshold:
-                    return finish(root, True)
-
-                best = root
-                visited = {root_circuit.structure_key()}
-                tick = 0  # FIFO tiebreak keeps the heap deterministic
+                    return run.result(root.circuit, root.params, root.infidelity)
                 # A failed root (quarantined/timed out: infinite
                 # infidelity) still seeds the frontier — its successors
                 # may fit fine — but failed *candidates* below never
                 # re-enter it.
-                frontier: list[tuple[float, int, _Node]] = [
-                    (self._priority(root.infidelity, 0), tick, root)
-                ]
-            while frontier and counters.expanded.value < self.max_expansions:
-                # Round boundary: the state is exactly "round_index
-                # rounds completed", so a snapshot here replays no
-                # finished work.  The fault point lets chaos tests
-                # deliver a SIGTERM at a chosen round.
-                maybe_fault("round", key=round_index)
-                if ck is not None:
-                    ck.round_boundary(round_index, search_state)
+                search = _SearchState(
+                    frontier=[(self._priority(root.infidelity, 0), 0, root)],
+                    visited={circuit.structure_key()},
+                    best=root,
+                )
+            frontier = search.frontier
+            frontier_depth = telemetry.metrics().histogram(
+                "synthesis.frontier_depth"
+            )
+            expanded = run.counters.expanded
+            while frontier and expanded.value < self.max_expansions:
+                run.boundary(search)
                 frontier_depth.observe(len(frontier))
                 # Assemble one round: up to expansion_width frontier
                 # pops (bounded by the remaining expansion budget),
                 # skipping nodes already at the depth cap.
                 width = min(
                     self.expansion_width,
-                    self.max_expansions - counters.expanded.value,
+                    self.max_expansions - expanded.value,
                 )
                 parents: list[_Node] = []
                 while frontier and len(parents) < width:
@@ -626,7 +326,7 @@ class SynthesisSearch:
                     parents.append(node)
                 if not parents:
                     break
-                counters.expanded.add(len(parents))
+                expanded.add(len(parents))
 
                 jobs: list[FitJob] = []
                 meta: list[tuple[QuditCircuit, _Node]] = []
@@ -635,9 +335,9 @@ class SynthesisSearch:
                         node.circuit
                     ):
                         key = child.structure_key()
-                        if key in visited:
+                        if key in search.visited:
                             continue  # template shape already instantiated
-                        visited.add(key)
+                        search.visited.add(key)
                         x0 = None
                         if (
                             self.warm_start
@@ -654,27 +354,14 @@ class SynthesisSearch:
                                     ),
                                 ]
                             )
-                        jobs.append(
-                            FitJob(
-                                child,
-                                target,
-                                self.starts,
-                                candidate_seed(base_seed, key),
-                                x0,
-                                contract=contract,
-                                timeout=self.job_timeout,
-                            )
-                        )
+                        jobs.append(run.job(child, target, x0))
                         meta.append((child, node))
 
                 # The whole round evaluates as one batch (concurrently
                 # when workers > 1); outcomes are then scanned in
                 # deterministic job order, so the first success is the
                 # same no matter how the batch was scheduled.
-                outcomes = _run_round(
-                    executor, jobs, counters, round_timeout=self.round_timeout
-                )
-                round_index += 1
+                outcomes = run.round(jobs)
                 for (child, parent), outcome in zip(meta, outcomes):
                     if outcome.failed:
                         # Quarantined / timed-out / non-finite
@@ -683,23 +370,26 @@ class SynthesisSearch:
                         # expansion, and its zeroed parameters must not
                         # warm-start children.
                         continue
+                    if outcome.infidelity <= self.success_threshold:
+                        return run.result(
+                            child, outcome.params, outcome.infidelity
+                        )
                     child_node = _Node(
                         child, outcome.params, outcome.infidelity,
                         parent.layers + 1,
                     )
-                    if outcome.infidelity <= self.success_threshold:
-                        return finish(child_node, True)
-                    if outcome.infidelity < best.infidelity:
-                        best = child_node
-                    tick += 1
+                    if outcome.infidelity < search.best.infidelity:
+                        search.best = child_node
+                    search.tick += 1
                     heapq.heappush(
                         frontier,
                         (
                             self._priority(
                                 outcome.infidelity, child_node.layers
                             ),
-                            tick,
+                            search.tick,
                             child_node,
                         ),
                     )
-            return finish(best, best.infidelity <= self.success_threshold)
+            best = search.best
+            return run.result(best.circuit, best.params, best.infidelity)

@@ -53,35 +53,26 @@ def checkpointer(tmp_path, **kwargs):
 
 class TestPassCheckpointer:
     def test_every_rounds_cadence(self, tmp_path):
-        ck = checkpointer(tmp_path, every_rounds=2)
+        ck = checkpointer(tmp_path)
         with ck:
             for r in range(5):
-                ck.round_boundary(r, lambda: {"round": r})
-        # Rounds 0, 2, 4 are due under every_rounds=2.
+                ck.round_boundary(r, {"round": r})
+        # Every boundary writes; the store keeps the newest 3.
         assert len(ck.store.snapshots()) == 3
         state, _ = ck.store.load_latest()
         assert state["round"] == 4
         assert state["complete"] is False
         assert state["kind"] == "search"
 
-    def test_seconds_only_cadence_skips_fast_rounds(self, tmp_path):
-        ck = checkpointer(
-            tmp_path, every_rounds=None, every_seconds=3600.0
-        )
-        with ck:
-            for r in range(5):
-                ck.round_boundary(r, lambda: {})
-        assert ck.store.snapshots() == []
-
     def test_preemption_flushes_tears_down_and_raises(self, tmp_path):
         executor = _Abandonable()
-        ck = checkpointer(tmp_path, every_rounds=None, executor=executor)
+        ck = checkpointer(tmp_path, executor=executor)
         with ck:
-            ck.round_boundary(0, lambda: {"round": 0})  # not due: no write
-            assert ck.store.snapshots() == []
+            ck.round_boundary(0, {"round": 0})  # no signal yet
+            assert len(ck.store.snapshots()) == 1
             ck.guard.pending = signal.SIGTERM
             with pytest.raises(PreemptedError) as err:
-                ck.round_boundary(3, lambda: {"round": 3})
+                ck.round_boundary(3, {"round": 3})
         assert executor.abandoned == 1
         assert err.value.round_index == 3
         assert err.value.signum == signal.SIGTERM

@@ -201,23 +201,76 @@ class TestPreemption:
 # ----------------------------------------------------------------------
 
 
+def run_pass(
+    kind, checkpoint_dir=None, resume_from=None, target_seed=0, **config
+):
+    """Run one of the three passes on its validation input.
+
+    ``target_seed`` shifts the input to a different target; ``config``
+    goes to the pass's constructor (the inner search's for the
+    partitioned pass).
+    """
+    if kind == "search":
+        circ = build_qsearch_ansatz(2, 2, 2)
+        return make_search(checkpoint_dir=checkpoint_dir, **config).synthesize(
+            reachable_target(circ, 7 + target_seed),
+            rng=5,
+            resume_from=resume_from,
+        )
+    if kind == "resynth":
+        circ = build_qsearch_ansatz(2, 2, 2)
+        p = np.random.default_rng(3 + target_seed).uniform(
+            -np.pi, np.pi, circ.num_params
+        )
+        config.setdefault("max_passes", 2)
+        return Resynthesizer(
+            checkpoint_dir=checkpoint_dir, **config
+        ).resynthesize(circ, p, rng=9, resume_from=resume_from)
+    circ = build_qsearch_ansatz(3, 2, 2)
+    p = np.random.default_rng(4 + target_seed).uniform(
+        -np.pi, np.pi, circ.num_params
+    )
+    return PartitionedSynthesizer(
+        make_search(**config), window=2, checkpoint_dir=checkpoint_dir
+    ).synthesize_circuit(circ, p, rng=11, resume_from=resume_from)
+
+
+#: A trajectory-shaping knob per pass, changed from its default.
+OTHER_CONFIG = {
+    "search": {"heuristic_weight": 5.0},
+    "resynth": {"scan_order": "forward"},
+    "partitioned": {"heuristic_weight": 5.0},
+}
+
+
 @pytest.fixture(scope="module")
-def completed_run(tmp_path_factory):
-    """One checkpointed search run to completion, shared by the
-    validation tests (none of them mutate the store)."""
-    target = _victim_target()
-    ckpt = str(tmp_path_factory.mktemp("completed"))
-    with make_search(checkpoint_dir=ckpt) as search:
-        result = search.synthesize(target, rng=5)
-    return target, ckpt, result
+def completed_pass(tmp_path_factory):
+    """``completed_pass(kind) -> (ckpt, result)``: one checkpointed run
+    to completion per pass kind, shared by the validation tests (none
+    of them mutate the store)."""
+    runs = {}
+
+    def get(kind):
+        if kind not in runs:
+            ckpt = str(tmp_path_factory.mktemp(f"completed-{kind}"))
+            runs[kind] = ckpt, run_pass(kind, checkpoint_dir=ckpt)
+        return runs[kind]
+
+    return get
 
 
-class TestResumeValidation:
-    def test_resume_after_completion_is_a_noop(self, completed_run):
-        target, ckpt, result = completed_run
+class _ResumeValidationCases:
+    """Resume validation shared by every pass; each subclass names its
+    pass in ``kind`` (a class per pass keeps the search cases' test
+    ids)."""
+
+    kind = "search"
+
+    def test_resume_after_completion_is_a_noop(self, completed_pass):
+        ckpt, result = completed_pass(self.kind)
         count = snapshot_count(ckpt)
         before = telemetry.metrics().snapshot()
-        again = make_search().synthesize(target, resume_from=ckpt)
+        again = run_pass(self.kind, resume_from=ckpt)
         delta = metrics_delta(before)
         # The stored result comes back without redoing (or re-writing)
         # anything — not even a new snapshot.
@@ -228,25 +281,26 @@ class TestResumeValidation:
         assert again.wall_seconds == result.wall_seconds
         assert again.engine_cache_hits == result.engine_cache_hits
 
-    def test_target_mismatch_is_refused(self, completed_run):
-        _, ckpt, _ = completed_run
-        other = reachable_target(build_qsearch_ansatz(2, 2, 2), 8)
+    def test_target_mismatch_is_refused(self, completed_pass):
+        ckpt, _ = completed_pass(self.kind)
         with pytest.raises(
             CheckpointError, match="different synthesis target"
         ):
-            make_search().synthesize(other, resume_from=ckpt)
+            run_pass(self.kind, resume_from=ckpt, target_seed=1)
 
-    def test_config_mismatch_is_refused(self, completed_run):
-        target, ckpt, _ = completed_run
+    def test_config_mismatch_is_refused(self, completed_pass):
+        ckpt, _ = completed_pass(self.kind)
         with pytest.raises(
             CheckpointError, match="different search configuration"
         ):
-            make_search(heuristic_weight=5.0).synthesize(
-                target, resume_from=ckpt
-            )
+            run_pass(self.kind, resume_from=ckpt, **OTHER_CONFIG[self.kind])
 
-    def test_pass_kind_mismatch_is_refused(self, completed_run):
-        _, ckpt, _ = completed_run
+
+class TestResumeValidation(_ResumeValidationCases):
+    kind = "search"
+
+    def test_pass_kind_mismatch_is_refused(self, completed_pass):
+        ckpt, _ = completed_pass("search")
         circ = build_qsearch_ansatz(2, 2, 2)
         p = np.zeros(circ.num_params)
         with pytest.raises(CheckpointError, match="pass types"):
@@ -267,32 +321,88 @@ class TestResumeValidation:
                 _victim_target(), resume_from=str(tmp_path)
             )
 
+    def test_per_call_checkpoint_dir(self, tmp_path):
+        # One search object serving many targets gives each call its
+        # own store through synthesize(checkpoint_dir=).
+        ckpt = str(tmp_path / "per-call")
+        with make_search() as search:
+            result = search.synthesize(
+                _victim_target(), rng=5, checkpoint_dir=ckpt
+            )
+        assert snapshot_count(ckpt) >= 1
+        again = make_search().synthesize(_victim_target(), resume_from=ckpt)
+        assert_resumed_identical(again, result)
+        assert again.wall_seconds == result.wall_seconds  # stored result
+
+
+class TestResynthesizerResumeValidation(_ResumeValidationCases):
+    kind = "resynth"
+
+
+class TestPartitionedResumeValidation(_ResumeValidationCases):
+    kind = "partitioned"
+
 
 # ----------------------------------------------------------------------
 # The compression passes checkpoint and resume too
 # ----------------------------------------------------------------------
 
 
+def _no_deletion_case():
+    """Eight ops compressed against their own unitary: no deletion
+    fits, so the scan is one pass of single-gate waves."""
+    circ = build_qsearch_ansatz(2, 2, 2)
+    p = np.random.default_rng(3).uniform(-np.pi, np.pi, circ.num_params)
+    return circ, p, None, 2, 9
+
+
+def _pass_boundary_case():
+    """The depth-3 ansatz compressed toward the 1-block target of
+    ``benchmarks/run_synthesis.py``: each pass accepts its first wave,
+    so rounds 1 and 2 open passes 2 and 3."""
+    deep = build_qsearch_ansatz(2, 3, 2)
+    target = reachable_target(build_qsearch_ansatz(2, 1, 2), 42)
+    return deep, (), target, 3, 5
+
+
+RESYNTH_CASES = {
+    "no-deletion": _no_deletion_case,
+    "pass-boundary": _pass_boundary_case,
+}
+
+
 class TestResynthesizerResume:
-    def test_sigterm_then_resume_is_bit_identical(self, tmp_path):
-        circ = build_qsearch_ansatz(2, 2, 2)
-        p = np.random.default_rng(3).uniform(-np.pi, np.pi, circ.num_params)
-        clean = Resynthesizer(max_passes=2).resynthesize(circ, p, rng=9)
+    @pytest.mark.parametrize(
+        ("case", "at_round"),
+        [("no-deletion", 2), ("pass-boundary", 1), ("pass-boundary", 2)],
+    )
+    def test_sigterm_then_resume_is_bit_identical(
+        self, tmp_path, case, at_round
+    ):
+        circ, p, target, max_passes, seed = RESYNTH_CASES[case]()
+        clean = Resynthesizer(max_passes=max_passes).resynthesize(
+            circ, p, target=target, rng=seed
+        )
 
         ckpt = tmp_path / "ckpt"
         fault_dir = tmp_path / "faults"
         fault_dir.mkdir()
-        with faults.activate("sigterm@round:seed2", str(fault_dir)):
+        with faults.activate(f"sigterm@round:seed{at_round}", str(fault_dir)):
             with pytest.raises(PreemptedError):
                 Resynthesizer(
-                    max_passes=2, checkpoint_dir=str(ckpt)
-                ).resynthesize(circ, p, rng=9)
+                    max_passes=max_passes, checkpoint_dir=str(ckpt)
+                ).resynthesize(circ, p, target=target, rng=seed)
 
-        resumed = Resynthesizer(max_passes=2).resynthesize(
-            circ, p, resume_from=str(ckpt)
+        resumed = Resynthesizer(max_passes=max_passes).resynthesize(
+            circ, p, target=target, resume_from=str(ckpt)
         )
-        assert resumed.resumed_from_round == 2
+        assert resumed.resumed_from_round == at_round
         assert_resumed_identical(resumed, clean)
+        # A resume re-enters the stored pass rather than starting one.
+        assert (
+            resumed.metrics["resynth.passes"]
+            == clean.metrics["resynth.passes"]
+        )
 
 
 class TestPartitionedResume:

@@ -74,6 +74,21 @@ class TestResynthesizer:
             capped.circuit.num_operations >= uncapped.circuit.num_operations
         )
 
+    def test_param_length_validated(self):
+        circ = build_qsearch_ansatz(2, 2, 2)
+        target, p = reachable_target(circ, 64)
+        # A partial vector is refused whether or not a target is given.
+        for explicit in (target, None):
+            with pytest.raises(
+                ValueError, match="expected 18 parameter values, got 5"
+            ):
+                Resynthesizer().resynthesize(circ, p[:5], target=explicit)
+        # No values at all with a target is a cold baseline fit.
+        result = Resynthesizer(max_passes=1).resynthesize(
+            circ, (), target=target, rng=0
+        )
+        assert result.success
+
     def test_engine_pool_counters_reported(self):
         deep = build_qsearch_ansatz(2, 2, 2)
         target, p = reachable_target(deep, 63)

@@ -15,8 +15,11 @@ import numpy as np
 import pytest
 
 from repro import telemetry
-from repro.synthesis import SynthesisSearch
+from repro.checkpoint import PreemptedError
+from repro.circuit import build_qsearch_ansatz
+from repro.synthesis import Resynthesizer, SynthesisSearch
 from repro.synthesis.executor import ProcessCandidateExecutor
+from repro.testing import faults
 from repro.utils import Statevector
 
 
@@ -145,3 +148,35 @@ class TestReport:
         assert "optimize (LM)" in text
         assert "engine cache" in text
         assert "LM iterations" in text
+
+
+def run_preempted(kind, ckpt):
+    """A checkpointed pass that ``sigterm@round:seed1`` preempts."""
+    circ = build_qsearch_ansatz(2, 2, 2)
+    p = np.random.default_rng(3).uniform(-np.pi, np.pi, circ.num_params)
+    if kind == "search":
+        SynthesisSearch(expansion_width=2, checkpoint_dir=ckpt).synthesize(
+            circ.get_unitary(p), rng=5
+        )
+    else:
+        Resynthesizer(checkpoint_dir=ckpt).resynthesize(circ, p, rng=9)
+
+
+class TestPreemptedPassSpan:
+    @pytest.mark.parametrize(
+        ("kind", "span_name"),
+        [("search", "synthesize"), ("resynth", "resynthesize")],
+    )
+    def test_span_closes_when_the_pass_raises(self, tmp_path, kind, span_name):
+        fault_dir = tmp_path / "faults"
+        fault_dir.mkdir()
+        telemetry.enable()
+        with faults.activate("sigterm@round:seed1", str(fault_dir)):
+            with pytest.raises(PreemptedError):
+                run_preempted(kind, str(tmp_path / "ckpt"))
+        with telemetry.tracer().span("after", category="test"):
+            pass
+        spans = telemetry.disable()
+        assert span_name in {s.name for s in spans}
+        [after] = [s for s in spans if s.name == "after"]
+        assert after.parent_id is None  # nothing left open on the stack
