@@ -12,6 +12,12 @@ leaves.  A constant-folding analysis runs alongside: whenever every child
 of an e-node has a known numeric value, the parent class is assigned the
 folded value and a literal e-node is injected so that extraction can pick
 the cheap constant form.
+
+Each e-class keeps its nodes in insertion order (a dict used as an
+ordered set).  A ``set`` would iterate in an order that follows string
+hashing, which Python randomizes per process, so match order, union
+order and extraction tie-breaks -- and with them the simplified
+expression -- would change with ``PYTHONHASHSEED``.
 """
 
 from __future__ import annotations
@@ -22,13 +28,14 @@ from collections.abc import Iterable
 from ..symbolic import expr as E
 from ..symbolic.expr import Expr
 
-__all__ = ["ENode", "EClass", "EGraph"]
+__all__ = ["ENode", "EClass", "EGraph", "OpIndex"]
 
 ENode = tuple  # (op: str, payload: float | str | None, children: tuple[int, ...])
 
-
-def make_enode(op: str, payload, children: Iterable[int]) -> ENode:
-    return (op, payload, tuple(children))
+#: ``index[op][cid]``: the nodes with operator ``op`` in canonical class
+#: ``cid``, each as its canonical children tuple -- or, for a leaf, its
+#: payload.  Classes and nodes appear in insertion order.
+OpIndex = dict[str, dict[int, list]]
 
 
 class EClass:
@@ -38,7 +45,7 @@ class EClass:
 
     def __init__(self, cid: int):
         self.id = cid
-        self.nodes: set[ENode] = set()
+        self.nodes: dict[ENode, None] = {}  # ordered set
         # (parent enode as last canonicalized, parent class id)
         self.parents: list[tuple[ENode, int]] = []
         self.const: float | None = None
@@ -62,11 +69,12 @@ class EGraph:
     # Union-find
     # ------------------------------------------------------------------
     def find(self, cid: int) -> int:
+        parent = self._parent
         root = cid
-        while self._parent[root] != root:
-            root = self._parent[root]
-        while self._parent[cid] != root:
-            self._parent[cid], cid = root, self._parent[cid]
+        while parent[root] != root:
+            root = parent[root]
+        while parent[cid] != root:
+            parent[cid], cid = root, parent[cid]
         return root
 
     def _new_class(self) -> EClass:
@@ -81,16 +89,16 @@ class EGraph:
     # ------------------------------------------------------------------
     def canonicalize(self, node: ENode) -> ENode:
         op, payload, children = node
-        return (op, payload, tuple(self.find(c) for c in children))
+        return (op, payload, tuple(map(self.find, children)))
 
     def add(self, op: str, payload=None, children: Iterable[int] = ()) -> int:
         """Add an e-node, returning its (canonical) e-class id."""
-        node = self.canonicalize(make_enode(op, payload, children))
+        node = (op, payload, tuple(map(self.find, children)))
         existing = self.memo.get(node)
         if existing is not None:
             return self.find(existing)
         cls = self._new_class()
-        cls.nodes.add(node)
+        cls.nodes[node] = None
         self.memo[node] = cls.id
         for child in node[2]:
             self.classes[self.find(child)].parents.append((node, cls.id))
@@ -166,7 +174,7 @@ class EGraph:
         cls = self.classes.get(self.find(cid))
         if cls is not None:
             cls.parents = [(n, self.find(c)) for n, c in new_parents.items()]
-            cls.nodes = {self.canonicalize(n) for n in cls.nodes}
+            cls.nodes = dict.fromkeys(self.canonicalize(n) for n in cls.nodes)
 
     # ------------------------------------------------------------------
     # Constant folding analysis
@@ -229,14 +237,14 @@ class EGraph:
             # pi already has a zero-cost leaf; don't replace it with a
             # 15-digit literal.
             return
-        node = make_enode("const", cls.const, ())
+        node = ("const", cls.const, ())
         existing = self.memo.get(node)
         if existing is not None:
             root = self.find(existing)
             if root != cls.id:
                 self.union(root, cls.id)
             return
-        cls.nodes.add(node)
+        cls.nodes[node] = None
         self.memo[node] = cls.id
 
     # ------------------------------------------------------------------
@@ -257,6 +265,27 @@ class EGraph:
     def eclasses(self) -> list[EClass]:
         """Snapshot of the canonical e-classes."""
         return list(self.classes.values())
+
+    def op_index(self) -> OpIndex:
+        """Index the nodes by operator for one search phase.
+
+        The index is a snapshot: build it after :meth:`rebuild` and
+        before the next change to the graph.
+        """
+        find = self.find
+        index: OpIndex = {}
+        for cid, cls in self.classes.items():
+            for op, payload, children in cls.nodes:
+                per_class = index.get(op)
+                if per_class is None:
+                    per_class = index[op] = {}
+                entries = per_class.get(cid)
+                if entries is None:
+                    entries = per_class[cid] = []
+                entries.append(
+                    tuple(map(find, children)) if children else payload
+                )
+        return index
 
     def __repr__(self) -> str:
         return (

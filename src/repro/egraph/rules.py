@@ -9,14 +9,30 @@ Pythagorean), and exponential/logarithm laws.
 
 The set is intentionally "sound modulo definedness" in the Herbie sense:
 rules such as ``x/x => 1`` are excluded, while rules that are total on
-the reals are included.
+the reals are included.  A few rules have a right side that is defined
+where their left side is not (``0/a => 0`` at ``a = 0``); they are
+listed by name in :data:`WIDENS_DEFINEDNESS`, and the rule tests fail
+on any other rule that does so.
 """
 
 from __future__ import annotations
 
+import functools
+
 from .pattern import Rewrite, bidirectional
 
-__all__ = ["default_rules", "arithmetic_rules", "trig_rules", "exp_rules"]
+__all__ = [
+    "default_rules", "arithmetic_rules", "trig_rules", "exp_rules",
+    "WIDENS_DEFINEDNESS",
+]
+
+#: Rules whose right side is defined (real and finite) at some points
+#: where their left side is not: ``0/a``, ``a^b * a^c``,
+#: ``sqrt(a) * sqrt(a)``, ``sqrt(a) * sqrt(b)`` and ``exp(ln(a))`` are
+#: undefined for some ``a`` their rewrites accept.
+WIDENS_DEFINEDNESS = frozenset(
+    {"zero-div", "pow-sum", "sqrt-square", "sqrt-prod", "exp-ln"}
+)
 
 
 def arithmetic_rules() -> list[Rewrite]:
@@ -159,7 +175,16 @@ def exp_rules() -> list[Rewrite]:
 
 
 def default_rules() -> list[Rewrite]:
-    """The full rule set used by the OpenQudit simplification pass."""
-    return (
+    """The full rule set used by the OpenQudit simplification pass.
+
+    The rules are parsed and compiled once per process; every call
+    returns a new list of the same (immutable) rewrites.
+    """
+    return list(_default_rules())
+
+
+@functools.cache
+def _default_rules() -> tuple[Rewrite, ...]:
+    return tuple(
         arithmetic_rules() + power_rules() + trig_rules() + exp_rules()
     )

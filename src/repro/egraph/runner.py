@@ -2,14 +2,16 @@
 
 QGL expressions for individual gates are small and sparse, so e-graphs
 are not expected to grow large; nonetheless iteration and node-count
-limits are applied (paper section III-C).
+limits are applied (paper section III-C).  There is deliberately no
+wall-clock limit: a simplified expression depends only on its input,
+never on host speed.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
+from .. import telemetry
 from ..symbolic.expr import Expr
 from .cost import expression_cost
 from .egraph import EGraph
@@ -27,7 +29,6 @@ class RunnerLimits:
     iterations: int = 8
     nodes: int = 8_000
     matches_per_rule: int = 2_000
-    time_seconds: float = 5.0
 
 
 @dataclass
@@ -35,6 +36,7 @@ class RunnerReport:
     """What happened during a saturation run."""
 
     iterations: int = 0
+    #: ``saturated``, ``iteration-limit`` or ``node-limit``
     stop_reason: str = "saturated"
     unions: int = 0
     final_nodes: int = 0
@@ -55,16 +57,17 @@ class Runner:
 
     def run(self, egraph: EGraph) -> RunnerReport:
         report = RunnerReport()
-        deadline = time.monotonic() + self.limits.time_seconds
         for iteration in range(self.limits.iterations):
             report.iterations = iteration + 1
             unions_before = egraph.num_unions
 
             # Search-then-apply: collect all matches against a frozen
-            # graph, then apply, then rebuild once.
+            # graph (so one operator index serves every rule), then
+            # apply, then rebuild once.
+            index = egraph.op_index()
             all_matches = []
             for rule in self.rules:
-                matches = rule.search(egraph)
+                matches = rule.search(egraph, index=index)
                 if len(matches) > self.limits.matches_per_rule:
                     matches = matches[: self.limits.matches_per_rule]
                 if matches:
@@ -82,9 +85,6 @@ class Runner:
                 break
             if egraph.num_nodes > self.limits.nodes:
                 report.stop_reason = "node-limit"
-                break
-            if time.monotonic() > deadline:
-                report.stop_reason = "time-limit"
                 break
         else:
             report.stop_reason = "iteration-limit"
@@ -106,13 +106,19 @@ def simplify_all(
     populated with every root, equality saturation runs once, and the
     greedy extractor pulls the roots out in order, zeroing costs as it
     goes so later roots reuse earlier subexpressions.
+
+    Each run counts ``compile.egraph_stop.<stop reason>`` and observes
+    its final node count in the ``compile.egraph_nodes`` histogram.
     """
     if not exprs:
         return []
     egraph = EGraph()
     roots = [egraph.add_expr(e) for e in exprs]
     egraph.rebuild()
-    Runner(rules, limits).run(egraph)
+    report = Runner(rules, limits).run(egraph)
+    registry = telemetry.metrics()
+    registry.counter(f"compile.egraph_stop.{report.stop_reason}").add()
+    registry.histogram("compile.egraph_nodes").observe(report.final_nodes)
     extractor = GreedyExtractor(egraph)
     extracted = extractor.extract_many(roots)
     # The greedy extractor scores e-classes as trees, so on rare inputs

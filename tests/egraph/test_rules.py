@@ -5,13 +5,14 @@ evaluated on random bindings: a rewrite is sound iff both sides agree
 numerically wherever both are defined.
 """
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from repro.egraph.pattern import Pattern, PatVar
-from repro.egraph.rules import default_rules
+from repro.egraph.rules import WIDENS_DEFINEDNESS, default_rules
 from repro.symbolic import expr as E
 
 
@@ -73,3 +74,70 @@ def test_rule_names_unique():
 def test_rule_count_is_substantial():
     # The curated set covers arithmetic, power, trig and exp families.
     assert len(ALL_RULES) >= 50
+
+
+#: Values every variable of a rule takes in every combination: the
+#: points where division, ``ln``, ``sqrt`` and ``pow`` are undefined or
+#: leave the reals.
+SPECIAL_VALUES = (0.0, 1.0, -1.0, 2.0, -0.5)
+
+
+def real_value(expr, env):
+    """The value of ``expr`` at ``env``, or ``None`` where it is
+    undefined: a math domain error, a non-finite value, or a complex one
+    (``**`` of a negative base returns a complex number)."""
+    try:
+        value = E.evaluate(expr, env)
+    except (ValueError, ZeroDivisionError, OverflowError, TypeError):
+        return None
+    if isinstance(value, complex) or not math.isfinite(value):
+        return None
+    return value
+
+
+def domain_points(names, seed):
+    rng = np.random.default_rng(seed)
+    for _ in range(200):
+        yield {n: float(rng.uniform(-2 * math.pi, 2 * math.pi)) for n in names}
+    for values in itertools.product(SPECIAL_VALUES, repeat=len(names)):
+        yield dict(zip(names, values))
+
+
+def widens_definedness(rule):
+    """Check ``rule`` on [-2pi, 2pi] and the special values: the right
+    side is defined wherever the left side is, and agrees with it there.
+    Returns whether the right side is also defined somewhere the left
+    side is not."""
+    lhs = pattern_to_expr(rule.lhs)
+    rhs = pattern_to_expr(rule.rhs)
+    names = sorted(pattern_vars(rule.lhs) | pattern_vars(rule.rhs))
+    widens = False
+    for env in domain_points(names, sum(map(ord, rule.name))):
+        lv, rv = real_value(lhs, env), real_value(rhs, env)
+        if lv is None:
+            widens = widens or rv is not None
+        else:
+            assert rv is not None, f"rule {rule.name} undefined at {env}"
+            assert math.isclose(lv, rv, rel_tol=1e-9, abs_tol=1e-9), (
+                f"rule {rule.name} unsound at {env}: {lv} != {rv}"
+            )
+    return widens
+
+
+@pytest.mark.parametrize(
+    "rule", ALL_RULES, ids=[r.name for r in ALL_RULES]
+)
+def test_rule_is_sound_over_the_whole_domain(rule):
+    if widens_definedness(rule):
+        assert rule.name in WIDENS_DEFINEDNESS, (
+            f"rule {rule.name}: the right side is defined where the left "
+            "side is not; list it in WIDENS_DEFINEDNESS if that is intended"
+        )
+    else:
+        assert rule.name not in WIDENS_DEFINEDNESS, (
+            f"rule {rule.name} is in WIDENS_DEFINEDNESS but never widens"
+        )
+
+
+def test_widening_allow_list_names_real_rules():
+    assert WIDENS_DEFINEDNESS <= {r.name for r in ALL_RULES}
