@@ -22,8 +22,8 @@ Three entry points, each returning a
   an arena view, a parameter unpack, or a whitelisted numpy callable,
   and no ``out=`` target aliases a still-live input.
 * :func:`verify_engine` — a serialized payload's program, compiled
-  expressions, contract, settings, and shipped kernels are mutually
-  coherent.
+  expressions, settings, and shipped kernels are mutually coherent;
+  the engine's contract is its program's, checked with the bytecode.
 
 The ``maybe_*`` helpers wire these into the engine stack: they run the
 check only when a caller passes ``verify=True`` or the

@@ -5,8 +5,8 @@ boundaries by construction: the parent pool pickles it, ships it to
 spawn workers, and the worker rebuilds a live engine by ``exec``-ing
 the generated sources it carries.  A corrupt or stale payload — a
 truncated expression table, a kernel fused from a *different* program,
-a contract that disagrees with the bytecode — would otherwise surface
-only as silently wrong numerics in that worker.
+a contract key that disagrees with the bytecode — would otherwise
+surface only as silently wrong numerics in that worker.
 
 :func:`verify_engine` statically checks the payload before any of it
 runs: the program passes the full bytecode verifier
@@ -14,13 +14,14 @@ runs: the program passes the full bytecode verifier
 compiled-expression table matches the program's expression table
 one-to-one, the shipped gradient megakernel lints cleanly and covers
 exactly the program's dynamic section, and the engine settings
-(precision, strategy, contract) are coherent.  The payload is
-duck-typed so this module depends only on :mod:`repro.tensornet`.
+(precision, strategy) are valid.  The payload carries no contract of
+its own: the engine runs under its program's compiled contract, which
+:func:`~repro.analysis.verifier.verify_program` checks against the
+output shape and buffer.  The payload is duck-typed so this module
+depends only on :mod:`repro.tensornet`.
 """
 
 from __future__ import annotations
-
-import math
 
 from .kernel_lint import verify_kernel
 from .report import VerificationReport
@@ -39,8 +40,7 @@ def verify_engine(
 
     ``payload`` is duck-typed against
     :class:`~repro.instantiation.SerializedEngine`: ``program``,
-    ``compiled``, ``precision``, ``strategy``, ``fused_kernel``,
-    ``contract``.
+    ``compiled``, ``precision``, ``strategy``, ``fused_kernel``.
     """
     report = VerificationReport(subject=subject)
     program = getattr(payload, "program", None)
@@ -55,7 +55,6 @@ def verify_engine(
 
     _check_settings(payload, report)
     _check_expressions(payload, program, report)
-    _check_contract(payload, program, report)
     _check_kernel(payload, program, report)
     return report
 
@@ -107,34 +106,6 @@ def _check_expressions(
                 f"compiled expression {i} takes {cnp} parameters, the "
                 f"table entry takes {enp}",
                 where=f"e{i}",
-            )
-
-
-def _check_contract(
-    payload: object, program: object, report: VerificationReport
-) -> None:
-    from ..tensornet.contract import OutputContract
-
-    raw = getattr(payload, "contract", None)
-    try:
-        contract = OutputContract.coerce(raw)
-    except TypeError as exc:
-        report.add("engine-payload", f"invalid contract: {exc}")
-        return
-    program_key = tuple(getattr(program, "contract", ("full",)))
-    if contract.program_key() != program_key:
-        report.add(
-            "contract",
-            f"engine contract {contract.describe()} does not match the "
-            f"program's compiled contract key {program_key!r}",
-        )
-    if contract.kind == "overlap":
-        dim = math.prod(int(r) for r in getattr(program, "radices", ()))
-        if len(contract.bra) != dim:
-            report.add(
-                "contract",
-                f"overlap bra has {len(contract.bra)} amplitudes, the "
-                f"program's dimension is {dim}",
             )
 
 

@@ -23,8 +23,9 @@ relies on.  It rejects:
   the TNVM's gradient specialization assumes;
 * contract inconsistency: the final buffer's shape must match the
   program's compiled :class:`~repro.tensornet.OutputContract` —
-  ``D x D`` for ``FULL_UNITARY``, ``D x 1`` for ``COLUMN`` /
-  ``OVERLAP`` — for the program's radices.
+  ``D x D`` for ``FULL_UNITARY``, ``D x 1`` for ``COLUMN`` — for the
+  program's radices.  This is the only contract check: VMs and
+  serialized engines take their contract from the program.
 
 The verifier is pure analysis: it never executes bytecode, allocates
 arenas, or evaluates expressions, so it is safe to run on untrusted

@@ -41,6 +41,7 @@ from .cost import (
 from .instantiater import (
     SUCCESS_THRESHOLD,
     InstantiationResult,
+    check_target_contract,
     draw_guess,
     record_fit,
     scan_winner,
@@ -67,7 +68,6 @@ class BatchedInstantiater:
         success_threshold: float = SUCCESS_THRESHOLD,
         lm_options: LMOptions | None = None,
         program=None,
-        contract: OutputContract | None = None,
     ):
         if circuit is None and program is None:
             raise ValueError("pass a circuit or an AOT-compiled program")
@@ -76,13 +76,10 @@ class BatchedInstantiater:
         # ``program`` lets an owning Instantiater share its compiled
         # bytecode instead of paying the AOT compile twice (and is the
         # only shape source for engines rehydrated in worker processes);
-        # its compiled contract then governs.
-        if program is not None:
-            self.contract = OutputContract.for_program(program, contract)
-            self.program = program
-        else:
-            self.contract = OutputContract.coerce(contract)
-            self.program = circuit.compile(contract=self.contract)
+        # its compiled contract then governs.  Built from a circuit, the
+        # engine compiles the full unitary.
+        self.program = program if program is not None else circuit.compile()
+        self.contract = OutputContract.from_program_key(self.program.contract)
         self.precision = precision
         self.cache = cache
         self.aot_seconds = time.perf_counter() - start
@@ -110,7 +107,6 @@ class BatchedInstantiater:
                 precision=self.precision,
                 diff=Differentiation.GRADIENT,
                 cache=self.cache,
-                contract=self.contract,
             )
             self.aot_seconds += time.perf_counter() - t0
             self._vms[batch] = vm
@@ -136,20 +132,9 @@ class BatchedInstantiater:
 
         The engine's output contract restricts targets exactly as in
         :meth:`Instantiater.instantiate`: column engines serve only
-        state-preparation fits; overlap engines don't instantiate.
+        state-preparation fits.
         """
-        if self.contract.kind == "overlap":
-            raise ValueError(
-                "an OVERLAP-contract engine cannot instantiate: the "
-                "residual form needs column amplitudes, not the reduced "
-                "scalar; build the engine with OutputContract.column(0)"
-            )
-        if self.contract.column_based and not is_state_target(target):
-            raise ValueError(
-                f"a {self.contract.describe()} engine only serves "
-                "state-preparation targets; unitary fits need a "
-                "full-unitary engine"
-            )
+        check_target_contract(self.contract, target)
         rng = np.random.default_rng(rng)
         num_starts = max(1, starts)
         guesses = np.empty((num_starts, self.num_params))

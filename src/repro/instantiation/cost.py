@@ -38,14 +38,16 @@ contract   ``evaluate``             ``evaluate_with_grad`` gradient
 =========  =======================  ================================
 full       ``(D, D)`` / ``(B,D,D)`` ``(P, D, D)`` / ``(B, P, D, D)``
 column     ``(D,)`` / ``(B, D)``    ``(P, D)`` / ``(B, P, D)``
-overlap    scalar / ``(B,)``        ``(P,)`` / ``(B, P)``
 =========  =======================  ================================
 
 The state-prep classes accept full-unitary VMs (column extracted by
 slicing, the pre-contract behaviour) or ``COLUMN(0)`` VMs (the vector
-used directly — the fast path).  ``OVERLAP`` VMs are rejected: the
-least-squares form needs the column's amplitudes, not the reduced
-scalar.
+used directly — the fast path).
+
+Each class has one public method, ``residuals_and_jacobian``: the LM
+loops need nothing else, and the cost is ``sum(r^2)`` of its
+residuals (converted by :func:`infidelity_from_cost` and
+:func:`state_infidelity_from_cost`).
 """
 
 from __future__ import annotations
@@ -99,20 +101,9 @@ class HilbertSchmidtResiduals:
 
     # ------------------------------------------------------------------
     # ``params`` passes straight through to the VM (the writers index
-    # any sequence), and the overlap trace is the O(D^2) elementwise
+    # any sequence), and the alignment trace is the O(D^2) elementwise
     # form ``sum(conj(target) * u)`` — ``Tr(T^dag U)`` without the
     # O(D^3) matmul, mirroring the batched path's einsum.
-    def cost(self, params: np.ndarray) -> float:
-        """The Eq. (1) infidelity at ``params`` (no gradient work)."""
-        u = self.vm.evaluate(params)
-        trace = np.vdot(self.target, u)
-        return float(1.0 - abs(trace) / self.dim)
-
-    def residuals(self, params: np.ndarray) -> np.ndarray:
-        u = self.vm.evaluate(params)
-        diff = u - self._aligned_target(u)
-        return np.concatenate([diff.real.ravel(), diff.imag.ravel()])
-
     def residuals_and_jacobian(
         self, params: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
@@ -161,20 +152,6 @@ class BatchedHilbertSchmidtResiduals:
         self.num_residuals = 2 * dim * dim
 
     # ------------------------------------------------------------------
-    def cost(self, params: np.ndarray) -> np.ndarray:
-        """Per-start Eq. (1) infidelity, shape ``(S,)``."""
-        u = self.vm.evaluate(params)
-        trace = np.einsum("ij,bij->b", self.target.conj(), u)
-        return 1.0 - np.abs(trace) / self.dim
-
-    def residuals(self, params: np.ndarray) -> np.ndarray:
-        u = self.vm.evaluate(params)
-        diff = u - self._aligned_targets(u)
-        b = u.shape[0]
-        return np.concatenate(
-            [diff.real.reshape(b, -1), diff.imag.reshape(b, -1)], axis=1
-        )
-
     def residuals_and_jacobian(
         self, params: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
@@ -228,16 +205,9 @@ def _as_state(target, dim: int) -> np.ndarray:
 def _state_column_mode(vm) -> bool:
     """Whether a VM's contract delivers the column directly.
 
-    Raises for contracts the state-prep residuals cannot consume:
-    overlaps (the amplitudes are already reduced away) and columns
-    other than 0 (state prep fits ``U(theta) e_0``).
+    Raises for columns other than 0 (state prep fits ``U(theta) e_0``).
     """
     contract = vm.contract
-    if contract.kind == "overlap":
-        raise ValueError(
-            "state-prep residuals need the column amplitudes; an "
-            "OVERLAP-contract VM reduces them to a scalar"
-        )
     if contract.column_based and contract.column_index != 0:
         raise ValueError(
             f"state preparation fits U(theta) e_0, not column "
@@ -276,19 +246,6 @@ class StateResiduals:
         self._column = _state_column_mode(vm)
 
     # ------------------------------------------------------------------
-    def cost(self, params: np.ndarray) -> float:
-        """The state-prep infidelity ``1 - |<target|U|0>|^2``."""
-        out = self.vm.evaluate(params)
-        col = out if self._column else out[:, 0]
-        overlap = np.vdot(self.target, col)
-        return float(1.0 - abs(overlap) ** 2)
-
-    def residuals(self, params: np.ndarray) -> np.ndarray:
-        out = self.vm.evaluate(params)
-        col = out if self._column else out[:, 0]
-        diff = col - self._aligned_target(col)
-        return np.concatenate([diff.real, diff.imag])
-
     def residuals_and_jacobian(
         self, params: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
@@ -331,19 +288,6 @@ class BatchedStateResiduals:
         self._column = _state_column_mode(vm)
 
     # ------------------------------------------------------------------
-    def cost(self, params: np.ndarray) -> np.ndarray:
-        """Per-start state-prep infidelity, shape ``(S,)``."""
-        out = self.vm.evaluate(params)
-        cols = out if self._column else out[:, :, 0]
-        overlap = cols @ self.target.conj()
-        return 1.0 - np.abs(overlap) ** 2
-
-    def residuals(self, params: np.ndarray) -> np.ndarray:
-        out = self.vm.evaluate(params)
-        cols = out if self._column else out[:, :, 0]
-        diff = cols - self._aligned_targets(cols)
-        return np.concatenate([diff.real, diff.imag], axis=1)
-
     def residuals_and_jacobian(
         self, params: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:

@@ -57,6 +57,17 @@ STRATEGIES = ("sequential", "batched", "auto")
 AUTO_BATCH_MIN_STARTS = 4
 
 
+def check_target_contract(contract: OutputContract, target) -> None:
+    """Reject a unitary target on a column engine (it needs all ``D``
+    columns); shared by both engines."""
+    if contract.column_based and not is_state_target(target):
+        raise ValueError(
+            f"a {contract.describe()} engine only serves "
+            "state-preparation targets; unitary fits need a "
+            "full-unitary engine"
+        )
+
+
 def record_fit(kind: str, dim: int, result: InstantiationResult) -> None:
     """Fold one finished fit into the telemetry registry.
 
@@ -159,11 +170,9 @@ class SerializedEngine:
     #: the scalar VM's gradient megakernel source, shipped so workers
     #: rehydrate with ``compile()`` instead of re-fusing the program
     #: (see :mod:`repro.tnvm.fused`).  For column engines this is the
-    #: column-specialized kernel.
+    #: column-specialized kernel.  The engine's output contract is the
+    #: program's own (``program.contract``).
     fused_kernel: FusedKernel
-    #: the engine's :class:`~repro.tensornet.OutputContract` (``None``
-    #: in payloads from older snapshots = full unitary).
-    contract: object = None
 
 
 @dataclass
@@ -219,8 +228,15 @@ class Instantiater:
         # compiled) skip the AOT compile; its compiled contract then
         # governs (an explicit ``contract`` must agree with it).
         if program is not None:
-            self.contract = OutputContract.for_program(program, contract)
             self.program = program
+            self.contract = OutputContract.from_program_key(program.contract)
+            wanted = OutputContract.coerce(contract or self.contract)
+            if wanted.program_key() != self.contract.program_key():
+                raise ValueError(
+                    f"contract {wanted.describe()} does not match the "
+                    f"program's compiled contract {self.contract.describe()}"
+                    "; recompile with circuit.compile(contract=...)"
+                )
         else:
             self.contract = OutputContract.coerce(contract)
             self.program = circuit.compile(contract=self.contract)
@@ -256,7 +272,6 @@ class Instantiater:
                 precision=self.precision,
                 diff=Differentiation.GRADIENT,
                 cache=self.cache,
-                contract=self.contract,
             )
             self.aot_seconds += time.perf_counter() - t0
         return self._vm
@@ -273,7 +288,6 @@ class Instantiater:
                 success_threshold=self.success_threshold,
                 lm_options=self.lm_options,
                 program=self.program,
-                contract=self.contract,
             )  # circuit may be None; the shared program carries the shape
             # The bytecode was compiled by *this* engine; report one
             # combined AOT figure rather than double-counting zero.
@@ -311,7 +325,6 @@ class Instantiater:
             lm_options=self.lm_options,
             strategy=self.strategy,
             fused_kernel=vm.fused_kernel,
-            contract=self.contract,
         )
 
     @classmethod
@@ -330,9 +343,9 @@ class Instantiater:
         produces bit-identical costs and gradients to the original.
 
         Under ``verify=True`` (or ``REPRO_VERIFY=1``) the payload is
-        statically verified first — bytecode, compiled-expression
-        table, contract, and shipped kernel sources — and a corrupt
-        payload raises a pointed
+        statically verified first — bytecode (with its contract),
+        compiled-expression table and shipped kernel sources — and a
+        corrupt payload raises a pointed
         :class:`~repro.analysis.VerificationError` instead of
         rehydrating into silently wrong numerics.
         """
@@ -356,23 +369,7 @@ class Instantiater:
             lm_options=payload.lm_options,
             strategy=payload.strategy,
             program=payload.program,
-            contract=OutputContract.coerce(payload.contract),
         )
-
-    def _check_target_contract(self, target) -> None:
-        """Reject target/contract combinations the engine cannot serve."""
-        if self.contract.kind == "overlap":
-            raise ValueError(
-                "an OVERLAP-contract engine cannot instantiate: the "
-                "residual form needs column amplitudes, not the reduced "
-                "scalar; build the engine with OutputContract.column(0)"
-            )
-        if self.contract.column_based and not is_state_target(target):
-            raise ValueError(
-                f"a {self.contract.describe()} engine only serves "
-                "state-preparation targets; unitary fits need a "
-                "full-unitary engine"
-            )
 
     def instantiate(
         self,
@@ -400,11 +397,9 @@ class Instantiater:
 
         The engine's output contract restricts the admissible targets:
         a ``COLUMN(0)`` engine only serves state-preparation fits (a
-        unitary target needs all ``D`` columns), and ``OVERLAP``
-        engines don't instantiate at all (the residual form needs the
-        column amplitudes).
+        unitary target needs all ``D`` columns).
         """
-        self._check_target_contract(target)
+        check_target_contract(self.contract, target)
         strategy = strategy if strategy is not None else self.strategy
         if strategy not in STRATEGIES:
             raise ValueError(

@@ -52,7 +52,13 @@ class LMOptions:
 
 @dataclass
 class LMResult:
-    """Outcome of one LM run."""
+    """Outcome of one LM run.
+
+    ``stop_reason`` is one of ``success-threshold``,
+    ``gradient-tolerance``, ``step-tolerance``, ``damping-limit``,
+    ``max-iterations``, ``non-finite`` or ``no-parameters``; the batched
+    loop adds ``abandoned`` for starts its ``should_abandon`` hook stops.
+    """
 
     params: np.ndarray
     cost: float  # final sum of squared residuals

@@ -11,11 +11,12 @@ every structurally identical candidate after that.
 The key pairs :meth:`QuditCircuit.structure_key` — radices plus the
 sequence of (expression, location, slot-binding) triples, exactly the
 information the AOT compiler consumes — with the requested
-:class:`~repro.tensornet.OutputContract`'s :meth:`key`, so a
-full-unitary engine and a column-specialized engine for the same
-template shape coexist in the cache (a synthesis run that interleaves
-unitary and state-prep targets keeps both hot).  Hit/miss counters
-feed the ``engine_cache_hits``/``engine_cache_misses`` fields of
+:class:`~repro.tensornet.OutputContract` itself (a frozen, hashable
+dataclass), so a full-unitary engine and a column-specialized engine
+for the same template shape coexist in the cache (a synthesis run
+that interleaves unitary and state-prep targets keeps both hot).
+Hit/miss counters feed the ``engine_cache_hits``/
+``engine_cache_misses`` fields of
 :class:`~repro.synthesis.SynthesisResult`.
 """
 
@@ -108,7 +109,7 @@ class EnginePool:
         least recently used one to stay within ``capacity``.
         """
         contract = OutputContract.coerce(contract)
-        key = (circuit.structure_key(), contract.key())
+        key = (circuit.structure_key(), contract)
         engine = self._engines.get(key)
         if engine is not None:
             self._engines.move_to_end(key)
@@ -136,7 +137,7 @@ class EnginePool:
         else:
             with telemetry.tracer().span(
                 "engine.compile", category="pool",
-                contract=str(contract),
+                contract=contract.describe(),
             ):
                 engine = Instantiater(
                     circuit,
@@ -184,14 +185,15 @@ class EnginePool:
 
         Resolves the pooled engine first (compiling it here, once, on a
         miss — workers never pay AOT) and caches the pickled snapshot
-        per (structure key, contract key), so shipping the same shape
-        to many workers or tasks costs one serialization total.  Column
-        payloads carry the contract and the column-specialized
-        megakernel source, so a spawn-rehydrated worker engine is
-        bit-identical to the parent's.
+        per (structure key, contract), so shipping the same shape to
+        many workers or tasks costs one serialization total.  Column
+        payloads carry the column program (and with it the contract)
+        and the column-specialized megakernel source, so a
+        spawn-rehydrated worker engine is bit-identical to the
+        parent's.
         """
         contract = OutputContract.coerce(contract)
-        key = (circuit.structure_key(), contract.key())
+        key = (circuit.structure_key(), contract)
         payload = self._payloads.get(key)
         engine = self.engine_for(circuit, contract)
         if payload is None:

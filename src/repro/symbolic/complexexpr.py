@@ -52,10 +52,6 @@ class ComplexExpr:
         return ComplexExpr(E.const(z.real), E.const(z.imag))
 
     @staticmethod
-    def from_real(e: Expr | float) -> ComplexExpr:
-        return ComplexExpr(e, E.ZERO)
-
-    @staticmethod
     def i() -> ComplexExpr:
         return CI
 

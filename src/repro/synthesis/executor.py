@@ -56,7 +56,7 @@ from ..instantiation.cost import as_target_array, is_state_target
 from ..instantiation.instantiater import Instantiater
 from ..instantiation.pool import EnginePool
 from ..jit.cache import ExpressionCache
-from ..tensornet.contract import OutputContract
+from ..tensornet.contract import FULL_UNITARY, OutputContract
 from ..testing.faults import maybe_fault
 from ..utils.statevector import state_prep_infidelity
 from ..utils.unitary import hilbert_schmidt_infidelity
@@ -93,10 +93,10 @@ class FitJob:
     ``target`` is a ``(D, D)`` unitary (Eq. 1 fit) or a 1-D amplitude
     vector (state preparation); the engines dispatch on the shape, so
     both target types flow through the same executors, process pool,
-    and shipped-engine payloads.  ``contract`` selects the engine's
-    :class:`~repro.tensornet.OutputContract` (``None`` = full
-    unitary); state-prep passes set ``OutputContract.column(0)`` so
-    the whole fit runs through a column-specialized engine.
+    and shipped-engine payloads.  The target's shape also fixes the
+    engine's :class:`~repro.tensornet.OutputContract`
+    (:attr:`contract`): a state fits through a ``COLUMN(0)`` engine,
+    a unitary through a full-unitary one.
 
     ``timeout`` is this job's wall-clock budget in seconds (measured
     from the submission of its attempt); a straggler past it is
@@ -109,8 +109,14 @@ class FitJob:
     starts: int
     seed: int
     x0: np.ndarray | None = None
-    contract: OutputContract | None = None
     timeout: float | None = None
+
+    @property
+    def contract(self) -> OutputContract:
+        """The engine contract this job's target needs."""
+        if is_state_target(self.target):
+            return OutputContract.column(0)
+        return FULL_UNITARY
 
 
 @dataclass
@@ -262,10 +268,11 @@ class SerialCandidateExecutor(CandidateExecutor):
 # Worker-process side
 # ----------------------------------------------------------------------
 
-#: Rehydrated engines per (process, structure key): each worker pays
-#: one cheap rehydration (source exec + TNVM setup) per shape, then
-#: reuses the engine — including its lazily built batched VMs — for
-#: every later task on that shape.
+#: Rehydrated engines per (process, pool settings, structure key,
+#: contract): each worker pays one cheap rehydration (source exec +
+#: TNVM setup) per shape and contract, then reuses the engine —
+#: including its lazily built batched VMs — for every later task on
+#: that shape.
 _WORKER_ENGINES: OrderedDict = OrderedDict()
 _WORKER_CAPACITY = 32
 
@@ -532,13 +539,9 @@ class ProcessCandidateExecutor(CandidateExecutor):
             if job.circuit.num_params == 0:
                 outcomes[i] = _constant_outcome(job)
                 continue
-            contract = OutputContract.coerce(job.contract)
+            contract = job.contract
             payload = self.pool.serialized_bytes(job.circuit, contract)
-            key = (
-                self._settings_key,
-                job.circuit.structure_key(),
-                contract.key(),
-            )
+            key = (self._settings_key, job.circuit.structure_key(), contract)
             pending[i] = _PendingFit(job=job, key=key, payload=payload)
 
         rebuilds = 0

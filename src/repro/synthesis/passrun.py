@@ -32,7 +32,6 @@ from ..checkpoint import CheckpointStore, PassCheckpointer, load_resume_state
 from ..circuit.circuit import QuditCircuit
 from ..instantiation.lm import LMOptions
 from ..instantiation.pool import EnginePool
-from ..tensornet.contract import OutputContract
 from ..testing.faults import maybe_fault
 from .executor import (
     CandidateExecutor,
@@ -316,16 +315,14 @@ class PassRun:
         x0: np.ndarray | None = None,
     ) -> FitJob:
         """The fit job for one candidate.  Its seed derives from the
-        base seed and the candidate's structure key; a state target
-        fits through a ``COLUMN(0)`` engine, a unitary through the
-        default full contract."""
+        base seed and the candidate's structure key; its target fixes
+        the engine contract (:attr:`FitJob.contract`)."""
         return FitJob(
             circuit,
             target,
             self.owner.starts,
             candidate_seed(self.base_seed, circuit.structure_key()),
             x0,
-            contract=OutputContract.column(0) if target.ndim == 1 else None,
             timeout=self.owner.job_timeout,
         )
 

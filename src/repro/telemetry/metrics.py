@@ -195,11 +195,6 @@ class MetricsRegistry:
             else:
                 self.gauge(name).set(value)
 
-    def reset(self) -> None:
-        """Drop every metric (mainly for tests)."""
-        with self._lock:
-            self._metrics.clear()
-
 
 def delta(before: dict, after: dict) -> dict:
     """What happened between two :meth:`MetricsRegistry.snapshot` calls.

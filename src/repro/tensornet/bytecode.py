@@ -100,7 +100,7 @@ class Program:
     output_shape: tuple[int, int] = (1, 1)
     #: the output contract's bytecode identity — ``("full",)`` or
     #: ``("column", j)`` (see :mod:`repro.tensornet.contract`); VMs
-    #: shape their output views from this
+    #: and serialized engines take their contract from this
     contract: tuple[str | int, ...] = ("full",)
 
     @property
@@ -116,9 +116,6 @@ class Program:
         """Total complex elements across all buffers (the single
         contiguous region the TNVM allocates)."""
         return sum(b.size for b in self.buffers)
-
-    def unique_expression_count(self) -> int:
-        return len(self.expressions)
 
     # ------------------------------------------------------------------
     # Serialization (engine-pool sharing across processes)

@@ -85,7 +85,7 @@ def compile_network(
     tracer = telemetry.tracer()
     with tracer.span(
         "compile_network", category="compile",
-        tensors=len(network.tensors), contract=str(contract.key()),
+        tensors=len(network.tensors), contract=contract.describe(),
     ):
         network = specialize_network(network, contract)
         with tracer.span("pathfind", category="pathfind",

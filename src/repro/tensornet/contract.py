@@ -16,19 +16,14 @@ caller actually need" an explicit part of the compiled-engine API:
     sliced vectors and every downstream contraction the pathfinder
     emits is a matrix-vector (or smaller) product — ``O(D)`` per gate
     instead of ``O(D^2)``.
-``OVERLAP(bra, j)``
-    the scalar ``<bra| U(theta) e_j``.  Shares the column program's
-    bytecode (same :meth:`program_key`); the reduction against the
-    fixed bra happens inside the VM.
 
-A contract has two identities:
-
-* :meth:`program_key` — the *bytecode* identity: which compiled
-  program can serve it.  ``OVERLAP`` maps to its column's key, so an
-  overlap VM rides an existing column program.
-* :meth:`key` — the full *engine* identity (includes the bra), used by
-  :class:`~repro.instantiation.EnginePool` so full-unitary and column
-  engines for one circuit shape coexist in the cache.
+A contract is decided once, where a program is compiled: the program
+records :meth:`program_key` (``("full",)`` or ``("column", j)``), and
+every VM, serialized engine and rehydrated engine built from that
+program reads its contract back with :meth:`from_program_key`.  The
+contract object itself is a frozen dataclass, so it is hashable and
+picklable and serves directly as the contract half of
+:class:`~repro.instantiation.EnginePool` keys.
 
 Numerical note: a column program's output agrees with the full
 program's corresponding column to machine precision, and bit-exactly
@@ -55,7 +50,7 @@ __all__ = [
     "specialize_network",
 ]
 
-_KINDS = ("full", "column", "overlap")
+_KINDS = ("full", "column")
 
 
 @dataclass(frozen=True)
@@ -64,8 +59,6 @@ class OutputContract:
 
     kind: str = "full"
     column_index: int = 0
-    #: fixed bra amplitudes (``overlap`` only), as a tuple of complex
-    bra: tuple[complex, ...] = ()
 
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
@@ -74,34 +67,12 @@ class OutputContract:
             )
         if self.column_index < 0:
             raise ValueError("column index must be >= 0")
-        if self.kind == "overlap" and not self.bra:
-            raise ValueError("overlap contract needs a non-empty bra")
 
     # -- factories -----------------------------------------------------
-    @classmethod
-    def full_unitary(cls) -> OutputContract:
-        """The whole ``(D, D)`` unitary (the pre-contract behaviour)."""
-        return cls("full")
-
     @classmethod
     def column(cls, index: int = 0) -> OutputContract:
         """The single column ``U(theta) e_index`` as a ``(D,)`` vector."""
         return cls("column", column_index=int(index))
-
-    @classmethod
-    def overlap(cls, bra: Any, column: int = 0) -> OutputContract:
-        """The scalar ``<bra| U(theta) e_column``.
-
-        ``bra`` is a 1-D amplitude sequence (or a ``Statevector``); it
-        is captured as a tuple of complex, so the contract stays
-        hashable and pickles with the engine payload.
-        """
-        amps = getattr(bra, "amplitudes", bra)
-        return cls(
-            "overlap",
-            column_index=int(column),
-            bra=tuple(complex(a) for a in amps),
-        )
 
     @classmethod
     def coerce(cls, value: object) -> OutputContract:
@@ -125,33 +96,6 @@ class OutputContract:
             return cls.column(pk[1])
         raise ValueError(f"unknown program contract key {pk!r}")
 
-    @classmethod
-    def for_program(
-        cls, program: object, contract: OutputContract | None = None
-    ) -> OutputContract:
-        """Resolve the contract a VM/engine should run ``program`` under.
-
-        With ``contract=None`` the program's own compiled contract is
-        used.  An explicit contract must agree with the program's
-        bytecode identity — an ``OVERLAP(bra, j)`` may ride a
-        ``COLUMN(j)`` program (same bytecode, VM-level reduction), but
-        a column contract cannot reinterpret a full-unitary program or
-        vice versa.
-        """
-        derived = cls.from_program_key(
-            getattr(program, "contract", ("full",))
-        )
-        if contract is None:
-            return derived
-        contract = cls.coerce(contract)
-        if contract.program_key() != derived.program_key():
-            raise ValueError(
-                f"contract {contract.describe()} does not match the "
-                f"program's compiled contract {derived.describe()}; "
-                "recompile with circuit.compile(contract=...)"
-            )
-        return contract
-
     # -- identities ----------------------------------------------------
     @property
     def column_based(self) -> bool:
@@ -164,10 +108,6 @@ class OutputContract:
             return ("full",)
         return ("column", self.column_index)
 
-    def key(self) -> tuple[object, ...]:
-        """The full engine-cache identity (includes the bra)."""
-        return (self.kind, self.column_index, self.bra)
-
     def output_shape(self, dim: int) -> tuple[int, int]:
         """The compiled program's 2-D output shape under this contract."""
         return (dim, dim) if self.kind == "full" else (dim, 1)
@@ -175,9 +115,7 @@ class OutputContract:
     def describe(self) -> str:
         if self.kind == "full":
             return "full"
-        if self.kind == "column":
-            return f"col[{self.column_index}]"
-        return f"ovl[{self.column_index}]"
+        return f"col[{self.column_index}]"
 
 
 _FULL = OutputContract("full")

@@ -37,24 +37,6 @@ from .fused import bind_fused_kernel, fused_kernel_for
 __all__ = ["Differentiation", "TNVM", "BatchedTNVM"]
 
 
-def _resolve_contract(program: Program, contract) -> OutputContract:
-    """The contract this VM runs under, checked against the program."""
-    return OutputContract.for_program(program, contract)
-
-
-def _bind_bra(contract: OutputContract, dim: int, dtype) -> np.ndarray | None:
-    """The overlap contract's fixed bra as a ``(dim,)`` device array."""
-    if contract.kind != "overlap":
-        return None
-    bra = np.asarray(contract.bra, dtype=dtype)
-    if bra.shape != (dim,):
-        raise ValueError(
-            f"overlap bra has {bra.shape[0]} amplitudes, "
-            f"program dimension is {dim}"
-        )
-    return bra
-
-
 class Differentiation(enum.Enum):
     """Requested differentiation level: values only, or values plus
     the forward-mode gradient."""
@@ -86,24 +68,20 @@ class TNVM:
     cache:
         Expression cache to pull JIT'd expressions from; defaults to
         the process-wide shared cache.
-    contract:
-        The :class:`~repro.tensornet.contract.OutputContract` to run
-        under.  Defaults to the program's compiled contract; an
-        explicit value must match the program's bytecode identity
-        (``OVERLAP(bra, j)`` rides a ``COLUMN(j)`` program).
 
     The program runs as one generated megakernel
     (:mod:`repro.tnvm.fused`), cached on ``program`` and exposed as
     :attr:`fused_kernel`.
 
-    Output shapes per contract (the one evaluate surface):
+    :attr:`contract` is the program's compiled
+    :class:`~repro.tensornet.contract.OutputContract`; it fixes the
+    output shapes (the one evaluate surface):
 
     ==============  =====================  ============================
     contract        ``evaluate``           ``evaluate_with_grad``
     ==============  =====================  ============================
     FULL_UNITARY    ``(D, D)``             ``(D, D)``, ``(P, D, D)``
     COLUMN(j)       ``(D,)``               ``(D,)``, ``(P, D)``
-    OVERLAP(bra)    complex scalar         scalar, ``(P,)``
     ==============  =====================  ============================
     """
 
@@ -113,7 +91,6 @@ class TNVM:
         precision: str = "f64",
         diff: Differentiation = Differentiation.GRADIENT,
         cache: ExpressionCache | None = None,
-        contract: OutputContract | None = None,
     ):
         try:
             dtype = _DTYPES[precision]
@@ -122,7 +99,7 @@ class TNVM:
                 f"precision must be 'f32' or 'f64', got {precision!r}"
             ) from None
         self.program = program
-        self.contract = _resolve_contract(program, contract)
+        self.contract = OutputContract.from_program_key(program.contract)
         self.precision = "f32" if dtype == np.complex64 else "f64"
         self.diff = diff
         self.num_params = program.num_params
@@ -154,10 +131,8 @@ class TNVM:
         dim = program.output_shape[0]
         # Contract-shaped output: column programs propagate a (D,)
         # vector through the dynamic section; full programs a (D, D)
-        # matrix.  Overlap additionally reduces against a fixed bra.
+        # matrix.
         out_shape = (dim,) if self.contract.column_based else (dim, dim)
-        self._bra = _bind_bra(self.contract, dim, dtype)
-        self._bra_conj = None if self._bra is None else self._bra.conj()
         self._out_view = self.plan.value_view(
             program.output_buffer, out_shape
         )
@@ -185,23 +160,20 @@ class TNVM:
         Full-unitary contracts return the ``(D, D)`` unitary, column
         contracts the ``(D,)`` column vector — both as *views* into
         the VM's arena, valid until the next ``evaluate`` call (copy to
-        retain).  Overlap contracts return the complex scalar
-        ``<bra|U e_j>``.
+        retain).
         """
         self._check(params)
         self._sweeps.add()
         self._run(params)
-        if self._bra is not None:
-            return complex(np.vdot(self._bra, self._out_view))
         return self._out_view
 
     def evaluate_with_grad(self, params: Sequence[float] = ()):
         """Compute the contract output and its gradient.
 
         Shapes per contract: full ``((D, D), (P, D, D))``, column
-        ``((D,), (P, D))``, overlap ``(scalar, (P,))`` — with zero
-        gradient rows for parameters the output does not depend on.
-        Array returns are views/buffers reused across calls.
+        ``((D,), (P, D))`` — with zero gradient rows for parameters
+        the output does not depend on.  Returns are views/buffers
+        reused across calls.
         """
         if self.diff is not Differentiation.GRADIENT:
             raise RuntimeError(
@@ -212,9 +184,6 @@ class TNVM:
         self._run(params)
         if self._out_grad_view is not None:
             self._full_grad[self._out_rows_idx] = self._out_grad_view
-        if self._bra is not None:
-            overlap = complex(np.vdot(self._bra, self._out_view))
-            return overlap, self._full_grad @ self._bra_conj
         return self._out_view, self._full_grad
 
     def _check(self, params: Sequence[float]) -> None:
@@ -257,15 +226,15 @@ class BatchedTNVM:
     through one shared arena.
 
     Parameters match :class:`TNVM` plus ``batch``, the fixed number of
-    parameter sets per evaluation.  Output shapes per contract carry a
-    leading batch axis:
+    parameter sets per evaluation.  :attr:`contract` is again the
+    program's compiled contract; its output shapes carry a leading
+    batch axis:
 
     ==============  =====================  ============================
     contract        ``evaluate``           ``evaluate_with_grad``
     ==============  =====================  ============================
     FULL_UNITARY    ``(B, D, D)``          ``(B, D, D)``, ``(B, P, D, D)``
     COLUMN(j)       ``(B, D)``             ``(B, D)``, ``(B, P, D)``
-    OVERLAP(bra)    ``(B,)``               ``(B,)``, ``(B, P)``
     ==============  =====================  ============================
     """
 
@@ -280,7 +249,6 @@ class BatchedTNVM:
         precision: str = "f64",
         diff: Differentiation = Differentiation.GRADIENT,
         cache: ExpressionCache | None = None,
-        contract: OutputContract | None = None,
     ):
         try:
             dtype = _DTYPES[precision]
@@ -289,7 +257,7 @@ class BatchedTNVM:
                 f"precision must be 'f32' or 'f64', got {precision!r}"
             ) from None
         self.program = program
-        self.contract = _resolve_contract(program, contract)
+        self.contract = OutputContract.from_program_key(program.contract)
         self.batch = int(batch)
         self.precision = "f32" if dtype == np.complex64 else "f64"
         self.diff = diff
@@ -318,8 +286,6 @@ class BatchedTNVM:
 
         dim = program.output_shape[0]
         out_shape = (dim,) if self.contract.column_based else (dim, dim)
-        self._bra = _bind_bra(self.contract, dim, dtype)
-        self._bra_conj = None if self._bra is None else self._bra.conj()
         self._out_view = self.plan.value_view(
             program.output_buffer, out_shape
         )
@@ -381,15 +347,12 @@ class BatchedTNVM:
         ``params`` has shape ``(batch, num_params)``.  Full contracts
         return a ``(batch, dim, dim)`` view, column contracts a
         ``(batch, dim)`` view — valid until the next ``evaluate``
-        call; copy to retain.  Overlap contracts return a fresh
-        ``(batch,)`` array of scalars.
+        call; copy to retain.
         """
         rows = self._check(params)
         self._sweeps.add()
         for run in self._dynamic:
             run(rows)
-        if self._bra is not None:
-            return self._out_view @ self._bra_conj
         return self._out_view
 
     def evaluate_with_grad(
@@ -398,9 +361,9 @@ class BatchedTNVM:
         """Compute every batch element's contract output and gradient.
 
         Shapes per contract: full ``((B, D, D), (B, P, D, D))``,
-        column ``((B, D), (B, P, D))``, overlap ``((B,), (B, P))``;
-        gradient rows for parameters the output does not depend on are
-        zero.  Array returns are reused across calls.
+        column ``((B, D), (B, P, D))``; gradient rows for parameters
+        the output does not depend on are zero.  Returns are reused
+        across calls.
         """
         if self.diff is not Differentiation.GRADIENT:
             raise RuntimeError(
@@ -412,11 +375,6 @@ class BatchedTNVM:
             run(rows)
         if self._out_grad_view is not None:
             self._full_grad[:, self._out_rows_idx] = self._out_grad_view
-        if self._bra is not None:
-            return (
-                self._out_view @ self._bra_conj,
-                self._full_grad @ self._bra_conj,
-            )
         return self._out_view, self._full_grad
 
     def _check(self, params: np.ndarray) -> np.ndarray:

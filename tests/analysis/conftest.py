@@ -2,8 +2,9 @@
 
 Session-scoped clean programs and fused-kernel sources covering every
 relevant shape: qubit/qutrit radices, fused and unfused bytecode,
-hoisted and unhoisted constant sections, full/column/overlap
-contracts, and grad/no-grad kernels.
+hoisted and unhoisted constant sections, full and column contracts
+(the only contracts a program is compiled for), and grad/no-grad
+kernels.
 """
 
 from __future__ import annotations

@@ -1,8 +1,31 @@
 """Tests for the naive Levenberg-Marquardt optimizer."""
 
 import numpy as np
+import pytest
 
-from repro.instantiation.lm import LMOptions, levenberg_marquardt
+from repro.circuit import QuditCircuit, gates
+from repro.instantiation.cost import (
+    BatchedHilbertSchmidtResiduals,
+    HilbertSchmidtResiduals,
+)
+from repro.instantiation.lm import (
+    LMOptions,
+    batched_levenberg_marquardt,
+    levenberg_marquardt,
+)
+from repro.tnvm import TNVM, BatchedTNVM
+from repro.utils import random_unitary
+
+#: The stop reasons :class:`~repro.instantiation.lm.LMResult` documents
+#: for a start that ran (``abandoned`` needs a ``should_abandon`` hook).
+STOP_REASONS = {
+    "success-threshold",
+    "gradient-tolerance",
+    "step-tolerance",
+    "damping-limit",
+    "max-iterations",
+    "non-finite",
+}
 
 
 def linear_problem(seed=0, m=20, n=5):
@@ -96,3 +119,77 @@ class TestStopping:
         fn, _ = linear_problem()
         result = levenberg_marquardt(fn, np.zeros(5))
         assert result.num_evaluations >= result.iterations
+
+
+def redundant_circuit():
+    """``u3`` on wire 0, two ``rz`` in a row on wire 1, ``cx(0, 1)``,
+    then ``u3`` on wire 1.  The two ``rz`` angles enter only through
+    their sum, so every Jacobian is rank-deficient."""
+    circ = QuditCircuit.qubits(2)
+    circ.append(gates.u3(), 0)
+    circ.append(gates.rz(), 1)
+    circ.append(gates.rz(), 1)
+    circ.append(gates.cx(), (0, 1))
+    circ.append(gates.u3(), 1)
+    return circ
+
+
+def assert_sane(run):
+    assert np.all(np.isfinite(run.params))
+    assert np.isfinite(run.cost)
+    assert run.stop_reason in STOP_REASONS
+
+
+class TestIllConditioned:
+    """Seeded rank-deficient fits: 8 starts, f64 and f32, against a
+    reachable and an unreachable target."""
+
+    @pytest.fixture(scope="class")
+    def problem(self):
+        circ = redundant_circuit()
+        rng = np.random.default_rng(11)
+        starts = rng.uniform(-2 * np.pi, 2 * np.pi, (8, circ.num_params))
+        theta = rng.uniform(-np.pi, np.pi, circ.num_params)
+        targets = {
+            "reachable": circ.get_unitary(theta),
+            "unreachable": random_unitary(4, rng=5),
+        }
+        return circ, circ.compile(), starts, targets
+
+    def test_every_jacobian_is_rank_deficient(self, problem):
+        circ, program, starts, targets = problem
+        res = HilbertSchmidtResiduals(TNVM(program), targets["unreachable"])
+        for x in starts:
+            jac = res.residuals_and_jacobian(x)[1]
+            assert np.linalg.matrix_rank(jac) < circ.num_params
+
+    @pytest.mark.parametrize("target", ["reachable", "unreachable"])
+    @pytest.mark.parametrize("precision", ["f64", "f32"])
+    def test_scalar_starts_stay_finite(self, problem, precision, target):
+        _, program, starts, targets = problem
+        vm = TNVM(program, precision=precision)
+        res = HilbertSchmidtResiduals(vm, targets[target])
+        for x0 in starts:
+            assert_sane(levenberg_marquardt(res.residuals_and_jacobian, x0))
+
+    @pytest.mark.parametrize("target", ["reachable", "unreachable"])
+    @pytest.mark.parametrize("precision", ["f64", "f32"])
+    def test_batched_starts_do_not_depend_on_width(
+        self, problem, precision, target
+    ):
+        # Each start's trajectory ignores its slot and the batch width:
+        # at width 8 it is bitwise the run it makes alone at width 1.
+        _, program, starts, targets = problem
+
+        def fit(rows):
+            vm = BatchedTNVM(program, len(rows), precision=precision)
+            res = BatchedHilbertSchmidtResiduals(vm, targets[target])
+            return batched_levenberg_marquardt(res.residuals_and_jacobian, rows)
+
+        for s, run in enumerate(fit(starts)):
+            assert_sane(run)
+            [alone] = fit(starts[s : s + 1])
+            assert np.array_equal(run.params, alone.params)
+            assert run.cost == alone.cost
+            assert run.iterations == alone.iterations
+            assert run.stop_reason == alone.stop_reason

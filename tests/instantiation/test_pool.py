@@ -79,7 +79,7 @@ class TestLRU:
         b = build_qsearch_ansatz(2, 2, 2)
         pool.engine_for(a)
         pool.engine_for(b)  # evicts a, snapshotting it on the way out
-        assert (a.structure_key(), FULL_UNITARY.key()) in pool._payloads
+        assert (a.structure_key(), FULL_UNITARY) in pool._payloads
         revived = pool.engine_for(a)
         assert revived.circuit is None  # rehydrated, not recompiled
         target = make_target(a, seed=11)
@@ -97,7 +97,7 @@ class TestLRU:
         pool.engine_for(build_qsearch_ansatz(2, 2, 2))  # evicts a
         # The already-serialized payload is kept, not re-pickled.
         assert (
-            pool._payloads[(a.structure_key(), FULL_UNITARY.key())]
+            pool._payloads[(a.structure_key(), FULL_UNITARY)]
             is payload
         )
 

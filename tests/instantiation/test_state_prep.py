@@ -35,6 +35,17 @@ def setup():
     return circ, vm, StateResiduals(vm, target), target
 
 
+def sum_sq(res, p):
+    """The least-squares cost ``sum(r^2)`` at ``p``."""
+    r = res.residuals_and_jacobian(p)[0]
+    return float(r @ r)
+
+
+def infidelity(res, p):
+    """The state-prep infidelity the residuals encode at ``p``."""
+    return state_infidelity_from_cost(sum_sq(res, p))
+
+
 def reachable_state(circ, seed):
     p = np.random.default_rng(seed).uniform(-np.pi, np.pi, circ.num_params)
     return np.ascontiguousarray(circ.get_unitary(p)[:, 0])
@@ -45,30 +56,36 @@ class TestStateResiduals:
         circ, vm, res, target = setup
         p = np.random.default_rng(1).uniform(-np.pi, np.pi, circ.num_params)
         u = vm.evaluate(tuple(p)).copy()
-        assert res.cost(p) == pytest.approx(state_prep_infidelity(target, u))
+        assert infidelity(res, p) == pytest.approx(
+            state_prep_infidelity(target, u)
+        )
 
     def test_sum_sq_matches_conversion(self, setup):
         # sum(r^2) = 2*(1-|overlap|)  <->  infidelity = c - c^2/4
         circ, vm, res, target = setup
         p = np.random.default_rng(2).uniform(-np.pi, np.pi, circ.num_params)
-        r = res.residuals(p)
-        assert state_infidelity_from_cost(float(r @ r)) == pytest.approx(
-            res.cost(p), abs=1e-10
+        c = sum_sq(res, p)
+        u = vm.evaluate(tuple(p)).copy()
+        overlap = abs(np.vdot(target.amplitudes, u[:, 0]))
+        assert c == pytest.approx(2 * (1 - overlap), abs=1e-10)
+        assert state_infidelity_from_cost(c) == pytest.approx(
+            state_prep_infidelity(target, u), abs=1e-10
         )
 
     def test_zero_at_reachable_state(self, setup):
         circ, vm, _, _ = setup
         p = np.random.default_rng(3).uniform(-np.pi, np.pi, circ.num_params)
         res_self = StateResiduals(vm, reachable_state(circ, 3))
-        assert res_self.cost(p) == pytest.approx(0.0, abs=1e-12)
-        assert np.allclose(res_self.residuals(p), 0, atol=1e-8)
+        assert infidelity(res_self, p) == pytest.approx(0.0, abs=1e-12)
+        r = res_self.residuals_and_jacobian(p)[0]
+        assert np.allclose(r, 0, atol=1e-8)
 
     def test_global_phase_invariance(self, setup):
         circ, vm, _, _ = setup
         p = np.random.default_rng(4).uniform(-np.pi, np.pi, circ.num_params)
         state = reachable_state(circ, 4)
         res_phase = StateResiduals(vm, np.exp(0.42j) * state)
-        assert res_phase.cost(p) == pytest.approx(0.0, abs=1e-12)
+        assert infidelity(res_phase, p) == pytest.approx(0.0, abs=1e-12)
 
     def test_residuals_are_o_of_d(self, setup):
         circ, vm, res, _ = setup
@@ -89,9 +106,7 @@ class TestStateResiduals:
             hi, lo = p.copy(), p.copy()
             hi[k] += eps
             lo[k] -= eps
-            rh = res.residuals(hi)
-            rl = res.residuals(lo)
-            fd = (float(rh @ rh) - float(rl @ rl)) / (2 * eps)
+            fd = (sum_sq(res, hi) - sum_sq(res, lo)) / (2 * eps)
             assert analytic[k] == pytest.approx(fd, abs=1e-5)
 
     def test_requires_gradient_vm(self):
@@ -123,12 +138,12 @@ class TestBatchedStateResiduals:
         rb, jb = batched.residuals_and_jacobian(rows)
         assert rb.shape == (3, 2 * 4)
         assert jb.shape == (3, 2 * 4, circ.num_params)
-        costs = batched.cost(rows)
+        costs = state_infidelity_from_cost(np.einsum("sr,sr->s", rb, rb))
         for s in range(3):
             rs, js = res.residuals_and_jacobian(rows[s])
             assert np.allclose(rb[s], rs, atol=1e-12)
             assert np.allclose(jb[s], js, atol=1e-12)
-            assert costs[s] == pytest.approx(res.cost(rows[s]), abs=1e-12)
+            assert costs[s] == pytest.approx(infidelity(res, rows[s]), abs=1e-12)
 
 
 class TestConversions:
@@ -251,7 +266,9 @@ class TestColumnContractEngines:
         p = np.random.default_rng(2).uniform(
             -np.pi, np.pi, circ.num_params
         )
-        np.testing.assert_allclose(rc.cost(p), rf.cost(p), atol=1e-12)
+        np.testing.assert_allclose(
+            infidelity(rc, p), infidelity(rf, p), atol=1e-12
+        )
         r1, j1 = rf.residuals_and_jacobian(p)
         r2, j2 = rc.residuals_and_jacobian(p)
         np.testing.assert_allclose(r2, r1, atol=1e-12, rtol=0)
@@ -274,14 +291,9 @@ class TestColumnContractEngines:
         vm = TNVM(col1, diff=Differentiation.GRADIENT)
         with pytest.raises(ValueError, match="column"):
             StateResiduals(vm, ghz)
-        col0 = circ.compile(contract=OutputContract.column(0))
-        ovl = TNVM(
-            col0,
-            diff=Differentiation.GRADIENT,
-            contract=OutputContract.overlap(ghz),
-        )
-        with pytest.raises(ValueError, match="OVERLAP"):
-            StateResiduals(ovl, ghz)
+        batched = BatchedTNVM(col1, batch=2, diff=Differentiation.GRADIENT)
+        with pytest.raises(ValueError, match="column"):
+            BatchedStateResiduals(batched, ghz)
 
     def test_ghz3_column_engine_matches_full_engine(self, problem3):
         # The acceptance scenario: GHZ-3 state prep through a column
@@ -317,17 +329,45 @@ class TestColumnContractEngines:
     def test_spawn_rehydrated_column_engine_is_bitwise(self, problem3):
         # A column engine shipped to a spawn worker (fresh interpreter,
         # megakernel rebuilt from the payload's generated source) must
-        # reproduce the parent bit for bit.
+        # reproduce the parent bit for bit.  The payload carries no
+        # contract of its own: the rehydrated engine and its VM read
+        # COLUMN(0) back from the shipped program.
         circ, ghz = problem3
         contract = OutputContract.column(0)
         parent = Instantiater(circ, contract=contract)
         payload_bytes = pickle.dumps(parent.serialize())
+        probe = np.random.default_rng(3).uniform(
+            -np.pi, np.pi, circ.num_params
+        )
         ctx = multiprocessing.get_context("spawn")
         with ctx.Pool(1) as pool:
             child = pool.apply(
-                _child_state_instantiate, (payload_bytes, ghz.amplitudes)
+                _child_column_probe, (payload_bytes, ghz.amplitudes, probe)
             )
+        value, grad = (a.copy() for a in parent.vm.evaluate_with_grad(probe))
         result = parent.instantiate(ghz, starts=4, rng=9)
-        child_params, child_infidelity = child
+        engine_contract, vm_contract, child_value, child_grad = child[:4]
+        assert engine_contract == contract
+        assert vm_contract == contract
+        assert child_value.shape == (8,)
+        assert np.array_equal(value, child_value)
+        assert np.array_equal(grad, child_grad)
+        child_params, child_infidelity = child[4:]
         assert np.array_equal(result.params, child_params)
         assert result.infidelity == child_infidelity
+
+
+def _child_column_probe(payload_bytes, amplitudes, probe):
+    from repro.instantiation import Instantiater as ChildInstantiater
+
+    engine = ChildInstantiater.from_serialized(pickle.loads(payload_bytes))
+    value, grad = (a.copy() for a in engine.vm.evaluate_with_grad(probe))
+    result = engine.instantiate(amplitudes, starts=4, rng=9)
+    return (
+        engine.contract,
+        engine.vm.contract,
+        value,
+        grad,
+        result.params,
+        result.infidelity,
+    )

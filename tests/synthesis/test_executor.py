@@ -21,6 +21,7 @@ from repro.synthesis import (
     candidate_seed,
     make_executor,
 )
+from repro.tensornet import FULL_UNITARY, OutputContract
 
 
 def reachable_target(circ, seed):
@@ -71,6 +72,35 @@ class TestExecutors:
             assert np.array_equal(a.params, b.params)
             assert a.infidelity == b.infidelity
             assert a.engine_call and b.engine_call
+
+    def test_state_job_fits_through_a_column_engine(self):
+        # A hand-built job takes its contract from its target: a 1-D
+        # state fits through the pool's COLUMN(0) engine, in-process
+        # and across workers alike, with bit-identical outcomes.
+        circuit = build_qsearch_ansatz(2, 1, 2)
+        unitary = reachable_target(circuit, 5)
+        state = np.ascontiguousarray(unitary[:, 0])
+        job = FitJob(circuit, state, 4, candidate_seed(4, "state"))
+        assert job.contract == OutputContract.column(0)
+        assert FitJob(circuit, unitary, 4, 0).contract == FULL_UNITARY
+        with pytest.raises(AttributeError):
+            job.contract = FULL_UNITARY
+        outcomes = []
+        for make in (
+            SerialCandidateExecutor,
+            lambda pool: ProcessCandidateExecutor(pool, workers=2),
+        ):
+            pool = EnginePool()
+            with make(pool) as executor:
+                [outcome] = executor.run([job])
+            assert outcome.engine_call and outcome.infidelity < 1e-8
+            misses = pool.misses
+            pool.engine_for(circuit, OutputContract.column(0))
+            assert pool.misses == misses and pool.hits >= 1
+            outcomes.append(outcome)
+        serial, proc = outcomes
+        assert np.array_equal(serial.params, proc.params)
+        assert serial.infidelity == proc.infidelity
 
     def test_constant_candidates_skip_engines(self):
         circuit = build_qft_circuit(2)  # fully constant

@@ -1,4 +1,4 @@
-"""Output-contract tests: column/overlap engines vs the full unitary.
+"""Output-contract tests: column engines vs the full unitary.
 
 Column programs are checked against the full program's corresponding
 column at machine precision (tight ``allclose``): BLAS matrix-matrix
@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from repro.circuit import build_qsearch_ansatz
+from repro.instantiation import Instantiater
 from repro.tensornet import FULL_UNITARY, OutputContract, column_digits
 from repro.tnvm import TNVM, BatchedTNVM, Differentiation
 
@@ -30,16 +31,13 @@ def _params(program, seed=0, batch=None):
 
 class TestContractObject:
     def test_factories_and_keys(self):
-        assert OutputContract.full_unitary() == FULL_UNITARY
+        assert FULL_UNITARY.program_key() == ("full",)
         col = OutputContract.column(3)
         assert col.program_key() == ("column", 3)
-        assert col.key() == ("column", 3, ())
         assert col.column_based and not FULL_UNITARY.column_based
-        ovl = OutputContract.overlap([1.0, 0.0], column=0)
-        # Overlap rides the column program's bytecode...
-        assert ovl.program_key() == OutputContract.column(0).program_key()
-        # ...but has its own engine identity (the bra participates).
-        assert ovl.key() != OutputContract.column(0).key()
+        # The program key round-trips, so a program fixes its contract.
+        assert OutputContract.from_program_key(col.program_key()) == col
+        assert OutputContract.from_program_key(("full",)) is FULL_UNITARY
 
     def test_coerce(self):
         assert OutputContract.coerce(None) is FULL_UNITARY
@@ -53,8 +51,6 @@ class TestContractObject:
             OutputContract("diag")
         with pytest.raises(ValueError):
             OutputContract.column(-1)
-        with pytest.raises(ValueError):
-            OutputContract("overlap")  # needs a bra
 
     def test_column_digits_row_major(self):
         # First wire most significant, matching Statevector ordering.
@@ -64,21 +60,36 @@ class TestContractObject:
             column_digits((2, 2), 4)
 
     def test_contract_program_mismatch_raises(self):
+        # An engine built on a compiled program cannot reinterpret it.
         circ = build_qsearch_ansatz(2, 1, 2)
         full = circ.compile()
         col = circ.compile(contract=OutputContract.column(0))
-        with pytest.raises(ValueError):
-            TNVM(full, contract=OutputContract.column(0))
-        with pytest.raises(ValueError):
-            TNVM(col, contract=OutputContract.column(1))
-        with pytest.raises(ValueError):
-            TNVM(col, contract=FULL_UNITARY)
+        with pytest.raises(ValueError, match="does not match"):
+            Instantiater(program=full, contract=OutputContract.column(0))
+        with pytest.raises(ValueError, match="does not match"):
+            Instantiater(program=col, contract=OutputContract.column(1))
+        with pytest.raises(ValueError, match="does not match"):
+            Instantiater(program=col, contract=FULL_UNITARY)
+        # An agreeing (or omitted) contract is accepted.
+        engine = Instantiater(program=col, contract=OutputContract.column(0))
+        assert engine.contract == OutputContract.column(0)
+        assert Instantiater(program=full).contract is FULL_UNITARY
 
-    def test_overlap_bra_length_mismatch_raises(self):
-        circ = build_qsearch_ansatz(2, 1, 2)
-        col = circ.compile(contract=OutputContract.column(0))
-        with pytest.raises(ValueError):
-            TNVM(col, contract=OutputContract.overlap([1.0, 0.0, 0.0]))
+
+class TestDerivedContract:
+    @pytest.mark.parametrize(
+        "contract",
+        [FULL_UNITARY, OutputContract.column(0), OutputContract.column(5)],
+        ids=["full", "col0", "col5"],
+    )
+    def test_vms_report_the_programs_contract(self, contract):
+        circ = build_qsearch_ansatz(3, 1, 2)
+        program = circ.compile(contract=contract)
+        derived = OutputContract.from_program_key(program.contract)
+        assert derived == contract
+        assert TNVM(program).contract == derived
+        assert TNVM(program, diff=Differentiation.NONE).contract == derived
+        assert BatchedTNVM(program, batch=2).contract == derived
 
 
 class TestColumnVsFull:
@@ -139,40 +150,6 @@ class TestColumnVsFull:
         v = TNVM(col, diff=Differentiation.NONE).evaluate(x)
         U = TNVM(circ.compile(), diff=Differentiation.NONE).evaluate(x)
         np.testing.assert_allclose(v, U[:, 0], atol=ATOL, rtol=0)
-
-
-class TestOverlap:
-    def test_scalar_overlap_is_bra_dot_column(self):
-        circ = build_qsearch_ansatz(3, 2, 2)
-        col = circ.compile(contract=OutputContract.column(0))
-        rng = np.random.default_rng(7)
-        bra = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-        bra /= np.linalg.norm(bra)
-        x = _params(col, seed=7)
-        v, g = TNVM(col).evaluate_with_grad(x)
-        ovl = TNVM(col, contract=OutputContract.overlap(bra))
-        val, grad = ovl.evaluate_with_grad(x)
-        assert np.isscalar(val) or np.ndim(val) == 0
-        assert grad.shape == (col.num_params,)
-        assert np.allclose(val, np.vdot(bra, v), atol=ATOL)
-        np.testing.assert_allclose(grad, g @ bra.conj(), atol=ATOL, rtol=0)
-        assert np.allclose(ovl.evaluate(x), val, atol=ATOL)
-
-    def test_batched_overlap(self):
-        circ = build_qsearch_ansatz(2, 2, 2)
-        col = circ.compile(contract=OutputContract.column(0))
-        rng = np.random.default_rng(8)
-        bra = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        xs = _params(col, seed=8, batch=3)
-        bv, bg = BatchedTNVM(col, batch=3).evaluate_with_grad(xs)
-        ovl = BatchedTNVM(
-            col, batch=3, contract=OutputContract.overlap(bra)
-        )
-        val, grad = ovl.evaluate_with_grad(xs)
-        assert val.shape == (3,)
-        assert grad.shape == (3, col.num_params)
-        np.testing.assert_allclose(val, bv @ bra.conj(), atol=ATOL, rtol=0)
-        np.testing.assert_allclose(grad, bg @ bra.conj(), atol=ATOL, rtol=0)
 
 
 class TestBackendResolution:

@@ -2,8 +2,8 @@
 
 The five Figure 5 circuits (qubit and qutrit) run through the scalar
 :class:`~repro.tnvm.TNVM` and through :class:`~repro.tnvm.BatchedTNVM`
-at batch sizes 1 and 5, under the ``FULL_UNITARY``, ``COLUMN(0)`` and
-``OVERLAP`` contracts, in f32 and f64.  Values and gradients must match
+at batch sizes 1 and 5, compiled for the ``FULL_UNITARY`` and
+``COLUMN(0)`` contracts, in f32 and f64.  Values and gradients must match
 the interpreted :class:`~repro.baseline.DenseEvaluator` of the same
 ansatz (:func:`~repro.baseline.build_qsearch_ansatz_baseline`) to
 within ``allclose``.  The evaluator multiplies dense embedded gates and
@@ -40,9 +40,6 @@ class _Reference:
         self.column = circuit.compile(contract=OutputContract.column(0))
         rng = np.random.default_rng(sorted(FIG5_BENCHMARKS).index(name))
         self.rows = rng.uniform(-np.pi, np.pi, (BATCH, circuit.num_params))
-        dim = self.full.dim
-        bra = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-        self.bra = bra / np.linalg.norm(bra)
         dense = DenseEvaluator(
             build_qsearch_ansatz_baseline(qudits, depth, radix)
         )
@@ -51,16 +48,13 @@ class _Reference:
         self.grads = np.stack([g for _, g in pairs])
 
     def setup(self, contract: str):
-        """``(program, contract, values, grads)``: the expected
-        contract-shaped outputs, with a leading batch axis."""
+        """``(program, values, grads)``: the program compiled for
+        ``contract`` and its expected outputs, with a leading batch
+        axis."""
         u, g = self.unitaries, self.grads
         if contract == "full":
-            return self.full, None, u, g
-        col, gcol = u[:, :, 0], g[:, :, :, 0]
-        if contract == "column":
-            return self.column, None, col, gcol
-        overlap = OutputContract.overlap(self.bra)
-        return self.column, overlap, col @ self.bra.conj(), gcol @ self.bra.conj()
+            return self.full, u, g
+        return self.column, u[:, :, 0], g[:, :, :, 0]
 
 
 @pytest.fixture(scope="module")
@@ -73,18 +67,15 @@ def _close(got, want, atol):
 
 
 @pytest.mark.parametrize("precision", ["f32", "f64"])
-@pytest.mark.parametrize("contract", ["full", "column", "overlap"])
+@pytest.mark.parametrize("contract", ["full", "column"])
 @pytest.mark.parametrize("name", list(FIG5_BENCHMARKS))
 def test_fig5_matches_baseline(references, name, contract, precision):
-    program, overlap, values, grads = references[name].setup(contract)
+    program, values, grads = references[name].setup(contract)
     rows = references[name].rows
     vatol, gatol = TOLERANCE[precision]
 
-    scalar = TNVM(program, precision=precision, contract=overlap)
-    plain = TNVM(
-        program, precision=precision, diff=Differentiation.NONE,
-        contract=overlap,
-    )
+    scalar = TNVM(program, precision=precision)
+    plain = TNVM(program, precision=precision, diff=Differentiation.NONE)
     for s, row in enumerate(rows):
         value, grad = scalar.evaluate_with_grad(row)
         _close(value, values[s], vatol)
@@ -93,7 +84,7 @@ def test_fig5_matches_baseline(references, name, contract, precision):
         _close(plain.evaluate(row), values[s], vatol)
 
     for batch in (1, BATCH):
-        vm = BatchedTNVM(program, batch, precision=precision, contract=overlap)
+        vm = BatchedTNVM(program, batch, precision=precision)
         value, grad = vm.evaluate_with_grad(rows[:batch])
         _close(value, values[:batch], vatol)
         _close(grad, grads[:batch], gatol)
