@@ -3,7 +3,9 @@
 A :class:`~repro.instantiation.SerializedEngine` crosses process
 boundaries by construction: the parent pool pickles it, ships it to
 spawn workers, and the worker rebuilds a live engine by ``exec``-ing
-the generated sources it carries.  A corrupt or stale payload — a
+the megakernel source it carries (the only generated code it ships;
+per-gate writers regenerate from the shipped simplified entries).  A
+corrupt or stale payload — a
 truncated expression table, a kernel fused from a *different* program,
 a contract key that disagrees with the bytecode — would otherwise
 surface only as silently wrong numerics in that worker.

@@ -151,14 +151,16 @@ def scan_winner(runs, dim: int, success_threshold: float, to_infidelity=None):
 class SerializedEngine:
     """A pickle-able snapshot of a compiled instantiation engine.
 
-    Carries the AOT-compiled TNVM bytecode plus the JIT'd expression
-    artifacts (as generated source, via ``CompiledExpression``'s
-    reducers) and the engine settings — everything another process
-    needs to rebuild an equivalent :class:`Instantiater` with
-    :meth:`Instantiater.from_serialized` *without* re-paying tensor
-    lowering, pathfinding, differentiation, or e-graph simplification.
-    This is how :class:`~repro.instantiation.EnginePool` ships engines
-    to parallel synthesis workers.
+    Carries the AOT-compiled TNVM bytecode, the simplified expression
+    entries (``CompiledExpression`` pickles those, not generated
+    code), the scalar megakernel source and the engine settings —
+    everything another process needs to rebuild an equivalent
+    :class:`Instantiater` with :meth:`Instantiater.from_serialized`
+    *without* re-paying tensor lowering, pathfinding, differentiation,
+    e-graph simplification or fusion.  A per-gate writer is
+    regenerated from its entries on first use.  This is how
+    :class:`~repro.instantiation.EnginePool` ships engines to parallel
+    synthesis workers.
     """
 
     program: Program
@@ -301,25 +303,16 @@ class Instantiater:
     def serialize(self) -> SerializedEngine:
         """Snapshot this engine for shipment to another process.
 
-        The snapshot pairs the compiled bytecode with the JIT'd
-        expression artifacts and the gradient megakernel the scalar VM
+        The snapshot pairs the compiled bytecode with the simplified
+        expression entries and the gradient megakernel the scalar VM
         holds (building the VM if no sequential fit has yet), so
         :meth:`from_serialized` reconstructs a numerically identical
         engine without any recompilation.
         """
         vm = self.vm
-        compiled = tuple(vm.compiled)
-        if self.strategy != "sequential":
-            # Ship the batched writer too: the receiving engine will
-            # run batched multi-start sweeps, and the variant compiles
-            # once here (expressions are shared via the cache) instead
-            # of once per receiving process.
-            for expr in compiled:
-                if expr.num_params > 0:
-                    _ = expr.write_batched
         return SerializedEngine(
             program=self.program,
-            compiled=compiled,
+            compiled=tuple(vm.compiled),
             precision=self.precision,
             success_threshold=self.success_threshold,
             lm_options=self.lm_options,
@@ -338,13 +331,16 @@ class Instantiater:
 
         The shipped compiled expressions are seeded into ``cache`` (a
         fresh private cache by default) before TNVM setup, so every
-        ``cache.get`` during initialization hits — no differentiation,
-        e-graph, or codegen work is repeated.  The rebuilt engine
-        produces bit-identical costs and gradients to the original.
+        ``cache.get`` during initialization hits — no differentiation
+        or e-graph work is repeated, and the scalar VM binds the
+        shipped megakernel source.  A batched fit regenerates its
+        per-gate writers from the shipped entries on first use.  The
+        rebuilt engine produces bit-identical costs and gradients to
+        the original.
 
         Under ``verify=True`` (or ``REPRO_VERIFY=1``) the payload is
         statically verified first — bytecode (with its contract),
-        compiled-expression table and shipped kernel sources — and a
+        compiled-expression table and shipped kernel source — and a
         corrupt payload raises a pointed
         :class:`~repro.analysis.VerificationError` instead of
         rehydrating into silently wrong numerics.

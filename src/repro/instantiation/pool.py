@@ -120,7 +120,7 @@ class EnginePool:
         if payload is not None:
             self._payloads.move_to_end(key)
             # The shape was serialized before its engine was evicted:
-            # rehydrating from the snapshot (source exec + TNVM setup)
+            # rehydrating from the snapshot (kernel exec + TNVM setup)
             # is much cheaper than re-running the AOT compile and is
             # numerically identical.
             self._rehydrates.add()

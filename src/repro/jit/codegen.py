@@ -8,18 +8,23 @@ common-subexpression elimination, compiled once, and the resulting
 evaluation loop — only the final code generator targets CPython bytecode
 instead of native machine code.
 
-Two functions are emitted per expression:
-
-``write_constants(out, grad)``
-    Writes every entry whose value does not depend on any parameter
-    (zeros, fixed phases...).  The TNVM calls this once at
-    initialization, so the hot path only touches parameter-dependent
-    entries.
+A gate's writer body comes from one emitter,
+:func:`generate_inline_write`: it splits the simplified entries into
+parameter-independent constants and parameter-dependent entries, and
+emits the CSE'd statement chain and stores of the latter.  The TNVM
+megakernel inlines that body directly; :func:`generate_source` wraps
+the same body into three standalone functions:
 
 ``write(params, out, grad)``
     The hot function: unpacks parameters, evaluates the CSE'd temporary
     chain with ``math.sin``/``math.cos``/... scalar calls, and stores the
     parameter-dependent complex entries.
+
+``write_constants_out(out)`` / ``write_constants_grad(grad)``
+    Write every entry whose value does not depend on any parameter
+    (zeros, fixed phases...).  The TNVM calls these once at
+    initialization, so the hot path only touches parameter-dependent
+    entries.
 
 A *batched* variant of ``write`` can also be generated: the same
 straight-line CSE chain, but evaluated with numpy ufuncs over a
@@ -35,7 +40,7 @@ import math
 
 import numpy as np
 
-from ..egraph.cost import op_cost
+from ..egraph.cost import expression_cost
 from ..symbolic import expr as E
 from ..symbolic.expr import Expr
 
@@ -43,7 +48,6 @@ __all__ = [
     "generate_source",
     "generate_inline_write",
     "compile_writer",
-    "compile_source",
     "writer_globals",
     "CodegenResult",
     "InlineWrite",
@@ -110,29 +114,20 @@ class CodegenResult:
 class _Emitter:
     """Shared-subexpression-aware statement emitter.
 
-    ``var_atoms`` (optional) overrides the default ``p{k}`` naming of
-    parameter leaves with caller-supplied atoms — the TNVM megakernel
-    maps a gate expression's local parameters onto the global
-    circuit-parameter unpack names this way.  ``temp_prefix`` and
-    ``indent`` let the same emitter produce uniquely-named statements
-    inside a larger generated function.
+    ``var_atoms`` names each parameter leaf: ``p{k}`` for a standalone
+    writer, the megakernel's global circuit-parameter unpack names for
+    an inlined WRITE.  ``temp_prefix`` and ``indent`` let the same
+    emitter produce uniquely-named statements inside a larger
+    generated function.
     """
 
-    def __init__(
-        self,
-        param_index: dict[str, int],
-        var_atoms: dict[str, str] | None = None,
-        temp_prefix: str = "t",
-        indent: str = "    ",
-    ):
-        self.param_index = param_index
+    def __init__(self, var_atoms: dict[str, str], temp_prefix: str, indent: str):
         self.var_atoms = var_atoms
         self.temp_prefix = temp_prefix
         self.indent = indent
         self.lines: list[str] = []
         self.names: dict[int, str] = {}
         self.counter = 0
-        self.used_params: set[int] = set()
         self.used_atoms: set[str] = set()
 
     def atom(self, node: Expr) -> str:
@@ -142,13 +137,9 @@ class _Emitter:
         if node.op == "pi":
             return "pi"
         if node.op == "var":
-            if self.var_atoms is not None:
-                atom = self.var_atoms[node.name]
-                self.used_atoms.add(atom)
-                return atom
-            k = self.param_index[node.name]
-            self.used_params.add(k)
-            return f"p{k}"
+            atom = self.var_atoms[node.name]
+            self.used_atoms.add(atom)
+            return atom
         return self.names[id(node)]
 
     def emit(self, root: Expr) -> str:
@@ -185,103 +176,8 @@ def _literal(value: float) -> str:
     return repr(value)
 
 
-def generate_source(
-    unitary_entries: list[tuple[tuple[int, int], Expr, Expr]],
-    grad_entries: list[tuple[tuple[int, int, int], Expr, Expr]],
-    param_names: tuple[str, ...],
-    func_name: str = "qgl_write",
-    batched: bool = False,
-) -> tuple[str, int, int, float]:
-    """Generate the writer-pair source.
-
-    Parameters
-    ----------
-    unitary_entries:
-        ``((row, col), re_expr, im_expr)`` triples for the unitary.
-    grad_entries:
-        ``((param, row, col), re_expr, im_expr)`` triples for the
-        gradient; empty when differentiation is not requested.
-    param_names:
-        Parameter order defining ``params[k]``.
-    batched:
-        Emit the batch-vectorized variant: ``params[k]`` is a vector
-        and complex stores use ``re + 1j * im`` (``complex()`` only
-        accepts scalars), so the caller passes views with a trailing
-        batch axis.
-
-    Returns ``(source, n_dynamic, n_constant, total_cost)``.
-    """
-    param_index = {name: k for k, name in enumerate(param_names)}
-
-    dynamic: list[tuple[str, Expr, Expr]] = []
-    constant: list[tuple[str, Expr, Expr]] = []
-    for (i, j), re_e, im_e in unitary_entries:
-        target = f"out[{i}, {j}]"
-        bucket = constant if _is_const(re_e, im_e) else dynamic
-        bucket.append((target, re_e, im_e))
-    for (k, i, j), re_e, im_e in grad_entries:
-        target = f"grad[{k}, {i}, {j}]"
-        bucket = constant if _is_const(re_e, im_e) else dynamic
-        bucket.append((target, re_e, im_e))
-
-    # Cost of the emitted code: every distinct node once, shared
-    # subexpressions across *all* entries counted a single time (this
-    # is exactly what the CSE'd straight-line code executes).
-    seen_nodes: set[int] = set()
-    total_cost = 0.0
-
-    def accumulate_cost(root: Expr) -> None:
-        nonlocal total_cost
-        for node in E.postorder(root):
-            if id(node) not in seen_nodes:
-                seen_nodes.add(id(node))
-                total_cost += op_cost(node.op)
-
-    lines = [f"def {func_name}(params, out, grad=None):"]
-    emitter = _Emitter(param_index)
-    body_start = len(lines)
-    stores: list[str] = []
-    for target, re_e, im_e in dynamic:
-        re_atom = emitter.emit(re_e)
-        im_atom = emitter.emit(im_e)
-        accumulate_cost(re_e)
-        accumulate_cost(im_e)
-        if im_e.is_zero:
-            stores.append(f"    {target} = {re_atom}")
-        elif batched:
-            stores.append(f"    {target} = {re_atom} + 1j * {im_atom}")
-        else:
-            stores.append(f"    {target} = complex({re_atom}, {im_atom})")
-    param_unpack = [
-        f"    p{k} = params[{k}]" for k in sorted(emitter.used_params)
-    ]
-    lines[body_start:body_start] = param_unpack
-    lines.extend(emitter.lines)
-    lines.extend(stores)
-    if not (param_unpack or emitter.lines or stores):
-        lines.append("    pass")
-
-    out_stores: list[str] = []
-    grad_stores: list[str] = []
-    for target, re_e, im_e in constant:
-        rv = _const_value(re_e)
-        iv = _const_value(im_e)
-        store = f"    {target} = {complex(rv, iv)!r}"
-        (grad_stores if target.startswith("grad") else out_stores).append(
-            store
-        )
-    lines.append("")
-    lines.append(f"def {func_name}_constants_out(out):")
-    lines.extend(out_stores if out_stores else ["    pass"])
-    lines.append("")
-    lines.append(f"def {func_name}_constants_grad(grad):")
-    lines.extend(grad_stores if grad_stores else ["    pass"])
-    source = "\n".join(lines) + "\n"
-    return source, len(dynamic), len(constant), total_cost
-
-
 class InlineWrite:
-    """The inlined form of one WRITE instruction's expression body."""
+    """The emitted form of one gate expression's writer body."""
 
     __slots__ = (
         "hot_lines",
@@ -309,34 +205,33 @@ class InlineWrite:
 def generate_inline_write(
     unitary_entries: list[tuple[tuple[int, int], Expr, Expr]],
     grad_entries: list[tuple[tuple[int, int, int], Expr, Expr]],
-    param_names: tuple[str, ...],
     var_atoms: dict[str, str],
     out_name: str,
     grad_name: str | None,
     temp_prefix: str,
     indent: str,
+    batched: bool = False,
 ) -> InlineWrite:
-    """Emit one gate expression's writer body for inlining.
+    """Emit one gate expression's writer body.
 
-    This is the TNVM megakernel's hook into the expression JIT:
-    the same simplified entry triples that produced a gate's standalone
-    writer are re-emitted as bare statements with instruction-local
-    temp names (``temp_prefix``), caller-chosen store targets
-    (``out_name``/``grad_name``), and the gate's parameters mapped onto
-    the megakernel's global parameter atoms (``var_atoms``).  The CSE
-    walk, store expressions, and constant/dynamic split are identical
-    to :func:`generate_source`, so the inlined statements compute
-    bit-identical values to calling the standalone writer.
+    This is the only emitter of a gate body.  The TNVM megakernel
+    inlines it with instruction-local temp names (``temp_prefix``),
+    caller-chosen store targets (``out_name``/``grad_name``), and the
+    gate's parameters mapped onto the megakernel's global parameter
+    atoms (``var_atoms``); :func:`generate_source` wraps it into the
+    standalone writers.  A megakernel therefore computes bit-identical
+    values to calling the standalone writer.
 
     ``hot_lines`` are indented with ``indent``; the constant store
-    lines are returned unindented (they run once, in the megakernel's
-    setup prologue).  When ``grad_name`` is None the gradient entries
-    must be empty (the instruction was compiled without
-    differentiation).
+    lines are returned unindented (they run once, in a setup prologue
+    or a constants function).  ``batched`` emits complex stores as
+    ``re + 1j * im`` (``complex()`` only accepts scalars), for atoms
+    that are vectors over a trailing batch axis.  When ``grad_name`` is
+    None the gradient entries must be empty (the instruction was
+    compiled without differentiation).
     """
     if grad_name is None and grad_entries:
         raise ValueError("gradient entries present but no gradient target")
-    param_index = {name: k for k, name in enumerate(param_names)}
 
     dynamic: list[tuple[str, Expr, Expr]] = []
     const_value_lines: list[str] = []
@@ -356,18 +251,15 @@ def generate_inline_write(
         else:
             dynamic.append((target, re_e, im_e))
 
-    emitter = _Emitter(
-        param_index,
-        var_atoms=var_atoms,
-        temp_prefix=temp_prefix,
-        indent=indent,
-    )
+    emitter = _Emitter(var_atoms, temp_prefix=temp_prefix, indent=indent)
     stores: list[str] = []
     for target, re_e, im_e in dynamic:
         re_atom = emitter.emit(re_e)
         im_atom = emitter.emit(im_e)
         if im_e.is_zero:
             stores.append(f"{indent}{target} = {re_atom}")
+        elif batched:
+            stores.append(f"{indent}{target} = {re_atom} + 1j * {im_atom}")
         else:
             stores.append(f"{indent}{target} = complex({re_atom}, {im_atom})")
     return InlineWrite(
@@ -377,6 +269,71 @@ def generate_inline_write(
         used_atoms=emitter.used_atoms,
         num_dynamic=len(dynamic),
     )
+
+
+def generate_source(
+    unitary_entries: list[tuple[tuple[int, int], Expr, Expr]],
+    grad_entries: list[tuple[tuple[int, int, int], Expr, Expr]],
+    param_names: tuple[str, ...],
+    func_name: str = "qgl_write",
+    batched: bool = False,
+) -> tuple[str, int, int, float]:
+    """Generate the standalone writer source.
+
+    Parameters
+    ----------
+    unitary_entries:
+        ``((row, col), re_expr, im_expr)`` triples for the unitary.
+    grad_entries:
+        ``((param, row, col), re_expr, im_expr)`` triples for the
+        gradient; empty when differentiation is not requested.
+    param_names:
+        Parameter order defining ``params[k]``.
+    batched:
+        Emit the batch-vectorized variant: ``params[k]`` is a vector,
+        so the caller passes views with a trailing batch axis.
+
+    Returns ``(source, n_dynamic, n_constant, total_cost)``.
+    """
+    atoms = {name: f"p{k}" for k, name in enumerate(param_names)}
+    body = generate_inline_write(
+        unitary_entries, grad_entries, atoms, "out", "grad",
+        temp_prefix="t", indent="    ", batched=batched,
+    )
+    lines = [f"def {func_name}(params, out, grad=None):"]
+    lines += [
+        f"    p{k} = params[{k}]"
+        for k, name in enumerate(param_names)
+        if atoms[name] in body.used_atoms
+    ]
+    lines += body.hot_lines
+    if len(lines) == 1:
+        lines.append("    pass")
+    for arg, stores in (
+        ("out", body.const_value_lines),
+        ("grad", body.const_grad_lines),
+    ):
+        lines.append("")
+        lines.append(f"def {func_name}_constants_{arg}({arg}):")
+        lines += [f"    {store}" for store in stores] or ["    pass"]
+    source = "\n".join(lines) + "\n"
+
+    # Table I cost of the emitted code: every distinct node of the
+    # parameter-dependent entries once, shared subexpressions across
+    # *all* entries counted a single time (this is exactly what the
+    # CSE'd straight-line code executes).
+    seen: set[int] = set()
+    total_cost = sum(
+        (
+            expression_cost(root, seen)
+            for _, re_e, im_e in (*unitary_entries, *grad_entries)
+            if not _is_const(re_e, im_e)
+            for root in (re_e, im_e)
+        ),
+        0.0,
+    )
+    n_constant = len(body.const_value_lines) + len(body.const_grad_lines)
+    return source, body.num_dynamic, n_constant, total_cost
 
 
 def compile_writer(
@@ -390,23 +347,6 @@ def compile_writer(
     source, n_dyn, n_const, cost = generate_source(
         unitary_entries, grad_entries, param_names, func_name, batched
     )
-    return compile_source(source, func_name, batched, n_dyn, n_const, cost)
-
-
-def compile_source(
-    source: str,
-    func_name: str,
-    batched: bool,
-    num_dynamic_entries: int,
-    num_constant_entries: int,
-    total_cost: float,
-) -> CodegenResult:
-    """Compile already-generated writer source into a CodegenResult.
-
-    This is the cheap half of :func:`compile_writer` — a serialized
-    :class:`~repro.jit.compiled.CompiledExpression` rehydrates through
-    it, skipping symbolic differentiation and e-graph simplification.
-    """
     namespace = dict(_BATCHED_GLOBALS if batched else _GLOBALS)
     code = compile(source, f"<qgl-jit:{func_name}>", "exec")
     exec(code, namespace)
@@ -422,9 +362,9 @@ def compile_source(
         write=namespace[func_name],
         write_constants=write_constants,
         source=source,
-        num_dynamic_entries=num_dynamic_entries,
-        num_constant_entries=num_constant_entries,
-        total_cost=total_cost,
+        num_dynamic_entries=n_dyn,
+        num_constant_entries=n_const,
+        total_cost=cost,
     )
 
 

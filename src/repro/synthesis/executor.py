@@ -12,8 +12,9 @@ such a batch through a :class:`CandidateExecutor`:
   pool.  Workers never AOT-compile: the parent pool compiles each new
   template shape once, snapshots it as a pickled
   :class:`~repro.instantiation.SerializedEngine` (TNVM bytecode +
-  JIT'd expression source), and ships the snapshot with the task; a
-  per-worker LRU rehydrates and reuses engines per shape.
+  simplified expression entries + scalar megakernel source), and
+  ships the snapshot with the task; a per-worker LRU rehydrates and
+  reuses engines per shape.
 
 Determinism: each candidate's multi-start RNG is seeded by
 :func:`candidate_seed` — a stable hash of the pass's base seed and the
@@ -269,7 +270,7 @@ class SerialCandidateExecutor(CandidateExecutor):
 # ----------------------------------------------------------------------
 
 #: Rehydrated engines per (process, pool settings, structure key,
-#: contract): each worker pays one cheap rehydration (source exec +
+#: contract): each worker pays one cheap rehydration (kernel exec +
 #: TNVM setup) per shape and contract, then reuses the engine —
 #: including its lazily built batched VMs — for every later task on
 #: that shape.

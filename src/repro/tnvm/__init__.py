@@ -1,7 +1,7 @@
 """The Tensor Network Virtual Machine runtime."""
 
 from ..tensornet.contract import FULL_UNITARY, OutputContract
-from .buffers import BatchedMemoryPlan, MemoryPlan
+from .buffers import MemoryPlan
 from .fused import FusedKernel, bind_fused_kernel, generate_fused_kernel
 from .vm import TNVM, BatchedTNVM, Differentiation
 
@@ -12,7 +12,6 @@ __all__ = [
     "OutputContract",
     "FULL_UNITARY",
     "MemoryPlan",
-    "BatchedMemoryPlan",
     "FusedKernel",
     "generate_fused_kernel",
     "bind_fused_kernel",

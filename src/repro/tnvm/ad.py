@@ -9,19 +9,22 @@ calculus — operations whose operands depend on *independent* partials
 propagate each side separately, while operands with *overlapping*
 parameters get the product rule.
 
-All views are precomputed, so the hot closures perform no allocation
-except one reused scratch matrix per product-rule instruction.
+Every WRITE with parameter slots runs through
+:func:`build_batched_write_group`: one batched writer call per JIT'd
+expression, covering every gate that uses it (a lone gate included).
+
+All views are precomputed, so the contraction closures perform no
+allocation except one reused scratch matrix per product-rule
+instruction.
 """
 
 from __future__ import annotations
-
-from operator import itemgetter
 
 import numpy as np
 
 from ..jit.compiled import CompiledExpression
 from ..tensornet.bytecode import Instruction, Program
-from .buffers import BatchedMemoryPlan
+from .buffers import MemoryPlan
 
 __all__ = [
     "build_batched_closure",
@@ -32,7 +35,7 @@ __all__ = [
 def build_batched_closure(
     instr: Instruction,
     program: Program,
-    plan: BatchedMemoryPlan,
+    plan: MemoryPlan,
     compiled: list[CompiledExpression],
     grad: bool,
 ):
@@ -41,10 +44,13 @@ def build_batched_closure(
     The returned closure has signature ``run(param_rows)`` where
     ``param_rows`` is a ``(num_params, batch)`` float array — row ``k``
     holds parameter ``k`` for every batch element, so ``params[k]``
-    picks one parameter across the whole batch.
+    picks one parameter across the whole batch.  ``plan`` is a batched
+    :class:`~repro.tnvm.buffers.MemoryPlan`.  A WRITE here must be
+    parameter-free; every WRITE with parameter slots runs through
+    :func:`build_batched_write_group`.
     """
     if instr.opcode == "WRITE":
-        return _build_batched_write(instr, program, plan, compiled, grad)
+        return _build_batched_write(instr, plan, compiled)
     if instr.opcode == "MATMUL":
         return _build_batched_matmul(instr, program, plan, grad)
     if instr.opcode == "KRON":
@@ -96,77 +102,25 @@ def _index(ix: list[int]):
 # (MATMUL/KRON/HADAMARD/TRANSPOSE) broadcast over that axis in a
 # single numpy call, so the per-
 # instruction Python dispatch cost is amortized across all S starts.
-# WRITE instead hands the JIT'd *batched* expression writer views with
-# a trailing batch axis: the generated ``out[i, j] = ...`` stores then
-# assign length-S vectors.
+# A WRITE with parameter slots instead hands the JIT'd *batched*
+# expression writer views with a trailing batch axis (see
+# build_batched_write_group): the generated ``out[i, j] = ...`` stores
+# then assign length-S vectors.
 # ----------------------------------------------------------------------
 
-def _build_batched_write(instr, program, plan, compiled, grad):
+def _build_batched_write(instr, plan, compiled):
+    # Parameter-free: the scalar writers assign complex scalars, which
+    # broadcast over the trailing batch axis of ``val_t``.
     expr = compiled[instr.expr_id]
-    out_spec = program.buffers[instr.out_buf]
-    val = plan.value_view(instr.out_buf, expr.shape)
-    val_t = np.moveaxis(val, 0, -1)  # (*shape, batch) view
-    gview = plan.grad_view(instr.out_buf, expr.shape) if grad else None
-    slots = instr.slots
+    val_t = np.moveaxis(plan.value_view(instr.out_buf, expr.shape), 0, -1)
+    write_constants = expr.write_constants
+    write = expr.write
 
-    if not slots:
-        # Fully constant: the scalar writers assign complex scalars,
-        # which broadcast over the trailing batch axis of ``val_t``.
-        write_constants = expr.write_constants
-        write = expr.write
+    def run_const(params):
+        write_constants(val_t)
+        write((), val_t)
 
-        def run_const(params):
-            write_constants(val_t)
-            write((), val_t)
-
-        return run_const
-
-    write = expr.write_batched
-
-    if len(slots) == 1:
-        j = slots[0]
-
-        def pick(params, _j=j):
-            return (params[_j],)
-    else:
-        getter = itemgetter(*slots)
-
-        def pick(params, _g=getter):
-            return _g(params)
-
-    if gview is None:
-        expr.write_constants(val_t)
-
-        def run(params):
-            write(pick(params), val_t)
-
-        return run
-
-    gview_t = np.moveaxis(gview, 0, -1)  # (n_params, *shape, batch)
-    sorted_params = out_spec.params
-    direct = tuple(slots) == tuple(sorted_params)
-    if direct:
-        expr.write_constants(val_t, gview_t)
-
-        def run(params):
-            write(pick(params), val_t, gview_t)
-
-        return run
-
-    scratch = np.zeros(
-        (len(slots),) + expr.shape + (plan.batch,), dtype=plan.dtype
-    )
-    expr.write_constants(val_t, scratch)
-    row_of = {p: i for i, p in enumerate(sorted_params)}
-    scatter = [row_of[j] for j in slots]
-
-    def run(params):
-        write(pick(params), val_t, scratch)
-        gview_t[:] = 0
-        for s, row in enumerate(scatter):
-            gview_t[row] += scratch[s]
-
-    return run
+    return run_const
 
 
 def _build_batched_matmul(instr, program, plan, grad):
@@ -341,11 +295,11 @@ def _build_batched_transpose(instr, program, plan, grad):
 def build_batched_write_group(
     instrs: list[Instruction],
     program: Program,
-    plan: BatchedMemoryPlan,
+    plan: MemoryPlan,
     compiled: list[CompiledExpression],
     grad: bool,
 ):
-    """One closure evaluating several WRITE instructions that share one
+    """One closure evaluating every WRITE instruction that shares one
     JIT'd expression as a *single* batched writer call.
 
     All ``instrs`` reference the same ``expr_id`` (hence the same
@@ -354,7 +308,9 @@ def build_batched_write_group(
     axis — and the result is scattered into each instruction's arena
     views.  That trades two cheap contiguous copies per instruction for
     a G-fold reduction in ufunc dispatch count, which dominates the
-    batched WRITE cost at small batch sizes.
+    batched WRITE cost at small batch sizes.  A lone gate (``G == 1``)
+    whose slots are in sorted order skips the scratch: the writer
+    stores straight into its arena views.
 
     Reordering is safe: WRITE instructions read no buffers and every
     buffer is written exactly once, so hoisting the group to the start
@@ -362,6 +318,7 @@ def build_batched_write_group(
     """
     expr = compiled[instrs[0].expr_id]
     S = plan.batch
+    assert S is not None, "WRITE groups run on a batched plan"
     G = len(instrs)
     k = expr.num_params
     shape = expr.shape
@@ -374,32 +331,45 @@ def build_batched_write_group(
         [list(i.slots) for i in instrs], dtype=np.intp
     ).T.ravel()
 
-    out_s = np.zeros(shape + (G * S,), dtype=plan.dtype)
-    grad_s = (
-        np.zeros((k,) + shape + (G * S,), dtype=plan.dtype)
-        if grad
-        else None
-    )
-    expr.write_constants(out_s, grad_s)
-
     copies = []  # (group-scratch view, instruction arena view) pairs
     scatters = []  # (per-slot grad views, gview_t, row map) triples
-    for g, instr in enumerate(instrs):
-        sl = slice(g * S, (g + 1) * S)
-        val_t = np.moveaxis(plan.value_view(instr.out_buf, shape), 0, -1)
-        copies.append((out_s[..., sl], val_t))
-        if not grad:
-            continue
-        gview_t = np.moveaxis(
-            plan.grad_view(instr.out_buf, shape), [0, 1], [-1, 0]
+    lone = instrs[0]
+    if G == 1 and (
+        not grad
+        or tuple(lone.slots) == tuple(program.buffers[lone.out_buf].params)
+    ):
+        # The writer stores straight into the lone gate's arena views
+        # (batch axis moved last): no scratch, no copy.
+        out_s = np.moveaxis(plan.value_view(lone.out_buf, shape), 0, -1)
+        grad_s = (
+            np.moveaxis(plan.grad_view(lone.out_buf, shape), [0, 1], [-1, 0])
+            if grad
+            else None
         )
-        sorted_params = program.buffers[instr.out_buf].params
-        if tuple(instr.slots) == tuple(sorted_params):
-            copies.append((grad_s[..., sl], gview_t))
-        else:
-            row_of = {p: i for i, p in enumerate(sorted_params)}
-            rows = [row_of[j] for j in instr.slots]
-            scatters.append((grad_s[..., sl], gview_t, rows))
+    else:
+        out_s = np.zeros(shape + (G * S,), dtype=plan.dtype)
+        grad_s = (
+            np.zeros((k,) + shape + (G * S,), dtype=plan.dtype)
+            if grad
+            else None
+        )
+        for g, instr in enumerate(instrs):
+            sl = slice(g * S, (g + 1) * S)
+            val_t = np.moveaxis(plan.value_view(instr.out_buf, shape), 0, -1)
+            copies.append((out_s[..., sl], val_t))
+            if not grad:
+                continue
+            gview_t = np.moveaxis(
+                plan.grad_view(instr.out_buf, shape), [0, 1], [-1, 0]
+            )
+            sorted_params = program.buffers[instr.out_buf].params
+            if tuple(instr.slots) == tuple(sorted_params):
+                copies.append((grad_s[..., sl], gview_t))
+            else:
+                row_of = {p: i for i, p in enumerate(sorted_params)}
+                rows = [row_of[j] for j in instr.slots]
+                scatters.append((grad_s[..., sl], gview_t, rows))
+    expr.write_constants(out_s, grad_s)
 
     def run(params):
         write(params[gather].reshape(k, G * S), out_s, grad_s)

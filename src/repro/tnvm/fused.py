@@ -10,9 +10,12 @@ function (the operator-fusion move of XLA-style compilers, standing in
 for the paper's whole-pipeline LLVM emission):
 
 * the constant section runs once, in the kernel's bind-time prologue;
-* dynamic ``WRITE`` instructions are inlined as their already-generated
-  CSE'd expression bodies — no per-gate function call, with the gate's
-  local parameters renamed onto one shared circuit-parameter unpack;
+* dynamic ``WRITE`` instructions are inlined as CSE'd expression
+  bodies, emitted from each gate's simplified entries by
+  :func:`~repro.jit.codegen.generate_inline_write` (the one emitter
+  the standalone writers also wrap) — no per-gate function call, with
+  the gate's local parameters renamed onto one shared
+  circuit-parameter unpack;
 * ``MATMUL``/``KRON``/``HADAMARD``/``TRANSPOSE`` become direct numpy
   calls on views pre-bound in the prologue, with ``out=`` targets into
   the VM's arena;
@@ -165,7 +168,6 @@ class _FusedEmitter:
         inline = generate_inline_write(
             u_entries,
             g_entries if use_grad else [],
-            expr.matrix.params,
             var_atoms,
             vname,
             gname,
@@ -314,9 +316,9 @@ def generate_fused_kernel(
 
     ``compiled`` is the VM's expression list (one entry per
     ``program.expressions``, with gradients exactly when the VM wants
-    them) — the inlined WRITE bodies are re-emitted from the same
-    simplified entry triples the standalone writers were generated
-    from, so they compute the same values the writers would.
+    them) — the inlined WRITE bodies are emitted from the same
+    simplified entry triples, by the same emitter, as the standalone
+    writers, so they compute the same values the writers would.
     """
     const = _FusedEmitter(program, grad=False, prefix="c", indent=_P)
     for n, instr in enumerate(program.const_section):
@@ -358,11 +360,10 @@ def generate_fused_kernel(
 def bind_fused_kernel(kernel: FusedKernel, plan: MemoryPlan):
     """Compile ``kernel``'s source and bind it to a memory plan.
 
-    This is the cheap half of fusion (exactly like
-    :func:`~repro.jit.codegen.compile_source` for per-gate writers): a
-    kernel shipped from another process rehydrates here without
-    re-walking the program.  Binding runs the constant section into
-    ``plan``'s arena and returns the hot ``fused_run(params)``.
+    This is the cheap half of fusion: a kernel shipped from another
+    process rehydrates here without re-walking the program.  Binding
+    runs the constant section into ``plan``'s arena and returns the
+    hot ``fused_run(params)``.
 
     Under ``REPRO_VERIFY=1`` the kernel source is linted by
     :mod:`repro.analysis` before it is ``exec``-ed — this is the trust

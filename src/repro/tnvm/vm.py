@@ -1,11 +1,13 @@
 """The Tensor Network Virtual Machine (paper section IV-B).
 
 A TNVM executes the two-section bytecode produced by the AOT compiler.
-Instantiation performs the one-time preparatory steps:
+Both VMs share the one-time preparatory steps:
 
-1. allocate one contiguous memory region for all intermediate tensors;
-2. eagerly JIT-compile every unique QGL expression referenced by the
-   ``WRITE`` instructions (through the shared ``ExpressionCache``);
+1. allocate one contiguous memory region for all intermediate tensors
+   (:class:`~repro.tnvm.buffers.MemoryPlan`; the batched VM's views
+   carry a leading batch axis);
+2. fetch every unique QGL expression referenced by the ``WRITE``
+   instructions through the shared ``ExpressionCache``;
 3. specialize every instruction for the requested precision and
    differentiation level, and execute the constant section once.
 
@@ -13,10 +15,10 @@ Each VM then has exactly one execution path.  The scalar :class:`TNVM`
 runs the whole program as one generated megakernel
 (:mod:`repro.tnvm.fused`): binding it runs the constant section, and
 every sweep is a single call.  The :class:`BatchedTNVM` sweeps a list
-of pre-bound batch-vectorized closures (:mod:`repro.tnvm.ad`) whose
-grouped WRITE writers evaluate every same-expression gate in one
-stacked call.  Either way a sweep does no allocation, no dispatch on
-opcodes and no compilation.
+of pre-bound batch-vectorized closures (:mod:`repro.tnvm.ad`): the
+WRITEs of each JIT'd expression run as one grouped writer call, and a
+lone gate writes in place.  Either way a sweep does no allocation, no
+dispatch on opcodes and no compilation.
 """
 
 from __future__ import annotations
@@ -28,10 +30,10 @@ import numpy as np
 
 from .. import telemetry
 from ..jit.cache import ExpressionCache, global_cache
-from ..tensornet.bytecode import Program
+from ..tensornet.bytecode import Instruction, Program
 from ..tensornet.contract import OutputContract
 from .ad import build_batched_closure, build_batched_write_group
-from .buffers import BatchedMemoryPlan, MemoryPlan
+from .buffers import MemoryPlan
 from .fused import bind_fused_kernel, fused_kernel_for
 
 __all__ = ["Differentiation", "TNVM", "BatchedTNVM"]
@@ -53,7 +55,84 @@ _DTYPES = {
 }
 
 
-class TNVM:
+class _VM:
+    """Set-up and introspection shared by :class:`TNVM` and
+    :class:`BatchedTNVM`.  Each VM defines ``__init__``, ``evaluate``
+    and ``evaluate_with_grad`` in its own class body."""
+
+    def _setup(
+        self,
+        program: Program,
+        precision: str,
+        diff: Differentiation,
+        cache: ExpressionCache | None,
+        batch: int | None = None,
+    ) -> bool:
+        """Allocate the arena (one copy per batch element with
+        ``batch``), fetch every expression the WRITEs reference through
+        the expression cache, and bind the contract-shaped output views
+        and the full-gradient buffer.  Returns whether the VM computes
+        gradients."""
+        try:
+            dtype = _DTYPES[precision]
+        except KeyError:
+            raise ValueError(
+                f"precision must be 'f32' or 'f64', got {precision!r}"
+            ) from None
+        self.program = program
+        self.contract = OutputContract.from_program_key(program.contract)
+        self.precision = "f32" if dtype == np.complex64 else "f64"
+        self.diff = diff
+        self.num_params = program.num_params
+        want_grad = diff is Differentiation.GRADIENT
+
+        self.plan = MemoryPlan(program, dtype, want_grad, batch)
+
+        # (`is None`, not truthiness: an empty cache is falsy via its
+        # __len__ but must still be used.)
+        if cache is None:
+            cache = global_cache()
+        self.compiled = [
+            cache.get(expr, grad=want_grad and expr.num_params > 0)
+            for expr in program.expressions
+        ]
+
+        dim = program.output_shape[0]
+        # Contract-shaped output: column programs propagate a (D,)
+        # vector through the dynamic section; full programs a (D, D)
+        # matrix.
+        out_shape = (dim,) if self.contract.column_based else (dim, dim)
+        self._out_view = self.plan.value_view(
+            program.output_buffer, out_shape
+        )
+        out_spec = program.buffers[program.output_buffer]
+        #: fancy-index form: one vectorized scatter per sweep instead
+        #: of a Python copy loop over gradient rows
+        self._out_rows_idx = np.asarray(out_spec.params, dtype=np.intp)
+        self._out_grad_view = (
+            self.plan.grad_view(program.output_buffer, out_shape)
+            if want_grad and out_spec.params
+            else None
+        )
+        lead = () if batch is None else (batch,)
+        self._full_grad = (
+            np.zeros(lead + (self.num_params,) + out_shape, dtype=dtype)
+            if want_grad
+            else None
+        )
+        return want_grad
+
+    @property
+    def memory_bytes(self) -> int:
+        """Size of the preallocated arenas (the paper's 211KB metric)."""
+        return self.plan.memory_bytes
+
+    @property
+    def dim(self) -> int:
+        return self.program.output_shape[0]
+
+
+class TNVM(_VM):
     """A virtual machine bound to one bytecode program.
 
     Parameters
@@ -92,64 +171,16 @@ class TNVM:
         diff: Differentiation = Differentiation.GRADIENT,
         cache: ExpressionCache | None = None,
     ):
-        try:
-            dtype = _DTYPES[precision]
-        except KeyError:
-            raise ValueError(
-                f"precision must be 'f32' or 'f64', got {precision!r}"
-            ) from None
-        self.program = program
-        self.contract = OutputContract.from_program_key(program.contract)
-        self.precision = "f32" if dtype == np.complex64 else "f64"
-        self.diff = diff
-        self.num_params = program.num_params
-        want_grad = diff is Differentiation.GRADIENT
-
-        # Step 1: one contiguous memory region.
-        self.plan = MemoryPlan(program, dtype, want_grad)
-
-        # Step 2: eager JIT of all unique expressions via the cache.
-        # (`is None`, not truthiness: an empty cache is falsy via its
-        # __len__ but must still be used.)
-        if cache is None:
-            cache = global_cache()
-        self.compiled = [
-            cache.get(expr, grad=want_grad and expr.num_params > 0)
-            for expr in program.expressions
-        ]
-
-        # Step 3: the whole program as ONE generated function; binding
-        # it runs the constant section into this VM's arena.  Sweep
-        # counters are bound here so the hot path below pays one
-        # attribute add per sweep, no registry lookup or lock.
+        want_grad = self._setup(program, precision, diff, cache)
+        # The whole program as ONE generated function; binding it runs
+        # the constant section into this VM's arena.  Sweep counters
+        # are bound here so the hot path below pays one attribute add
+        # per sweep, no registry lookup or lock.
         registry = telemetry.metrics()
         self._sweeps = registry.counter("vm.sweeps")
         self._grad_sweeps = registry.counter("vm.grad_sweeps")
         self.fused_kernel = fused_kernel_for(program, self.compiled, want_grad)
         self._run = bind_fused_kernel(self.fused_kernel, self.plan)
-
-        dim = program.output_shape[0]
-        # Contract-shaped output: column programs propagate a (D,)
-        # vector through the dynamic section; full programs a (D, D)
-        # matrix.
-        out_shape = (dim,) if self.contract.column_based else (dim, dim)
-        self._out_view = self.plan.value_view(
-            program.output_buffer, out_shape
-        )
-        out_spec = program.buffers[program.output_buffer]
-        #: fancy-index form: one vectorized scatter per sweep instead
-        #: of a Python copy loop over gradient rows
-        self._out_rows_idx = np.asarray(out_spec.params, dtype=np.intp)
-        self._out_grad_view = (
-            self.plan.grad_view(program.output_buffer, out_shape)
-            if want_grad and out_spec.params
-            else None
-        )
-        self._full_grad = (
-            np.zeros((self.num_params,) + out_shape, dtype=dtype)
-            if want_grad
-            else None
-        )
 
     # ------------------------------------------------------------------
     # Hot path
@@ -193,18 +224,6 @@ class TNVM:
                 f"got {len(params)}"
             )
 
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
-    @property
-    def memory_bytes(self) -> int:
-        """Size of the preallocated arenas (the paper's 211KB metric)."""
-        return self.plan.memory_bytes
-
-    @property
-    def dim(self) -> int:
-        return self.program.output_shape[0]
-
     def __repr__(self) -> str:
         return (
             f"<TNVM {self.precision} diff={self.diff.name} "
@@ -214,7 +233,7 @@ class TNVM:
         )
 
 
-class BatchedTNVM:
+class BatchedTNVM(_VM):
     """A TNVM that evaluates ``batch`` parameter sets per sweep.
 
     Semantically equivalent to ``batch`` independent :class:`TNVM`
@@ -250,29 +269,8 @@ class BatchedTNVM:
         diff: Differentiation = Differentiation.GRADIENT,
         cache: ExpressionCache | None = None,
     ):
-        try:
-            dtype = _DTYPES[precision]
-        except KeyError:
-            raise ValueError(
-                f"precision must be 'f32' or 'f64', got {precision!r}"
-            ) from None
-        self.program = program
-        self.contract = OutputContract.from_program_key(program.contract)
         self.batch = int(batch)
-        self.precision = "f32" if dtype == np.complex64 else "f64"
-        self.diff = diff
-        self.num_params = program.num_params
-        want_grad = diff is Differentiation.GRADIENT
-
-        self.plan = BatchedMemoryPlan(program, dtype, want_grad, self.batch)
-
-        if cache is None:
-            cache = global_cache()
-        self.compiled = [
-            cache.get(expr, grad=want_grad and expr.num_params > 0)
-            for expr in program.expressions
-        ]
-
+        want_grad = self._setup(program, precision, diff, cache, self.batch)
         for instr in program.const_section:
             closure = build_batched_closure(
                 instr, program, self.plan, self.compiled, grad=False
@@ -284,58 +282,31 @@ class BatchedTNVM:
         self._grad_sweeps = registry.counter("vm.batched_grad_sweeps")
         self._build_dynamic(program, want_grad)
 
-        dim = program.output_shape[0]
-        out_shape = (dim,) if self.contract.column_based else (dim, dim)
-        self._out_view = self.plan.value_view(
-            program.output_buffer, out_shape
-        )
-        out_spec = program.buffers[program.output_buffer]
-        self._out_rows_idx = np.asarray(out_spec.params, dtype=np.intp)
-        self._out_grad_view = (
-            self.plan.grad_view(program.output_buffer, out_shape)
-            if want_grad and out_spec.params
-            else None
-        )
-        self._full_grad = (
-            np.zeros(
-                (self.batch, self.num_params) + out_shape, dtype=dtype
-            )
-            if want_grad
-            else None
-        )
-
     def _build_dynamic(self, program: Program, want_grad: bool):
-        # WRITE instructions sharing one JIT'd expression are grouped
-        # into a single batched writer call (effective batch G*S) and
+        # Every parameterized WRITE runs in one batched writer call per
+        # JIT'd expression (effective batch G*S, a lone gate included),
         # hoisted to the front — safe, since WRITEs read no buffers and
-        # every buffer is written exactly once.  This collapses the
+        # every buffer is written exactly once.  Grouping collapses the
         # ufunc dispatch overhead that otherwise dominates batched
         # WRITE cost.
-        groups: dict[int, list[int]] = {}
-        for pos, instr in enumerate(program.dynamic_section):
+        groups: dict[int, list[Instruction]] = {}
+        rest = []
+        for instr in program.dynamic_section:
             if instr.opcode == "WRITE" and instr.slots:
-                groups.setdefault(instr.expr_id, []).append(pos)
-        grouped_pos = set()
-        self._dynamic = []
-        for members in groups.values():
-            if len(members) < 2:
-                continue
-            grouped_pos.update(members)
-            self._dynamic.append(
-                build_batched_write_group(
-                    [program.dynamic_section[p] for p in members],
-                    program,
-                    self.plan,
-                    self.compiled,
-                    grad=want_grad,
-                )
+                groups.setdefault(instr.expr_id, []).append(instr)
+            else:
+                rest.append(instr)
+        self._dynamic = [
+            build_batched_write_group(
+                members, program, self.plan, self.compiled, grad=want_grad
             )
+            for members in groups.values()
+        ]
         self._dynamic += [
             build_batched_closure(
                 instr, program, self.plan, self.compiled, grad=want_grad
             )
-            for pos, instr in enumerate(program.dynamic_section)
-            if pos not in grouped_pos
+            for instr in rest
         ]
 
     # ------------------------------------------------------------------
@@ -387,18 +358,6 @@ class BatchedTNVM:
                 f"parameters, got {arr.shape}"
             )
         return np.ascontiguousarray(arr.T)
-
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
-    @property
-    def memory_bytes(self) -> int:
-        """Size of the preallocated batched arenas."""
-        return self.plan.memory_bytes
-
-    @property
-    def dim(self) -> int:
-        return self.program.output_shape[0]
 
     def __repr__(self) -> str:
         return (

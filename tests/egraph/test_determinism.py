@@ -4,7 +4,11 @@ String hashing is randomized per process, so any set of e-nodes (whose
 operators are strings) iterates in a different order in every fresh
 interpreter.  E-class nodes are kept in insertion order instead; this
 test simplifies the whole gate library, with and without gradients, in
-three processes with different hash seeds and demands identical output.
+three processes with different hash seeds and demands identical output:
+the simplified entries and the scalar and batched writer sources
+generated from them.  Engine payloads ship entries, and each worker
+regenerates its writers, so this cross-process identity is what keeps
+results bit-identical across worker counts.
 """
 
 import os
@@ -18,8 +22,7 @@ SCRIPT = r"""
 import hashlib
 
 from repro.circuit import gates
-from repro.egraph import simplify_all
-from repro.jit.cache import ExpressionCache
+from repro.jit.compiled import CompiledExpression
 from repro.symbolic import expr as E
 
 PARAMETRIZED = {
@@ -33,18 +36,16 @@ for name in gates.__all__:
 
 digest = hashlib.sha256()
 for gate in library.values():
-    matrix = gate.matrix
     for grad in (False, True):
-        roots = []
-        for _, elem in matrix.elements():
-            roots += [elem.re, elem.im]
-        for gmat in matrix.gradient() if grad else []:
-            for _, elem in gmat.elements():
-                roots += [elem.re, elem.im]
-        for root in simplify_all(roots):
-            digest.update(E.to_sexpr(root).encode() + b"\n")
-cost = ExpressionCache().get(gates.u3().matrix, grad=True).total_cost
-print(len(library), digest.hexdigest(), cost)
+        compiled = CompiledExpression(gate.matrix, grad=grad)
+        for entries in compiled.entries:
+            for _, re_e, im_e in entries:
+                for root in (re_e, im_e):
+                    digest.update(E.to_sexpr(root).encode() + b"\n")
+        digest.update(compiled.source.encode())
+        digest.update(compiled._writer(True).source.encode())
+        digest.update(repr(compiled.total_cost).encode())
+print(len(library), digest.hexdigest())
 """
 
 

@@ -3,7 +3,9 @@
 The contract: a compiled TNVM program / engine serialized in one
 process and rehydrated in another produces bit-identical costs and
 gradients to a freshly compiled one, without re-paying any of the AOT
-pipeline (lowering, pathfinding, differentiation, e-graph, codegen).
+pipeline (lowering, pathfinding, differentiation, e-graph, fusion).
+Simplified expression entries cross the process boundary, not
+generated per-gate source: a writer is regenerated on first use.
 """
 
 import multiprocessing
@@ -14,6 +16,7 @@ import pytest
 
 from repro.circuit import build_qsearch_ansatz, gates
 from repro.instantiation import EnginePool, Instantiater, SerializedEngine
+from repro.jit import compiled as compiled_mod
 from repro.jit.cache import ExpressionCache
 from repro.tensornet.bytecode import Program
 from repro.tnvm.vm import TNVM, Differentiation
@@ -72,15 +75,27 @@ class TestCompiledExpressionSerialization:
 
     def test_batched_writer_survives(self):
         compiled = ExpressionCache().get(gates.u3().matrix)
-        _ = compiled.write_batched  # generate before pickling
         clone = pickle.loads(pickle.dumps(compiled))
         rows = np.random.default_rng(2).uniform(-np.pi, np.pi, (3, 4))
+        written = []
         for c in (compiled, clone):
             out = np.zeros((2, 2, 4), dtype=np.complex128)
             grad = np.zeros((3, 2, 2, 4), dtype=np.complex128)
             c.write_batched(rows, out, grad)
             scalar = c.unitary(rows[:, 0])
             assert np.allclose(out[..., 0], scalar)
+            written.append((out, grad))
+        # The clone regenerated its batched writer from the shipped
+        # entries: same code, so bitwise the same output.
+        assert np.array_equal(written[0][0], written[1][0])
+        assert np.array_equal(written[0][1], written[1][1])
+
+    def test_pickled_state_is_entries_not_source(self):
+        compiled = ExpressionCache().get(gates.u3().matrix)
+        _ = compiled.source, compiled.write_batched  # both writers built
+        state = compiled.__getstate__()
+        assert set(state) == {"matrix", "simplified", "has_grad", "entries"}
+        assert b"def " not in pickle.dumps(compiled)
 
     def test_cache_put_seeds_hits(self):
         compiled = pickle.loads(
@@ -167,6 +182,39 @@ class TestEngineSerialization:
         assert result.params.shape == (circuit.num_params,)
         with pytest.raises(ValueError):
             Instantiater()
+
+
+class TestWritersCompileOnFirstUse:
+    """Per-gate writers are generated from the simplified entries on
+    first use, never at expression-cache time or on rehydration."""
+
+    @pytest.fixture()
+    def compiles(self, monkeypatch):
+        calls = []
+        original = compiled_mod.compile_writer
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs.get("batched", False))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(compiled_mod, "compile_writer", counting)
+        return calls
+
+    def test_scalar_vm_compiles_no_writer(self, circuit, compiles):
+        vm = TNVM(circuit.compile(), cache=ExpressionCache())
+        vm.evaluate_with_grad(np.zeros(circuit.num_params))
+        assert compiles == []
+
+    def test_rehydration_compiles_nothing_until_first_use(
+        self, circuit, target, compiles
+    ):
+        payload = pickle.dumps(Instantiater(circuit).serialize())
+        clone = Instantiater.from_serialized(pickle.loads(payload))
+        clone.instantiate(target, starts=2, rng=0, strategy="sequential")
+        assert compiles == []
+        # A batched fit generates the batched writers it runs.
+        clone.instantiate(target, starts=4, rng=0, strategy="batched")
+        assert True in compiles
 
 
 class TestFusedEngineSerialization:

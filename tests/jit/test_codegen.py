@@ -1,8 +1,15 @@
 """Unit tests for the expression code generator."""
 
 import numpy as np
+import pytest
 
-from repro.jit.codegen import compile_writer, generate_source
+from repro.circuit import gates
+from repro.jit.codegen import (
+    compile_writer,
+    generate_inline_write,
+    generate_source,
+)
+from repro.jit.compiled import CompiledExpression
 from repro.symbolic import expr as E
 
 X = E.var("t0_param")
@@ -99,3 +106,38 @@ class TestCompiledWriter:
         namespace = {"sin": np.sin, "cos": np.cos, "pi": np.pi}
         exec(result.source, namespace)
         assert "qgl_write" in namespace
+
+
+class TestOneEmitter:
+    """The standalone writers and the megakernel emit a gate body
+    through one function, so they cannot drift apart."""
+
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_writer_body_is_the_inline_write(self, batched):
+        compiled = CompiledExpression(gates.u3().matrix, grad=True)
+        u_entries, g_entries = compiled.entries
+        params = compiled.matrix.params
+        inline = generate_inline_write(
+            u_entries,
+            g_entries,
+            {name: f"p{k}" for k, name in enumerate(params)},
+            "out",
+            "grad",
+            temp_prefix="t",
+            indent="    ",
+            batched=batched,
+        )
+        source, *_ = generate_source(
+            u_entries, g_entries, params, "w", batched=batched
+        )
+        writer = source.split("\n\n")[0].splitlines()
+        assert writer[0] == "def w(params, out, grad=None):"
+        unpack = [f"    p{k} = params[{k}]" for k in range(len(params))]
+        assert writer[1:] == unpack + inline.hot_lines
+        # Complex stores: ``re + 1j * im`` over a batch axis, else
+        # ``complex(re, im)``.
+        form, other = ("+ 1j *", "complex(")
+        if not batched:
+            form, other = other, form
+        assert any(form in line for line in inline.hot_lines)
+        assert not any(other in line for line in inline.hot_lines)

@@ -197,7 +197,7 @@ def _scalar_twin(vm: TNVM) -> TNVM:
 
 def _batched_twin(vm: BatchedTNVM) -> BatchedTNVM:
     """``vm`` rebuilt from program bytes and pickled expressions (the
-    batched writers regenerate from their shipped source)."""
+    batched writers regenerate from the shipped entries)."""
     clone = Program.from_bytes(vm.program.to_bytes())
     return BatchedTNVM(
         clone, vm.batch, precision=vm.precision, diff=vm.diff,
@@ -266,17 +266,29 @@ class TestBatchedEquivalence:
         twin = _batched_twin(vm)
         assert np.array_equal(vm.evaluate(rows), twin.evaluate(rows))
 
-    def test_batched_matches_scalar_rows(self, programs):
-        # Cross-check: each batch row equals the scalar VM.
-        program = programs["qsearch-2q"]
-        rows = np.random.default_rng(17).uniform(-np.pi, np.pi, (4, 18))
-        scalar = TNVM(program)
-        batched = BatchedTNVM(program, 4)
+    @pytest.mark.parametrize("name", list(PROGRAMS))
+    @pytest.mark.parametrize("precision", ["f32", "f64"])
+    def test_batched_matches_scalar_rows(self, programs, name, precision):
+        # Cross-check through the one batched WRITE path (grouped,
+        # lone direct and lone scatter gates alike): each row of a
+        # batch of 4 is close to the scalar megakernel, and bitwise
+        # equal to the same row run alone at batch 1.
+        program = programs[name]
+        rows = np.random.default_rng(17).uniform(
+            -np.pi, np.pi, (4, program.num_params)
+        )
+        atol = 1e-12 if precision == "f64" else 1e-5
+        scalar = TNVM(program, precision=precision)
+        batched = BatchedTNVM(program, 4, precision=precision)
+        alone = BatchedTNVM(program, 1, precision=precision)
         ub, gb = batched.evaluate_with_grad(rows)
         for s in range(4):
             us, gs = scalar.evaluate_with_grad(rows[s])
-            assert np.allclose(ub[s], us, atol=1e-12)
-            assert np.allclose(gb[s], gs, atol=1e-12)
+            assert np.allclose(ub[s], us, atol=atol)
+            assert np.allclose(gb[s], gs, atol=atol)
+            u1, g1 = alone.evaluate_with_grad(rows[s : s + 1])
+            assert np.array_equal(ub[s], u1[0])
+            assert np.array_equal(gb[s], g1[0])
 
 
 class TestBackendKnob:
