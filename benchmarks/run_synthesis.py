@@ -27,7 +27,13 @@ per round) are synthesized once per worker count, a deep ansatz is
 compressed with full scan waves, and the report records per-config
 wall time, parallel efficiency, the speedup over the serial run, and
 whether the results were bit-identical (they must be: candidate seeds
-derive from structure keys, not draw order).
+derive from structure keys, not draw order).  It also records
+``payload_kb``, the pickled engine snapshot a worker receives for each
+Figure 5 full-unitary engine.
+
+``--compare-workers`` and ``--state-prep`` exit non-zero when results
+differ between worker counts (``identical_across_workers`` false),
+after writing the report.
 """
 
 from __future__ import annotations
@@ -41,8 +47,13 @@ import numpy as np
 
 from repro import telemetry
 from repro.checkpoint import atomic_write_json, snapshot_count
-from repro.circuit import build_qft_circuit, build_qsearch_ansatz
-from repro.instantiation import Instantiater
+from repro.circuit import (
+    FIG5_BENCHMARKS,
+    build_qft_circuit,
+    build_qsearch_ansatz,
+    fig5_circuit,
+)
+from repro.instantiation import EnginePool, Instantiater
 from repro.synthesis import Resynthesizer, SynthesisSearch
 from repro.utils import Statevector, random_unitary
 
@@ -174,6 +185,17 @@ def reachable_3q_target(seed: int) -> np.ndarray:
     return ansatz.get_unitary(params)
 
 
+def fig5_payload_kb() -> dict[str, float]:
+    """Pickled engine snapshot size (KB, 1000 bytes) of each Figure 5
+    full-unitary engine: the bytes every task on that shape carries to
+    a worker."""
+    pool = EnginePool()
+    return {
+        name: len(pool.serialized_bytes(fig5_circuit(name))) / 1000
+        for name in FIG5_BENCHMARKS
+    }
+
+
 def compare_over_workers(name, worker_counts, run, extra_fields):
     """Run one workload once per worker count and compare the results.
 
@@ -220,7 +242,9 @@ def compare_over_workers(name, worker_counts, run, extra_fields):
     return runs, identical
 
 
-def compare_workers_suite(args, worker_counts: list[int]) -> None:
+def compare_workers_suite(args, worker_counts: list[int]) -> bool:
+    """The serial-vs-parallel comparison; returns whether every
+    workload gave identical results across the worker counts."""
     width = args.expansion_width or 2
     targets = [("qft3", build_qft_circuit(3).get_unitary(()))]
     targets += [
@@ -331,6 +355,7 @@ def compare_workers_suite(args, worker_counts: list[int]) -> None:
         },
         "synthesis_wall_seconds": {str(w): totals[w] for w in worker_counts},
         "synthesis_speedup_vs_serial": speedups,
+        "payload_kb": fig5_payload_kb(),
     }
     print(f"\ncomparison: identical={all_identical}, "
           + ", ".join(
@@ -340,12 +365,16 @@ def compare_workers_suite(args, worker_counts: list[int]) -> None:
     if os.cpu_count() is not None and os.cpu_count() < max(worker_counts):
         print(f"note: only {os.cpu_count()} CPU core(s) available; "
               "wall-clock speedup needs at least as many cores as workers")
+    print("engine payloads (KB): " + ", ".join(
+        f"{name} {kb:.1f}" for name, kb in report["payload_kb"].items()
+    ))
 
     if args.json:
         # Atomic write-then-rename: a kill mid-dump must not leave a
         # truncated artifact for the CI upload to collect.
         atomic_write_json(args.json, report)
         print(f"wrote {args.json}")
+    return all_identical
 
 
 def random_state(dim: int, seed: int) -> np.ndarray:
@@ -355,7 +384,7 @@ def random_state(dim: int, seed: int) -> np.ndarray:
     return amps / np.linalg.norm(amps)
 
 
-def state_prep_suite(args) -> None:
+def state_prep_suite(args) -> bool:
     """State-preparation synthesis: GHZ + random states, 2-3 qubits.
 
     Four measurements feed ``BENCH_state_prep.json``:
@@ -374,6 +403,8 @@ def state_prep_suite(args) -> None:
        ``COLUMN(0)``-contract program vs the full-unitary program —
        the output-contract speedup every state-prep candidate fit
        now rides.
+
+    Returns whether GHZ-3 gave identical results on 1 and 2 workers.
     """
     targets = [
         ("ghz2", Statevector.ghz(2)),
@@ -611,6 +642,7 @@ def state_prep_suite(args) -> None:
         # truncated artifact for the CI upload to collect.
         atomic_write_json(args.json, report)
         print(f"wrote {args.json}")
+    return identical_workers
 
 
 def main() -> None:
@@ -693,15 +725,16 @@ def main() -> None:
         telemetry.enable()
         metrics_before = telemetry.metrics().snapshot()
 
+    identical = True
     if args.state_prep:
-        state_prep_suite(args)
+        identical = state_prep_suite(args)
     elif args.compare_workers:
         worker_counts = [
             int(tok) for tok in args.compare_workers.split(",") if tok
         ]
         if len(worker_counts) < 2:
             parser.error("--compare-workers needs at least two counts")
-        compare_workers_suite(args, worker_counts)
+        identical = compare_workers_suite(args, worker_counts)
     else:
         default_suite(args)
 
@@ -719,6 +752,14 @@ def main() -> None:
             atomic_write_json(args.json, report)
             print(f"merged {len(metrics)} telemetry metrics "
                   f"into {args.json}")
+
+    if not identical:
+        # Worker counts must never change results: fail the run (the
+        # report is already written, for the post-mortem).
+        raise SystemExit(
+            "identical_across_workers is false: results differ between "
+            "worker counts"
+        )
 
 
 if __name__ == "__main__":

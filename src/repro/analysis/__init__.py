@@ -22,8 +22,10 @@ Three entry points, each returning a
   an arena view, a parameter unpack, or a whitelisted numpy callable,
   and no ``out=`` target aliases a still-live input.
 * :func:`verify_engine` — a serialized payload's program, compiled
-  expressions, settings, and shipped kernels are mutually coherent;
-  the engine's contract is its program's, checked with the bytecode.
+  expressions and settings are mutually coherent; the engine's
+  contract is its program's, checked with the bytecode.  Payloads
+  ship no kernels: the kernel a rehydrated engine generates is linted
+  when it binds, like any other.
 
 The ``maybe_*`` helpers wire these into the engine stack: they run the
 check only when a caller passes ``verify=True`` or the

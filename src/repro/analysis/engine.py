@@ -2,30 +2,28 @@
 
 A :class:`~repro.instantiation.SerializedEngine` crosses process
 boundaries by construction: the parent pool pickles it, ships it to
-spawn workers, and the worker rebuilds a live engine by ``exec``-ing
-the megakernel source it carries (the only generated code it ships;
-per-gate writers regenerate from the shipped simplified entries).  A
-corrupt or stale payload — a
-truncated expression table, a kernel fused from a *different* program,
-a contract key that disagrees with the bytecode — would otherwise
-surface only as silently wrong numerics in that worker.
+spawn workers, and the worker rebuilds a live engine from the program
+and simplified entries it carries (it ships no generated code; the
+worker generates its megakernel and writers from the entries).  A
+corrupt payload — a truncated expression table, a contract key that
+disagrees with the bytecode — would otherwise surface only as
+silently wrong numerics in that worker.
 
 :func:`verify_engine` statically checks the payload before any of it
 runs: the program passes the full bytecode verifier
 (:func:`~repro.analysis.verifier.verify_program`), the shipped
 compiled-expression table matches the program's expression table
-one-to-one, the shipped gradient megakernel lints cleanly and covers
-exactly the program's dynamic section, and the engine settings
-(precision, strategy) are valid.  The payload carries no contract of
-its own: the engine runs under its program's compiled contract, which
-:func:`~repro.analysis.verifier.verify_program` checks against the
-output shape and buffer.  The payload is duck-typed so this module
-depends only on :mod:`repro.tensornet`.
+one-to-one, and the engine settings (precision, strategy) are valid.
+The kernel a worker generates is linted when it binds
+(:func:`~repro.tnvm.fused.bind_fused_kernel`).  The payload carries
+no contract of its own: the engine runs under its program's compiled
+contract, which :func:`~repro.analysis.verifier.verify_program`
+checks against the output shape and buffer.  The payload is
+duck-typed so this module depends only on :mod:`repro.tensornet`.
 """
 
 from __future__ import annotations
 
-from .kernel_lint import verify_kernel
 from .report import VerificationReport
 from .verifier import verify_program
 
@@ -42,7 +40,7 @@ def verify_engine(
 
     ``payload`` is duck-typed against
     :class:`~repro.instantiation.SerializedEngine`: ``program``,
-    ``compiled``, ``precision``, ``strategy``, ``fused_kernel``.
+    ``compiled``, ``precision``, ``strategy``.
     """
     report = VerificationReport(subject=subject)
     program = getattr(payload, "program", None)
@@ -57,7 +55,6 @@ def verify_engine(
 
     _check_settings(payload, report)
     _check_expressions(payload, program, report)
-    _check_kernel(payload, program, report)
     return report
 
 
@@ -109,22 +106,3 @@ def _check_expressions(
                 f"table entry takes {enp}",
                 where=f"e{i}",
             )
-
-
-def _check_kernel(
-    payload: object, program: object, report: VerificationReport
-) -> None:
-    kernel = getattr(payload, "fused_kernel", None)
-    if kernel is None:
-        report.add("engine-payload", "payload ships no fused kernel")
-        return
-    report.extend(verify_kernel(kernel))
-    dynamic_len = len(getattr(program, "dynamic_section", []))
-    n_instr = getattr(kernel, "num_instructions", None)
-    if n_instr != dynamic_len:
-        report.add(
-            "engine-payload",
-            f"fused kernel covers {n_instr} instructions but the "
-            f"program's dynamic section has {dynamic_len} — stale "
-            "kernel from a different program",
-        )

@@ -1,8 +1,8 @@
 """AST-level lint for generated fused megakernel source.
 
-The scalar TNVM (:mod:`repro.tnvm.fused`) ships megakernels as plain
-source text and rehydrates them in worker processes with ``compile()``
-+ ``exec()`` — a trust boundary where a corrupted or stale
+The scalar TNVM (:mod:`repro.tnvm.fused`) generates each megakernel
+as plain source text and runs it with ``compile()`` + ``exec()`` — a
+trust boundary where a corrupted
 :class:`~repro.tnvm.fused.FusedKernel` would otherwise execute
 arbitrary statements against the arena.  :func:`lint_kernel_source`
 walks the source AST (never executing it) and checks the invariants

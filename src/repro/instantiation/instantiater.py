@@ -22,8 +22,7 @@ from ..jit.cache import ExpressionCache
 from ..jit.compiled import CompiledExpression
 from ..tensornet.bytecode import Program
 from ..tensornet.contract import OutputContract
-from ..tnvm.fused import FusedKernel, attach_fused_kernel
-from ..tnvm.vm import TNVM, Differentiation
+from ..tnvm.vm import TNVM, Differentiation, fetch_compiled
 from ..utils.statevector import Statevector
 from .cost import (
     HilbertSchmidtResiduals,
@@ -151,14 +150,16 @@ def scan_winner(runs, dim: int, success_threshold: float, to_infidelity=None):
 class SerializedEngine:
     """A pickle-able snapshot of a compiled instantiation engine.
 
-    Carries the AOT-compiled TNVM bytecode, the simplified expression
-    entries (``CompiledExpression`` pickles those, not generated
-    code), the scalar megakernel source and the engine settings —
-    everything another process needs to rebuild an equivalent
-    :class:`Instantiater` with :meth:`Instantiater.from_serialized`
-    *without* re-paying tensor lowering, pathfinding, differentiation,
-    e-graph simplification or fusion.  A per-gate writer is
-    regenerated from its entries on first use.  This is how
+    Carries the AOT-compiled TNVM bytecode (with its output contract,
+    ``program.contract``), the simplified expression entries
+    (``CompiledExpression`` pickles those, not generated code) and the
+    engine settings — everything another process needs to rebuild an
+    equivalent :class:`Instantiater` with
+    :meth:`Instantiater.from_serialized` *without* re-paying tensor
+    lowering, pathfinding, differentiation or e-graph simplification.
+    No generated code ships: the rebuilt engine generates its scalar
+    megakernel and per-gate writers from the entries on first use, the
+    same source the parent generated.  This is how
     :class:`~repro.instantiation.EnginePool` ships engines to parallel
     synthesis workers.
     """
@@ -169,12 +170,6 @@ class SerializedEngine:
     success_threshold: float
     lm_options: LMOptions
     strategy: str
-    #: the scalar VM's gradient megakernel source, shipped so workers
-    #: rehydrate with ``compile()`` instead of re-fusing the program
-    #: (see :mod:`repro.tnvm.fused`).  For column engines this is the
-    #: column-specialized kernel.  The engine's output contract is the
-    #: program's own (``program.contract``).
-    fused_kernel: FusedKernel
 
 
 @dataclass
@@ -266,7 +261,7 @@ class Instantiater:
     @property
     def vm(self) -> TNVM:
         """The scalar TNVM, built on first use (the first sequential
-        fit or :meth:`serialize`) and counted into ``aot_seconds``."""
+        fit) and counted into ``aot_seconds``."""
         if self._vm is None:
             t0 = time.perf_counter()
             self._vm = TNVM(
@@ -304,20 +299,19 @@ class Instantiater:
         """Snapshot this engine for shipment to another process.
 
         The snapshot pairs the compiled bytecode with the simplified
-        expression entries and the gradient megakernel the scalar VM
-        holds (building the VM if no sequential fit has yet), so
-        :meth:`from_serialized` reconstructs a numerically identical
-        engine without any recompilation.
+        expression entries its VMs run, fetched through the engine's
+        expression cache exactly as VM set-up fetches them.  It builds
+        no VM and generates no code, so :meth:`from_serialized`
+        reconstructs a numerically identical engine that generates its
+        own kernel and writers on first use.
         """
-        vm = self.vm
         return SerializedEngine(
             program=self.program,
-            compiled=tuple(vm.compiled),
+            compiled=tuple(fetch_compiled(self.program, self.cache, grad=True)),
             precision=self.precision,
             success_threshold=self.success_threshold,
             lm_options=self.lm_options,
             strategy=self.strategy,
-            fused_kernel=vm.fused_kernel,
         )
 
     @classmethod
@@ -332,18 +326,18 @@ class Instantiater:
         The shipped compiled expressions are seeded into ``cache`` (a
         fresh private cache by default) before TNVM setup, so every
         ``cache.get`` during initialization hits — no differentiation
-        or e-graph work is repeated, and the scalar VM binds the
-        shipped megakernel source.  A batched fit regenerates its
-        per-gate writers from the shipped entries on first use.  The
-        rebuilt engine produces bit-identical costs and gradients to
-        the original.
+        or e-graph work is repeated.  The first scalar fit generates
+        the megakernel from the program and the shipped entries, the
+        first batched fit its per-gate writers; both are the source
+        the original engine generated, so the rebuilt engine produces
+        bit-identical costs and gradients.
 
         Under ``verify=True`` (or ``REPRO_VERIFY=1``) the payload is
         statically verified first — bytecode (with its contract),
-        compiled-expression table and shipped kernel source — and a
-        corrupt payload raises a pointed
-        :class:`~repro.analysis.VerificationError` instead of
-        rehydrating into silently wrong numerics.
+        compiled-expression table and settings — and a corrupt payload
+        raises a pointed :class:`~repro.analysis.VerificationError`
+        instead of rehydrating into silently wrong numerics; the
+        regenerated kernel is linted when it binds.
         """
         from ..analysis import maybe_verify_engine
 
@@ -354,10 +348,6 @@ class Instantiater:
             cache = ExpressionCache()
         for compiled in payload.compiled:
             cache.put(compiled)
-        # Seed the program's kernel cache with the shipped megakernel
-        # source: the scalar VM binds it with compile() instead of
-        # re-fusing.
-        attach_fused_kernel(payload.program, payload.fused_kernel)
         return cls(
             precision=payload.precision,
             cache=cache,

@@ -120,8 +120,9 @@ class EnginePool:
         if payload is not None:
             self._payloads.move_to_end(key)
             # The shape was serialized before its engine was evicted:
-            # rehydrating from the snapshot (kernel exec + TNVM setup)
-            # is much cheaper than re-running the AOT compile and is
+            # rehydrating from the snapshot (program and simplified
+            # entries; VMs and kernel rebuild on first use) is much
+            # cheaper than re-running the AOT compile and is
             # numerically identical.
             self._rehydrates.add()
             with telemetry.tracer().span(
@@ -157,8 +158,9 @@ class EnginePool:
             # Snapshot on the way out: an evicted shape that was never
             # shipped to a worker would otherwise re-pay the full AOT
             # compile on its next hit, even though the payload LRU
-            # exists precisely to make eviction cheap.  Serializing a
-            # live engine costs far less than recompiling one.
+            # exists precisely to make eviction cheap.  Serializing
+            # builds no VM and generates no kernel, so it costs far
+            # less than recompiling.
             if evicted_key in self._payloads:
                 self._payloads.move_to_end(evicted_key)
             else:
@@ -187,10 +189,10 @@ class EnginePool:
         miss — workers never pay AOT) and caches the pickled snapshot
         per (structure key, contract), so shipping the same shape to
         many workers or tasks costs one serialization total.  Column
-        payloads carry the column program (and with it the contract)
-        and the column-specialized megakernel source, so a
-        spawn-rehydrated worker engine is bit-identical to the
-        parent's.
+        payloads carry the column program (and with it the contract),
+        from which a spawn-rehydrated worker engine generates the
+        parent's column-specialized megakernel, bit-identical to the
+        parent's engine.
         """
         contract = OutputContract.coerce(contract)
         key = (circuit.structure_key(), contract)

@@ -24,8 +24,9 @@ class CompiledExpression:
 
     The simplified entries are all an instance keeps.  Code generation
     runs on first use: the scalar writer pair on the first ``write``,
-    ``write_constants``, ``source``, cost or count access, the batched
-    writer on the first ``write_batched``.  The scalar TNVM needs
+    ``source``, cost or count access, the batched writer on the first
+    ``write_batched``; ``write_constants`` takes either, compiling the
+    scalar pair only when neither exists.  The scalar TNVM needs
     neither, since its megakernel inlines :attr:`entries` directly.
 
     The object is safe to share: the TNVM of every circuit referencing
@@ -145,9 +146,12 @@ class CompiledExpression:
 
         Constant entries are written as complex scalars, so the same
         function also initializes batched views (the scalar assignment
-        broadcasts over the trailing batch axis).
+        broadcasts over the trailing batch axis).  Both writers carry
+        the same constants functions, so this takes whichever is
+        already compiled.
         """
-        return self._writer(False).write_constants
+        writer = self._writers.get(False) or self._writers.get(True)
+        return (writer or self._writer(False)).write_constants
 
     @property
     def write_batched(self):

@@ -12,9 +12,10 @@ such a batch through a :class:`CandidateExecutor`:
   pool.  Workers never AOT-compile: the parent pool compiles each new
   template shape once, snapshots it as a pickled
   :class:`~repro.instantiation.SerializedEngine` (TNVM bytecode +
-  simplified expression entries + scalar megakernel source), and
-  ships the snapshot with the task; a per-worker LRU rehydrates and
-  reuses engines per shape.
+  simplified expression entries, no generated code), and ships the
+  snapshot with every task; a per-worker LRU rehydrates each shape
+  once and reuses its engine, which generates its megakernel and
+  writers from the entries on first use.
 
 Determinism: each candidate's multi-start RNG is seeded by
 :func:`candidate_seed` — a stable hash of the pass's base seed and the
@@ -47,7 +48,7 @@ from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeout
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -70,7 +71,6 @@ __all__ = [
     "ProcessCandidateExecutor",
     "make_executor",
     "candidate_seed",
-    "NEEDS_PAYLOAD",
 ]
 
 
@@ -270,10 +270,9 @@ class SerialCandidateExecutor(CandidateExecutor):
 # ----------------------------------------------------------------------
 
 #: Rehydrated engines per (process, pool settings, structure key,
-#: contract): each worker pays one cheap rehydration (kernel exec +
-#: TNVM setup) per shape and contract, then reuses the engine —
-#: including its lazily built batched VMs — for every later task on
-#: that shape.
+#: contract): each worker unpickles a shape's payload once, on a miss,
+#: then reuses the engine — including its lazily built VMs and
+#: megakernel — for every later task on that shape.
 _WORKER_ENGINES: OrderedDict = OrderedDict()
 _WORKER_CAPACITY = 32
 
@@ -283,10 +282,6 @@ _WORKER_CAPACITY = 32
 #: the batched writer variant of U3 is generated once per worker, not
 #: once per rehydrated engine.
 _WORKER_CACHE: ExpressionCache | None = None
-
-#: Sentinel a worker returns for a key-only task whose engine is not
-#: in its LRU: the parent resubmits that task with the payload.
-NEEDS_PAYLOAD = "__needs_payload__"
 
 
 def _worker_expression_cache() -> ExpressionCache:
@@ -298,7 +293,7 @@ def _worker_expression_cache() -> ExpressionCache:
 
 def _worker_fit(
     key: tuple,
-    payload: bytes | None,
+    payload: bytes,
     target: np.ndarray,
     starts: int,
     seed: int,
@@ -307,10 +302,9 @@ def _worker_fit(
 ):
     """Task body: rehydrate (or reuse) the shape's engine and fit.
 
-    ``payload`` is None for a key-only task (the payload-dedup
-    steady state); if the worker's LRU misses — a fresh worker, or the
-    shape was evicted — it signals :data:`NEEDS_PAYLOAD` instead of
-    fitting, and the parent resubmits with the snapshot bytes.
+    ``payload`` is the shape's pickled engine snapshot, which every
+    task carries; the worker unpickles it only when its engine LRU
+    misses (a fresh worker, or an evicted shape).
 
     Telemetry rides the result tuple: the worker always ships the
     metrics its task produced (a registry delta), and when the parent
@@ -335,8 +329,6 @@ def _worker_fit(
         with telemetry.tracer().span("worker_task", category="executor"):
             engine = _WORKER_ENGINES.get(key)
             if engine is None:
-                if payload is None:
-                    return NEEDS_PAYLOAD
                 with telemetry.tracer().span(
                     "engine.rehydrate", category="executor"
                 ):
@@ -390,10 +382,6 @@ class _PendingFit:
     key: tuple
     payload: bytes
     retries: int = 0
-    #: next submission must carry the payload (worker signalled
-    #: NEEDS_PAYLOAD, or the pool was rebuilt with cold workers)
-    force_payload: bool = False
-    shipped_payload: bool = field(default=False, compare=False)
 
 
 class ProcessCandidateExecutor(CandidateExecutor):
@@ -407,14 +395,10 @@ class ProcessCandidateExecutor(CandidateExecutor):
     first use and persists across batches, so worker-side engine
     caches amortize across a whole synthesis pass.
 
-    Payload dedup: the pickled engine snapshot (10-40KB per shape)
-    ships only with the *first* batch that fits a shape; later tasks
-    for the shape are key-only — target + seed + a structure key — and
-    a worker whose LRU misses (a fresh process, or an evicted shape)
-    signals :data:`NEEDS_PAYLOAD`, which makes the parent resubmit
-    that one task with the snapshot.  Steady-state traffic therefore
-    carries no engine bytes at all; the ``payloads_shipped`` /
-    ``payloads_skipped`` counters expose the split.
+    Every task carries its shape's pickled engine snapshot (program
+    and simplified entries, a few KB); a worker unpickles it only when
+    its engine LRU misses, so each worker rehydrates a shape once and
+    later tasks on the shape reuse its engine.
 
     Failure posture: a crashed worker breaks the whole
     ``ProcessPoolExecutor``, so :meth:`run` collects whatever results
@@ -451,11 +435,6 @@ class ProcessCandidateExecutor(CandidateExecutor):
         self.max_retries = max_retries
         self.max_pool_rebuilds = max_pool_rebuilds
         self.job_timeout = job_timeout
-        #: shapes at least one completed batch has shipped to the pool
-        self._shipped: set[tuple] = set()
-        self.payloads_shipped = 0
-        self.payloads_skipped = 0
-        self.payload_resends = 0
         #: set by ``__exit__``: the owner declared this executor done,
         #: so a later ``run()`` is a bug, not a restart request.
         self._terminal = False
@@ -530,11 +509,9 @@ class ProcessCandidateExecutor(CandidateExecutor):
             else time.monotonic() + round_timeout
         )
         outcomes: list[FitOutcome | None] = [None] * len(jobs)
-        # The parent always resolves the payload — one engine_for per
-        # job, the same hit/miss pattern as the serial executor, and
-        # the bytes are on hand for needs-payload and crash-retry
-        # resubmissions — but attaches it to a task only for shapes no
-        # completed batch has shipped yet.
+        # The parent resolves every job's payload — one engine_for per
+        # job, the same hit/miss pattern as the serial executor — and
+        # every task carries it, crash-retry resubmissions included.
         pending: dict[int, _PendingFit] = {}
         for i, job in enumerate(jobs):
             if job.circuit.num_params == 0:
@@ -562,35 +539,17 @@ class ProcessCandidateExecutor(CandidateExecutor):
                     break
                 executor = self._ensure_executor()
                 attempt_start = time.monotonic()
-                batch_new: set[tuple] = set()
                 futures: list[tuple[int, object]] = []
                 broken = False
                 for i in sorted(pending):
                     entry = pending[i]
-                    ship = (
-                        entry.force_payload
-                        or entry.key not in self._shipped
-                    )
-                    entry.shipped_payload = ship
-                    if ship:
-                        # Every task of a newly seen shape in this
-                        # batch carries the payload: the batch may fan
-                        # out across all workers, none of which has
-                        # the engine yet.
-                        batch_new.add(entry.key)
-                        self.payloads_shipped += 1
-                        if entry.force_payload:
-                            self.payload_resends += 1
-                            entry.force_payload = False
-                    else:
-                        self.payloads_skipped += 1
                     try:
                         futures.append((
                             i,
                             executor.submit(
                                 _worker_fit,
                                 entry.key,
-                                entry.payload if ship else None,
+                                entry.payload,
                                 entry.job.target,
                                 entry.job.starts,
                                 entry.job.seed,
@@ -636,22 +595,8 @@ class ProcessCandidateExecutor(CandidateExecutor):
                     except BrokenProcessPool:
                         broken = True
                         continue  # stays pending for the retry pass
-                    entry = pending[i]
-                    if result == NEEDS_PAYLOAD:
-                        if entry.shipped_payload:
-                            raise RuntimeError(
-                                "worker demanded a payload that was "
-                                "attached"
-                            )
-                        # The worker's LRU evicted the shape (or the
-                        # task landed on a worker the first batch never
-                        # reached): resend with the bytes next pass.
-                        entry.force_payload = True
-                        continue
-                    outcomes[i] = self._outcome(entry.job, result)
-                    del pending[i]
+                    outcomes[i] = self._outcome(pending.pop(i).job, result)
                 if not broken:
-                    self._shipped |= batch_new
                     continue
                 # --- crash recovery -----------------------------------
                 # A dead worker broke the pool: everything that had
@@ -678,7 +623,7 @@ class ProcessCandidateExecutor(CandidateExecutor):
                         del pending[i]
                     else:
                         registry.counter("executor.retries").add()
-                self._abandon()  # also clears _shipped: cold workers
+                self._abandon()
                 if pending and rebuilds > self.max_pool_rebuilds:
                     # The pool keeps dying under jobs that are still
                     # within their own retry budgets — stop burning
@@ -738,11 +683,9 @@ class ProcessCandidateExecutor(CandidateExecutor):
         Used when workers may be dead, hung, or mid-task after an
         interrupt: queued tasks are cancelled, worker processes are
         killed rather than joined, and the executor stays restartable
-        (the next :meth:`run` builds a fresh pool and re-ships
-        payloads).
+        (the next :meth:`run` builds a fresh pool).
         """
         executor, self._executor = self._executor, None
-        self._shipped.clear()
         if executor is None:
             return
         for process in list(getattr(executor, "_processes", {}).values()):
@@ -768,9 +711,6 @@ class ProcessCandidateExecutor(CandidateExecutor):
             # "Bad file descriptor" tracebacks at interpreter exit.
             self._executor.shutdown(wait=True, cancel_futures=True)
             self._executor = None
-        # The next pool starts with cold workers: everything must
-        # ship again.
-        self._shipped.clear()
 
     def __exit__(self, *_exc) -> None:
         self.close()

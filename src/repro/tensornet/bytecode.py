@@ -123,11 +123,11 @@ class Program:
     def __getstate__(self) -> dict[str, Any]:
         """Pickle the declared fields only.
 
-        The scalar TNVM caches generated megakernels on the
-        instance (``_fused_kernels``); those ship explicitly with
-        :class:`~repro.instantiation.SerializedEngine`, so program
-        bytes stay lean and cache state never leaks through
-        :meth:`to_bytes`.
+        The scalar TNVM caches generated megakernels on the instance
+        (``_fused_kernels``); those never ship.  A rehydrated program
+        arrives without them and its first scalar VM regenerates the
+        kernel, so program bytes stay lean and cache state never leaks
+        through :meth:`to_bytes`.
         """
         return {f.name: getattr(self, f.name) for f in fields(self)}
 

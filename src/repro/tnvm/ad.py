@@ -369,6 +369,8 @@ def build_batched_write_group(
                 row_of = {p: i for i, p in enumerate(sorted_params)}
                 rows = [row_of[j] for j in instr.slots]
                 scatters.append((grad_s[..., sl], gview_t, rows))
+    # The batched writer fetched above carries the constants functions
+    # too, so no scalar writer is compiled for this expression.
     expr.write_constants(out_s, grad_s)
 
     def run(params):

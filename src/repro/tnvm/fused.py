@@ -26,10 +26,11 @@ The batched VM keeps its per-instruction closures instead: their
 grouped WRITE writers evaluate every same-expression gate as one
 ``G*S``-stacked ufunc call, which per-gate inlined stores cannot beat.
 
-Kernels are plain source text (:class:`FusedKernel`), cached on the
-``Program`` they were generated from and shipped with serialized
-engines, so worker processes rehydrate a megakernel with ``compile()``
-instead of re-fusing.
+Kernels are plain source text (:class:`FusedKernel`), generated once
+per process and cached on the ``Program`` they were generated from.
+They never cross a process boundary: a serialized engine ships the
+program and its simplified entries, and a worker regenerates the same
+source from them on its first scalar fit.
 """
 
 from __future__ import annotations
@@ -50,7 +51,6 @@ __all__ = [
     "generate_fused_kernel",
     "bind_fused_kernel",
     "fused_kernel_for",
-    "attach_fused_kernel",
 ]
 
 _P = "    "  # prologue indent (inside make_fused)
@@ -63,10 +63,8 @@ class FusedKernel:
 
     The source defines ``make_fused(values, grads, dtype)`` — a factory
     that binds arena views, runs the constant section once, and returns
-    the hot ``fused_run(params)`` function.  The object is a plain
-    value: pickling it ships the source, and :func:`bind_fused_kernel`
-    rehydrates with ``compile()`` — no re-fusing, no expression
-    pipeline.
+    the hot ``fused_run(params)`` function; :func:`bind_fused_kernel`
+    compiles and binds it.
     """
 
     source: str
@@ -75,8 +73,6 @@ class FusedKernel:
     num_numpy_calls: int
     #: inlined scalar store statements per sweep (WRITE bodies)
     num_write_stores: int
-    #: dynamic-section instructions the hot function covers
-    num_instructions: int
 
 
 # ----------------------------------------------------------------------
@@ -348,7 +344,6 @@ def generate_fused_kernel(
         grad=grad,
         num_numpy_calls=hot.num_numpy_calls,
         num_write_stores=hot.num_write_stores,
-        num_instructions=len(program.dynamic_section),
     )
 
 
@@ -360,14 +355,13 @@ def generate_fused_kernel(
 def bind_fused_kernel(kernel: FusedKernel, plan: MemoryPlan):
     """Compile ``kernel``'s source and bind it to a memory plan.
 
-    This is the cheap half of fusion: a kernel shipped from another
-    process rehydrates here without re-walking the program.  Binding
-    runs the constant section into ``plan``'s arena and returns the
-    hot ``fused_run(params)``.
+    This is the cheap half of fusion: every VM on one program binds
+    the one cached kernel here.  Binding runs the constant section
+    into ``plan``'s arena and returns the hot ``fused_run(params)``.
 
     Under ``REPRO_VERIFY=1`` the kernel source is linted by
     :mod:`repro.analysis` before it is ``exec``-ed — this is the trust
-    boundary where shipped source becomes running code.
+    boundary where generated source becomes running code.
     """
     from ..analysis import maybe_lint_kernel
 
@@ -386,9 +380,9 @@ def fused_kernel_for(
     """The ``grad`` kernel for ``program``, generated once.
 
     Kernels are cached on the program instance, so every VM bound to
-    one compiled program shares a single generation pass, and a kernel
-    attached by :func:`attach_fused_kernel` (engine rehydration)
-    short-circuits generation entirely.
+    one compiled program shares a single generation pass.  A
+    rehydrated engine's program arrives without a kernel and generates
+    it here, on its first scalar VM, exactly as the parent did.
     """
     cache = program.__dict__.setdefault("_fused_kernels", {})
     kernel = cache.get(bool(grad))
@@ -401,10 +395,3 @@ def fused_kernel_for(
         telemetry.metrics().counter("fuse.kernels_generated").add()
         cache[bool(grad)] = kernel
     return kernel
-
-
-def attach_fused_kernel(program: Program, kernel: FusedKernel) -> None:
-    """Seed ``program``'s kernel cache (rehydration path); an existing
-    entry wins (it may already be bound by live VMs)."""
-    cache = program.__dict__.setdefault("_fused_kernels", {})
-    cache.setdefault(bool(kernel.grad), kernel)

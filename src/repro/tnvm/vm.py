@@ -30,13 +30,14 @@ import numpy as np
 
 from .. import telemetry
 from ..jit.cache import ExpressionCache, global_cache
+from ..jit.compiled import CompiledExpression
 from ..tensornet.bytecode import Instruction, Program
 from ..tensornet.contract import OutputContract
 from .ad import build_batched_closure, build_batched_write_group
 from .buffers import MemoryPlan
 from .fused import bind_fused_kernel, fused_kernel_for
 
-__all__ = ["Differentiation", "TNVM", "BatchedTNVM"]
+__all__ = ["Differentiation", "TNVM", "BatchedTNVM", "fetch_compiled"]
 
 
 class Differentiation(enum.Enum):
@@ -55,6 +56,26 @@ _DTYPES = {
 }
 
 
+def fetch_compiled(
+    program: Program, cache: ExpressionCache | None, grad: bool
+) -> list[CompiledExpression]:
+    """The compiled form of every entry of ``program``'s expression
+    table, fetched through ``cache`` (default: the process-wide cache),
+    with gradients when ``grad`` and the expression takes parameters.
+
+    VM set-up and engine serialization both fetch here, so a payload
+    ships exactly the entries the VMs run.
+    """
+    # (`is None`, not truthiness: an empty cache is falsy via its
+    # __len__ but must still be used.)
+    if cache is None:
+        cache = global_cache()
+    return [
+        cache.get(expr, grad=grad and expr.num_params > 0)
+        for expr in program.expressions
+    ]
+
+
 class _VM:
     """Set-up and introspection shared by :class:`TNVM` and
     :class:`BatchedTNVM`.  Each VM defines ``__init__``, ``evaluate``
@@ -69,10 +90,10 @@ class _VM:
         batch: int | None = None,
     ) -> bool:
         """Allocate the arena (one copy per batch element with
-        ``batch``), fetch every expression the WRITEs reference through
-        the expression cache, and bind the contract-shaped output views
-        and the full-gradient buffer.  Returns whether the VM computes
-        gradients."""
+        ``batch``), fetch every expression the WRITEs reference
+        (:func:`fetch_compiled`), and bind the contract-shaped output
+        views and the full-gradient buffer.  Returns whether the VM
+        computes gradients."""
         try:
             dtype = _DTYPES[precision]
         except KeyError:
@@ -87,15 +108,7 @@ class _VM:
         want_grad = diff is Differentiation.GRADIENT
 
         self.plan = MemoryPlan(program, dtype, want_grad, batch)
-
-        # (`is None`, not truthiness: an empty cache is falsy via its
-        # __len__ but must still be used.)
-        if cache is None:
-            cache = global_cache()
-        self.compiled = [
-            cache.get(expr, grad=want_grad and expr.num_params > 0)
-            for expr in program.expressions
-        ]
+        self.compiled = fetch_compiled(program, cache, want_grad)
 
         dim = program.output_shape[0]
         # Contract-shaped output: column programs propagate a (D,)

@@ -1,14 +1,23 @@
-"""The simplifier's output must not depend on ``PYTHONHASHSEED``.
+"""Compilation must not depend on ``PYTHONHASHSEED``.
 
 String hashing is randomized per process, so any set of e-nodes (whose
 operators are strings) iterates in a different order in every fresh
 interpreter.  E-class nodes are kept in insertion order instead; this
-test simplifies the whole gate library, with and without gradients, in
-three processes with different hash seeds and demands identical output:
-the simplified entries and the scalar and batched writer sources
-generated from them.  Engine payloads ship entries, and each worker
-regenerates its writers, so this cross-process identity is what keeps
-results bit-identical across worker counts.
+test runs, in three processes with different hash seeds, and demands
+identical output from:
+
+* the whole gate library, simplified with and without gradients: the
+  simplified entries and the scalar and batched writer sources
+  generated from them;
+* the five Figure 5 circuits, compiled end to end under the full
+  unitary and the ``COLUMN(0)`` contracts: both instruction sections,
+  the simplified entries of every expression the VM fetches, and the
+  scalar gradient megakernel source.
+
+Engine payloads ship only programs and entries, and each worker
+regenerates its writers and megakernel from them, so this
+cross-process identity is what keeps results bit-identical across
+worker counts.
 """
 
 import os
@@ -21,9 +30,12 @@ SRC = Path(__file__).resolve().parents[2] / "src"
 SCRIPT = r"""
 import hashlib
 
-from repro.circuit import gates
+from repro.circuit import FIG5_BENCHMARKS, fig5_circuit, gates
+from repro.jit.cache import ExpressionCache
 from repro.jit.compiled import CompiledExpression
 from repro.symbolic import expr as E
+from repro.tensornet import FULL_UNITARY, OutputContract
+from repro.tnvm import TNVM
 
 PARAMETRIZED = {
     "shift": (3,), "clock": (3,), "qudit_hadamard": (3,), "csum": (3,),
@@ -34,18 +46,34 @@ for name in gates.__all__:
     gate = getattr(gates, name)(*PARAMETRIZED.get(name, ()))
     library.setdefault(gate.name, gate)
 
+def hash_entries(digest, compiled):
+    for entries in compiled.entries:
+        for _, re_e, im_e in entries:
+            for root in (re_e, im_e):
+                digest.update(E.to_sexpr(root).encode() + b"\n")
+
+
 digest = hashlib.sha256()
 for gate in library.values():
     for grad in (False, True):
         compiled = CompiledExpression(gate.matrix, grad=grad)
-        for entries in compiled.entries:
-            for _, re_e, im_e in entries:
-                for root in (re_e, im_e):
-                    digest.update(E.to_sexpr(root).encode() + b"\n")
+        hash_entries(digest, compiled)
         digest.update(compiled.source.encode())
         digest.update(compiled._writer(True).source.encode())
         digest.update(repr(compiled.total_cost).encode())
-print(len(library), digest.hexdigest())
+
+programs = hashlib.sha256()
+cache = ExpressionCache()
+for name in FIG5_BENCHMARKS:
+    for contract in (FULL_UNITARY, OutputContract.column(0)):
+        program = fig5_circuit(name).compile(contract=contract)
+        for instr in program.const_section + program.dynamic_section:
+            programs.update(repr(instr).encode() + b"\n")
+        vm = TNVM(program, cache=cache)
+        for compiled in vm.compiled:
+            hash_entries(programs, compiled)
+        programs.update(vm.fused_kernel.source.encode())
+print(len(library), digest.hexdigest(), programs.hexdigest())
 """
 
 

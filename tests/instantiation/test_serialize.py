@@ -2,10 +2,12 @@
 
 The contract: a compiled TNVM program / engine serialized in one
 process and rehydrated in another produces bit-identical costs and
-gradients to a freshly compiled one, without re-paying any of the AOT
-pipeline (lowering, pathfinding, differentiation, e-graph, fusion).
-Simplified expression entries cross the process boundary, not
-generated per-gate source: a writer is regenerated on first use.
+gradients to a freshly compiled one, without re-paying the AOT
+pipeline (lowering, pathfinding, differentiation, e-graph).  The
+program and the simplified expression entries cross the process
+boundary, never generated code: the megakernel and the per-gate
+writers are regenerated from the entries on first use, byte for byte
+the parent's source.
 """
 
 import multiprocessing
@@ -14,12 +16,19 @@ import pickle
 import numpy as np
 import pytest
 
-from repro.circuit import build_qsearch_ansatz, gates
+from repro import telemetry
+from repro.circuit import (
+    FIG5_BENCHMARKS,
+    build_qsearch_ansatz,
+    fig5_circuit,
+    gates,
+)
 from repro.instantiation import EnginePool, Instantiater, SerializedEngine
 from repro.jit import compiled as compiled_mod
 from repro.jit.cache import ExpressionCache
+from repro.tensornet import FULL_UNITARY, OutputContract
 from repro.tensornet.bytecode import Program
-from repro.tnvm.vm import TNVM, Differentiation
+from repro.tnvm.vm import TNVM, BatchedTNVM, Differentiation
 
 
 @pytest.fixture()
@@ -145,7 +154,7 @@ class TestEngineSerialization:
                 _child_instantiate, (payload_bytes, target)
             )
         parent = Instantiater(circuit).instantiate(target, starts=4, rng=9)
-        child_params, child_infidelity = child
+        child_params, child_infidelity, _ = child
         assert np.array_equal(parent.params, child_params)
         assert parent.infidelity == child_infidelity
 
@@ -174,6 +183,26 @@ class TestEngineSerialization:
         after = revived.instantiate(target, starts=4, rng=1)
         assert np.array_equal(before.params, after.params)
         assert before.infidelity == after.infidelity
+
+    def test_evicting_batched_only_engine_builds_no_kernel(self, target):
+        # An engine that ran only batched fits never built its scalar
+        # VM; snapshotting it on eviction must not build one either.
+        pool = EnginePool(capacity=1, strategy="batched")
+        circ_a = build_qsearch_ansatz(2, 2, 2)
+        engine = pool.engine_for(circ_a)
+        before = engine.instantiate(target, starts=4, rng=1)
+        generated = telemetry.metrics().counter("fuse.kernels_generated")
+        kernels_before = generated.value
+        pool.engine_for(build_qsearch_ansatz(2, 1, 2))  # evicts circ_a
+        assert engine._vm is None
+        assert "_fused_kernels" not in engine.program.__dict__
+        assert generated.value == kernels_before
+        revived = pool.engine_for(circ_a)
+        assert revived.circuit is None  # rehydrated, not recompiled
+        after = revived.instantiate(target, starts=4, rng=1)
+        assert np.array_equal(before.params, after.params)
+        assert before.infidelity == after.infidelity
+        assert before.starts_used == after.starts_used
 
     def test_program_only_engine_needs_no_circuit(self, circuit, target):
         program = circuit.compile()
@@ -216,28 +245,68 @@ class TestWritersCompileOnFirstUse:
         clone.instantiate(target, starts=4, rng=0, strategy="batched")
         assert True in compiles
 
+    def test_batched_vm_compiles_no_scalar_writer(self, monkeypatch):
+        # The grouped WRITE builder takes each parameterized gate's
+        # constants functions from the batched writer it compiles; a
+        # scalar writer is compiled only for parameter-free gates.
+        calls = []
+        original = compiled_mod.compile_writer
+
+        def counting(*args, **kwargs):
+            calls.append((args[3], kwargs.get("batched", False), args[2]))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(compiled_mod, "compile_writer", counting)
+        program = fig5_circuit("3-qubit shallow").compile()
+        BatchedTNVM(program, 8, cache=ExpressionCache())
+        scalar = [name for name, batched, params in calls
+                  if params and not batched]
+        assert scalar == []
+        assert {name for name, batched, _ in calls if batched} == {
+            "U3_batched", "U3_perm_batched",
+        }
+
 
 class TestFusedEngineSerialization:
-    """Engines ship their scalar megakernel *source*: the receiving
-    process rehydrates with ``compile()`` — it never re-fuses."""
+    """Engines ship no generated code: the receiving process generates
+    its scalar megakernel from the shipped program and entries on the
+    first scalar fit, and gets the parent's source byte for byte."""
 
-    def test_payload_carries_fused_kernels(self, circuit):
-        engine = Instantiater(circuit, strategy="auto")
-        payload = pickle.loads(pickle.dumps(engine.serialize()))
-        # The scalar gradient megakernel: batched fits run closures.
-        kernel = payload.fused_kernel
-        assert kernel.grad
-        assert "def make_fused(" in kernel.source
+    def test_payload_carries_no_kernel(self):
+        # Every Figure 5 engine under both contracts: serialize()
+        # builds no VM and generates no kernel, and the pickled
+        # payload holds no kernel and no generated code.
+        cache = ExpressionCache()
+        generated = telemetry.metrics().counter("fuse.kernels_generated")
+        for name in FIG5_BENCHMARKS:
+            for contract in (FULL_UNITARY, OutputContract.column(0)):
+                engine = Instantiater(
+                    fig5_circuit(name), cache=cache, contract=contract
+                )
+                before = generated.value
+                data = pickle.dumps(engine.serialize())
+                assert generated.value == before
+                assert engine._vm is None
+                assert engine._batched_engine is None
+                assert "_fused_kernels" not in engine.program.__dict__
+                assert b"FusedKernel" not in data
+                assert b"def " not in data
+                payload = pickle.loads(data)
+                assert not hasattr(payload, "fused_kernel")
+                assert payload.program.contract == engine.program.contract
 
-    def test_rehydrated_fused_engine_skips_fusing(self, circuit, target):
+    def test_rehydration_rebuilds_kernel(self, circuit, target):
         engine = Instantiater(circuit, strategy="auto")
-        r1 = engine.instantiate(target, starts=8, rng=42)
+        r1 = engine.instantiate(target, starts=2, rng=42,
+                                strategy="sequential")
         payload = pickle.loads(pickle.dumps(engine.serialize()))
         clone = Instantiater.from_serialized(payload, cache=ExpressionCache())
-        # The shipped kernel is attached to the rehydrated program:
-        # VM setup binds the shipped source instead of re-generating.
-        assert clone.vm.fused_kernel is clone.program._fused_kernels[True]
-        r2 = clone.instantiate(target, starts=8, rng=42)
+        r2 = clone.instantiate(target, starts=2, rng=42,
+                               strategy="sequential")
+        # Generated in this process from the shipped program and
+        # entries, not shipped: a new kernel with the parent's source.
+        assert clone.vm.fused_kernel is not engine.vm.fused_kernel
+        assert clone.vm.fused_kernel == engine.vm.fused_kernel
         assert np.array_equal(r1.params, r2.params)
         assert r1.infidelity == r2.infidelity
         assert r1.starts_used == r2.starts_used
@@ -246,22 +315,28 @@ class TestFusedEngineSerialization:
         self, circuit
     ):
         # A gradient-free sibling caches its own kernel on the shared
-        # Program; an engine whose fits run the batched closures still
-        # ships only the scalar gradient kernel.
+        # Program; serializing an engine that runs the batched closures
+        # neither ships that kernel nor generates a gradient one.
         program = circuit.compile()
         plain = TNVM(program, diff=Differentiation.NONE)
         batched = Instantiater(program=program, strategy="batched")
-        kernel = batched.serialize().fused_kernel
-        assert kernel.grad
-        assert kernel is not plain.fused_kernel
+        data = pickle.dumps(batched.serialize())
+        assert plain.fused_kernel.source.encode() not in data
+        assert b"FusedKernel" not in data
+        assert set(program._fused_kernels) == {False}
+        assert batched._vm is None
 
     def test_fused_rehydrated_in_spawned_child(self, circuit, target):
-        payload_bytes = pickle.dumps(Instantiater(circuit).serialize())
+        parent_engine = Instantiater(circuit)
+        payload_bytes = pickle.dumps(parent_engine.serialize())
         ctx = multiprocessing.get_context("spawn")
         with ctx.Pool(1) as pool:
             child = pool.apply(_child_instantiate, (payload_bytes, target))
-        parent = Instantiater(circuit).instantiate(target, starts=4, rng=9)
-        child_params, child_infidelity = child
+        parent = parent_engine.instantiate(target, starts=4, rng=9)
+        child_params, child_infidelity, child_source = child
+        # A fresh interpreter (new hash seed, no inherited state)
+        # rebuilds exactly the parent's kernel source.
+        assert child_source == parent_engine.vm.fused_kernel.source
         assert np.array_equal(parent.params, child_params)
         assert parent.infidelity == child_infidelity
 
@@ -271,4 +346,4 @@ def _child_instantiate(payload_bytes, target):
 
     engine = ChildInstantiater.from_serialized(pickle.loads(payload_bytes))
     result = engine.instantiate(target, starts=4, rng=9)
-    return result.params, result.infidelity
+    return result.params, result.infidelity, engine.vm.fused_kernel.source

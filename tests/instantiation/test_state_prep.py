@@ -328,7 +328,8 @@ class TestColumnContractEngines:
 
     def test_spawn_rehydrated_column_engine_is_bitwise(self, problem3):
         # A column engine shipped to a spawn worker (fresh interpreter,
-        # megakernel rebuilt from the payload's generated source) must
+        # megakernel regenerated from the payload's program and
+        # entries) must rebuild the parent's kernel source and
         # reproduce the parent bit for bit.  The payload carries no
         # contract of its own: the rehydrated engine and its VM read
         # COLUMN(0) back from the shipped program.
@@ -352,9 +353,10 @@ class TestColumnContractEngines:
         assert child_value.shape == (8,)
         assert np.array_equal(value, child_value)
         assert np.array_equal(grad, child_grad)
-        child_params, child_infidelity = child[4:]
+        child_params, child_infidelity, child_source = child[4:]
         assert np.array_equal(result.params, child_params)
         assert result.infidelity == child_infidelity
+        assert child_source == parent.vm.fused_kernel.source
 
 
 def _child_column_probe(payload_bytes, amplitudes, probe):
@@ -370,4 +372,5 @@ def _child_column_probe(payload_bytes, amplitudes, probe):
         grad,
         result.params,
         result.infidelity,
+        engine.vm.fused_kernel.source,
     )

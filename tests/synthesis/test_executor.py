@@ -7,9 +7,13 @@ derive from structure keys rather than draw order and batch outcomes
 are scanned in deterministic job order.
 """
 
+import os
+from collections import Counter
+
 import numpy as np
 import pytest
 
+from repro import telemetry
 from repro.circuit import build_qft_circuit, build_qsearch_ansatz
 from repro.instantiation import EnginePool
 from repro.synthesis import (
@@ -146,15 +150,12 @@ class TestExecutors:
 
 
 class TestPayloadDedup:
-    def test_worker_signals_missing_engine(self):
-        # Unit-level protocol check: a key-only task whose engine is
-        # absent from the worker LRU yields the needs-payload signal
-        # instead of fitting; with the payload attached it fits.
-        from repro.synthesis.executor import (
-            _WORKER_ENGINES,
-            NEEDS_PAYLOAD,
-            _worker_fit,
-        )
+    """Every task carries its shape's payload; a worker unpickles it
+    only on a miss in its engine LRU, so each worker rehydrates a
+    shape once."""
+
+    def test_worker_unpickles_payload_only_on_miss(self):
+        from repro.synthesis.executor import _WORKER_ENGINES, _worker_fit
 
         circuit = build_qsearch_ansatz(2, 1, 2)
         target = reachable_target(circuit, 5)
@@ -162,7 +163,6 @@ class TestPayloadDedup:
         payload = pool.serialized_bytes(circuit)
         key = ("test-dedup", circuit.structure_key())
         _WORKER_ENGINES.pop(key, None)
-        assert _worker_fit(key, None, target, 2, 1, None) == NEEDS_PAYLOAD
         params, infidelity, busy, spans, metrics = _worker_fit(
             key, payload, target, 2, 1, None
         )
@@ -171,12 +171,13 @@ class TestPayloadDedup:
         # always does.
         assert spans == []
         assert metrics.get("instantiate.fits", 0) == 1
-        # Now the LRU holds the engine: key-only tasks fit directly.
-        again = _worker_fit(key, None, target, 2, 1, None)
+        # Now the LRU holds the engine: the task's payload is never
+        # unpickled, so even unreadable bytes fit the same.
+        again = _worker_fit(key, b"not a pickle", target, 2, 1, None)
         assert np.array_equal(again[0], params)
         _WORKER_ENGINES.pop(key, None)
 
-    def test_steady_state_tasks_are_key_only(self):
+    def test_each_worker_rehydrates_a_shape_once(self):
         circuit = build_qsearch_ansatz(2, 1, 2)
         target = reachable_target(circuit, 23)
         jobs = [
@@ -184,28 +185,27 @@ class TestPayloadDedup:
             for k in range(3)
         ]
         serial_out = SerialCandidateExecutor(EnginePool()).run(jobs)
-        with ProcessCandidateExecutor(EnginePool(), workers=2) as proc:
-            first = proc.run(jobs)
-            # Every first-batch task of the new shape carried bytes.
-            assert proc.payloads_shipped >= len(jobs)
-            assert proc.payloads_skipped == 0
-            second = proc.run(jobs)
-            # Steady state: the shape is marked shipped, so tasks go
-            # key-only (resends only where a worker the first batch
-            # never reached picks one up).
-            assert proc.payloads_skipped == len(jobs)
-            assert proc.payload_resends <= len(jobs)
+        telemetry.enable()
+        try:
+            with ProcessCandidateExecutor(EnginePool(), workers=2) as proc:
+                first = proc.run(jobs)
+                second = proc.run(jobs)
+        finally:
+            spans = telemetry.disable()
+        rehydrates = Counter(
+            s.pid for s in spans
+            if s.name == "engine.rehydrate" and s.category == "executor"
+        )
+        # Six tasks on one shape: at most one rehydration per worker
+        # process, none in the parent.
+        assert rehydrates
+        assert set(rehydrates.values()) == {1}
+        assert len(rehydrates) <= 2
+        assert os.getpid() not in rehydrates
         for outcome in (first, second):
             for a, b in zip(serial_out, outcome):
                 assert np.array_equal(a.params, b.params)
                 assert a.infidelity == b.infidelity
-
-    def test_close_resets_shipped_shapes(self):
-        pool = EnginePool()
-        proc = ProcessCandidateExecutor(pool, workers=2)
-        proc._shipped.add(("k",))
-        proc.close()
-        assert proc._shipped == set()
 
 
 class TestSearchEquivalence:

@@ -345,7 +345,6 @@ class TestLifecycle:
         # forever), and the executor is dropped for a clean rebuild.
         assert fake.shutdown_calls == [(False, True)]
         assert proc._executor is None
-        assert proc._shipped == set()
 
 
 # ----------------------------------------------------------------------
