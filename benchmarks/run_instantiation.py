@@ -34,7 +34,7 @@ from repro.baseline import (
 )
 from repro.checkpoint import atomic_write_json
 from repro.circuit import FIG5_BENCHMARKS, fig5_circuit
-from repro.instantiation import BatchedInstantiater, Instantiater
+from repro.instantiation import Instantiater
 
 
 def run_one(
@@ -66,7 +66,7 @@ def run_one(
             # Same timing envelope as the sequential row: circuit
             # construction outside, AOT compile + optimize inside.
             t0 = time.perf_counter()
-            engine = BatchedInstantiater(circ)
+            engine = Instantiater(circ, strategy="batched")
             result = engine.instantiate(target, starts=starts, rng=trial)
             batched_times.append(time.perf_counter() - t0)
             batched_successes += result.success

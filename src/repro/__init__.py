@@ -54,7 +54,6 @@ from .circuit import (
 )
 from .expression import UnitaryExpression
 from .instantiation import (
-    BatchedInstantiater,
     EnginePool,
     Instantiater,
     InstantiationResult,
@@ -91,7 +90,6 @@ __all__ = [
     "ExpressionCache",
     "global_cache",
     "Instantiater",
-    "BatchedInstantiater",
     "EnginePool",
     "InstantiationResult",
     "LMOptions",

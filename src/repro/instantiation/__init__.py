@@ -1,6 +1,5 @@
 """Numerical instantiation: HS cost, Levenberg-Marquardt, multi-start."""
 
-from .batched import BatchedInstantiater
 from .cost import (
     BatchedHilbertSchmidtResiduals,
     BatchedStateResiduals,
@@ -32,7 +31,6 @@ from .pool import EnginePool
 
 __all__ = [
     "Instantiater",
-    "BatchedInstantiater",
     "EnginePool",
     "InstantiationResult",
     "SerializedEngine",

@@ -47,7 +47,10 @@ used directly — the fast path).
 Each class has one public method, ``residuals_and_jacobian``: the LM
 loops need nothing else, and the cost is ``sum(r^2)`` of its
 residuals (converted by :func:`infidelity_from_cost` and
-:func:`state_infidelity_from_cost`).
+:func:`state_infidelity_from_cost`).  Each batched class subclasses
+its scalar twin: it shares the twin's constructor (VM and target
+validation) and keeps only its own ``residuals_and_jacobian``, the
+same residuals for every row of a ``(S, P)`` parameter matrix.
 """
 
 from __future__ import annotations
@@ -56,7 +59,7 @@ import math
 
 import numpy as np
 
-from ..tnvm.vm import TNVM, BatchedTNVM, Differentiation
+from ..tnvm.vm import TNVM, Differentiation
 from ..utils.statevector import Statevector
 
 __all__ = [
@@ -85,7 +88,9 @@ class HilbertSchmidtResiduals:
 
     def __init__(self, vm: TNVM, target: np.ndarray):
         if vm.diff is not Differentiation.GRADIENT:
-            raise ValueError("residuals require a GRADIENT TNVM")
+            raise ValueError(
+                f"residuals require a GRADIENT {type(vm).__name__}"
+            )
         dim = vm.dim
         target = np.asarray(target, dtype=np.complex128)
         if target.shape != (dim, dim):
@@ -109,7 +114,10 @@ class HilbertSchmidtResiduals:
     ) -> tuple[np.ndarray, np.ndarray]:
         """Residual vector (2D^2,) and Jacobian (2D^2, P)."""
         u, grad = self.vm.evaluate_with_grad(params)
-        diff = u - self._aligned_target(u)
+        trace = np.vdot(self.target, u)
+        mag = abs(trace)
+        phase = trace / mag if mag > 1e-300 else 1.0
+        diff = u - phase * self.target
         r = np.concatenate([diff.real.ravel(), diff.imag.ravel()])
         # Explicit column count: reshape(0, -1) is invalid, and a
         # constant circuit's Jacobian is the empty (2D^2, 0) matrix.
@@ -117,47 +125,27 @@ class HilbertSchmidtResiduals:
         jac = np.concatenate([flat.real, flat.imag], axis=1).T
         return r, np.ascontiguousarray(jac)
 
-    def _aligned_target(self, u: np.ndarray) -> np.ndarray:
-        trace = np.vdot(self.target, u)
-        mag = abs(trace)
-        phase = trace / mag if mag > 1e-300 else 1.0
-        return phase * self.target
 
-
-class BatchedHilbertSchmidtResiduals:
+class BatchedHilbertSchmidtResiduals(HilbertSchmidtResiduals):
     """Batched residuals + Jacobian: ``S`` starts per evaluation.
 
-    The same Eq. (1) least-squares form as
+    The same set-up and Eq. (1) least-squares form as
     :class:`HilbertSchmidtResiduals`, computed for every row of a
     ``(S, P)`` parameter matrix in one vectorized
     :class:`~repro.tnvm.vm.BatchedTNVM` sweep.  Phase alignment is
     per-start.
     """
 
-    def __init__(self, vm: BatchedTNVM, target: np.ndarray):
-        if vm.diff is not Differentiation.GRADIENT:
-            raise ValueError("residuals require a GRADIENT BatchedTNVM")
-        dim = vm.dim
-        target = np.asarray(target, dtype=np.complex128)
-        if target.shape != (dim, dim):
-            raise ValueError(
-                f"target shape {target.shape} does not match circuit "
-                f"dimension {dim}"
-            )
-        self.vm = vm
-        self.target = target
-        self.dim = dim
-        self.batch = vm.batch
-        self.num_params = vm.num_params
-        self.num_residuals = 2 * dim * dim
-
-    # ------------------------------------------------------------------
     def residuals_and_jacobian(
         self, params: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
         """Residual matrix ``(S, 2D^2)`` and Jacobian ``(S, 2D^2, P)``."""
         u, grad = self.vm.evaluate_with_grad(params)
-        diff = u - self._aligned_targets(u)
+        trace = np.einsum("ij,bij->b", self.target.conj(), u)
+        mag = np.abs(trace)
+        safe = np.where(mag > 1e-300, mag, 1.0)
+        phase = np.where(mag > 1e-300, trace / safe, 1.0)
+        diff = u - phase[:, None, None] * self.target
         b = u.shape[0]
         r = np.concatenate(
             [diff.real.reshape(b, -1), diff.imag.reshape(b, -1)], axis=1
@@ -168,52 +156,10 @@ class BatchedHilbertSchmidtResiduals:
         )
         return r, np.ascontiguousarray(jac)
 
-    def _aligned_targets(self, u: np.ndarray) -> np.ndarray:
-        trace = np.einsum("ij,bij->b", self.target.conj(), u)
-        mag = np.abs(trace)
-        safe = np.where(mag > 1e-300, mag, 1.0)
-        phase = np.where(mag > 1e-300, trace / safe, 1.0)
-        return phase[:, None, None] * self.target
-
 
 # ----------------------------------------------------------------------
 # Statevector targets (state preparation)
 # ----------------------------------------------------------------------
-
-
-def _as_state(target, dim: int) -> np.ndarray:
-    """The target as a validated ``(dim,)`` complex128 amplitude vector."""
-    if isinstance(target, Statevector):
-        target = target.amplitudes
-    target = np.asarray(target, dtype=np.complex128)
-    if target.shape != (dim,):
-        raise ValueError(
-            f"target state shape {target.shape} does not match circuit "
-            f"dimension {dim}"
-        )
-    norm = np.linalg.norm(target)
-    # Loose enough for f32-sourced amplitudes; states further off unit
-    # norm should go through Statevector.from_amplitudes(normalize=True).
-    if not math.isclose(norm, 1.0, abs_tol=1e-6):
-        raise ValueError(
-            f"target state norm is {norm:.8g}, expected 1; renormalize "
-            "with Statevector.from_amplitudes(..., normalize=True)"
-        )
-    return target
-
-
-def _state_column_mode(vm) -> bool:
-    """Whether a VM's contract delivers the column directly.
-
-    Raises for columns other than 0 (state prep fits ``U(theta) e_0``).
-    """
-    contract = vm.contract
-    if contract.column_based and contract.column_index != 0:
-        raise ValueError(
-            f"state preparation fits U(theta) e_0, not column "
-            f"{contract.column_index}; use OutputContract.column(0)"
-        )
-    return contract.column_based
 
 
 class StateResiduals:
@@ -237,13 +183,41 @@ class StateResiduals:
 
     def __init__(self, vm: TNVM, target):
         if vm.diff is not Differentiation.GRADIENT:
-            raise ValueError("residuals require a GRADIENT TNVM")
+            raise ValueError(
+                f"residuals require a GRADIENT {type(vm).__name__}"
+            )
+        dim = vm.dim
+        if isinstance(target, Statevector):
+            target = target.amplitudes
+        target = np.asarray(target, dtype=np.complex128)
+        if target.shape != (dim,):
+            raise ValueError(
+                f"target state shape {target.shape} does not match "
+                f"circuit dimension {dim}"
+            )
+        norm = np.linalg.norm(target)
+        # Loose enough for f32-sourced amplitudes; states further off
+        # unit norm should go through
+        # Statevector.from_amplitudes(normalize=True).
+        if not math.isclose(norm, 1.0, abs_tol=1e-6):
+            raise ValueError(
+                f"target state norm is {norm:.8g}, expected 1; renormalize "
+                "with Statevector.from_amplitudes(..., normalize=True)"
+            )
+        # State prep fits U(theta) e_0: a column VM must deliver
+        # column 0, and then its output is the column itself.
+        contract = vm.contract
+        if contract.column_based and contract.column_index != 0:
+            raise ValueError(
+                f"state preparation fits U(theta) e_0, not column "
+                f"{contract.column_index}; use OutputContract.column(0)"
+            )
         self.vm = vm
-        self.dim = vm.dim
-        self.target = _as_state(target, self.dim)
+        self.dim = dim
+        self.target = target
         self.num_params = vm.num_params
-        self.num_residuals = 2 * self.dim
-        self._column = _state_column_mode(vm)
+        self.num_residuals = 2 * dim
+        self._column = contract.column_based
 
     # ------------------------------------------------------------------
     def residuals_and_jacobian(
@@ -252,7 +226,10 @@ class StateResiduals:
         """Residual vector (2D,) and Jacobian (2D, P)."""
         u, grad = self.vm.evaluate_with_grad(params)
         col = u if self._column else u[:, 0]
-        diff = col - self._aligned_target(col)
+        overlap = np.vdot(self.target, col)
+        mag = abs(overlap)
+        phase = overlap / mag if mag > 1e-300 else 1.0
+        diff = col - phase * self.target
         r = np.concatenate([diff.real, diff.imag])
         # d(U e_0)/dtheta_k: a column VM's gradient rows *are* the
         # column derivatives; a full VM's get their first column sliced.
@@ -260,54 +237,34 @@ class StateResiduals:
         jac = np.concatenate([flat.real, flat.imag], axis=1).T
         return r, np.ascontiguousarray(jac)
 
-    def _aligned_target(self, col: np.ndarray) -> np.ndarray:
-        overlap = np.vdot(self.target, col)
-        mag = abs(overlap)
-        phase = overlap / mag if mag > 1e-300 else 1.0
-        return phase * self.target
 
-
-class BatchedStateResiduals:
+class BatchedStateResiduals(StateResiduals):
     """Batched state-prep residuals + Jacobian: ``S`` starts at once.
 
-    The same column-only least-squares form as :class:`StateResiduals`,
-    computed for every row of a ``(S, P)`` parameter matrix in one
-    vectorized :class:`~repro.tnvm.vm.BatchedTNVM` sweep.  Phase
-    alignment is per-start.
+    The same set-up and column-only least-squares form as
+    :class:`StateResiduals`, computed for every row of a ``(S, P)``
+    parameter matrix in one vectorized
+    :class:`~repro.tnvm.vm.BatchedTNVM` sweep.  Phase alignment is
+    per-start.
     """
 
-    def __init__(self, vm: BatchedTNVM, target):
-        if vm.diff is not Differentiation.GRADIENT:
-            raise ValueError("residuals require a GRADIENT BatchedTNVM")
-        self.vm = vm
-        self.dim = vm.dim
-        self.target = _as_state(target, self.dim)
-        self.batch = vm.batch
-        self.num_params = vm.num_params
-        self.num_residuals = 2 * self.dim
-        self._column = _state_column_mode(vm)
-
-    # ------------------------------------------------------------------
     def residuals_and_jacobian(
         self, params: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
         """Residual matrix ``(S, 2D)`` and Jacobian ``(S, 2D, P)``."""
         u, grad = self.vm.evaluate_with_grad(params)
         cols = u if self._column else u[:, :, 0]
-        diff = cols - self._aligned_targets(cols)
+        overlap = cols @ self.target.conj()
+        mag = np.abs(overlap)
+        safe = np.where(mag > 1e-300, mag, 1.0)
+        phase = np.where(mag > 1e-300, overlap / safe, 1.0)
+        diff = cols - phase[:, None] * self.target
         r = np.concatenate([diff.real, diff.imag], axis=1)
         flat = grad if self._column else grad[:, :, :, 0]
         jac = np.concatenate([flat.real, flat.imag], axis=2).transpose(
             0, 2, 1
         )
         return r, np.ascontiguousarray(jac)
-
-    def _aligned_targets(self, cols: np.ndarray) -> np.ndarray:
-        overlap = cols @ self.target.conj()
-        mag = np.abs(overlap)
-        safe = np.where(mag > 1e-300, mag, 1.0)
-        phase = np.where(mag > 1e-300, overlap / safe, 1.0)
-        return phase[:, None] * self.target
 
 
 # ----------------------------------------------------------------------

@@ -2,15 +2,23 @@
 
 ``Instantiater`` owns the expensive one-time setup — AOT compilation of
 the PQC and TNVM initialization — and then runs one or more LM starts
-against a target unitary.  Multi-start runs short-circuit: once a start
-reaches the success threshold, remaining starts are skipped (this is
-the amortization + early-termination effect behind the paper's 19.6x
-multi-start speedup).
+against a target unitary or state.  It owns every fit: it checks the
+target against the output contract, draws the starts, picks the
+residuals, LM options and cost-to-infidelity conversion for the target
+kind, scans for the winner and assembles the result, whichever
+schedule ran the starts.  The sequential schedule runs one start at a
+time through the scalar TNVM; the lockstep schedule
+(:class:`~repro.instantiation.batched.BatchedInstantiater`) advances
+every start through one batched TNVM.  Multi-start runs short-circuit:
+once a start reaches the success threshold, remaining starts are
+skipped (this is the amortization + early-termination effect behind
+the paper's 19.6x multi-start speedup).
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import time
 from dataclasses import dataclass, field
 
@@ -24,7 +32,10 @@ from ..tensornet.bytecode import Program
 from ..tensornet.contract import OutputContract
 from ..tnvm.vm import TNVM, Differentiation, fetch_compiled
 from ..utils.statevector import Statevector
+from .batched import BatchedInstantiater
 from .cost import (
+    BatchedHilbertSchmidtResiduals,
+    BatchedStateResiduals,
     HilbertSchmidtResiduals,
     StateResiduals,
     infidelity_from_cost,
@@ -49,101 +60,11 @@ SUCCESS_THRESHOLD = 1e-8
 #: Valid values for the multi-start execution strategy.
 STRATEGIES = ("sequential", "batched", "auto")
 
-#: ``strategy="auto"`` switches to the batched engine at this many
+#: ``strategy="auto"`` switches to the lockstep schedule at this many
 #: starts: below it the sequential short-circuit usually wins (start 0
 #: often succeeds and the batch would mostly compute abandoned work),
 #: above it the vectorized sweep amortization dominates.
 AUTO_BATCH_MIN_STARTS = 4
-
-
-def check_target_contract(contract: OutputContract, target) -> None:
-    """Reject a unitary target on a column engine (it needs all ``D``
-    columns); shared by both engines."""
-    if contract.column_based and not is_state_target(target):
-        raise ValueError(
-            f"a {contract.describe()} engine only serves "
-            "state-preparation targets; unitary fits need a "
-            "full-unitary engine"
-        )
-
-
-def record_fit(kind: str, dim: int, result: InstantiationResult) -> None:
-    """Fold one finished fit into the telemetry registry.
-
-    Called by both engines at the *leaf* fit path only (the sequential
-    engine's batched delegation is recorded once, by the batched
-    engine), so counters never double-count a fit.
-    """
-    registry = telemetry.metrics()
-    registry.counter("instantiate.fits").add()
-    registry.counter(f"instantiate.fits.{kind}").add()
-    registry.counter("instantiate.lm_iterations").add(
-        result.total_iterations
-    )
-    registry.counter("instantiate.evaluations").add(
-        result.total_evaluations
-    )
-    registry.histogram("instantiate.starts_used").observe(result.starts_used)
-    registry.histogram("instantiate.lm_iterations_per_fit").observe(
-        result.total_iterations
-    )
-    registry.histogram(f"instantiate.eval_wall.dim{dim}").observe(
-        result.optimize_seconds
-    )
-    registry.counter("instantiate.optimize_seconds").add(
-        result.optimize_seconds
-    )
-
-
-def draw_guess(
-    rng: np.random.Generator,
-    num_params: int,
-    x0: np.ndarray | None = None,
-) -> np.ndarray:
-    """One start's initial parameters: ``x0`` when given (start 0),
-    else uniform in ``[-2pi, 2pi)``.
-
-    Shared by the sequential and batched engines so that a given rng
-    seed produces the identical start population in either.
-    """
-    if x0 is not None:
-        guess = np.asarray(x0, dtype=np.float64)
-        if guess.shape != (num_params,):
-            raise ValueError(f"x0 must have shape ({num_params},)")
-        return guess
-    return rng.uniform(-2 * np.pi, 2 * np.pi, num_params)
-
-
-def scan_winner(runs, dim: int, success_threshold: float, to_infidelity=None):
-    """The multi-start winner scan: best-so-far by cost, stopping at
-    the first start where the best reaches the threshold (the paper's
-    early-termination short-circuit).
-
-    ``runs`` may be a lazy iterator — the sequential engine feeds one
-    that *executes* each start on demand, so breaking out of the scan
-    is what skips the remaining starts.  The batched engine replays
-    the same scan over its completed runs, which is what guarantees
-    the two engines agree on the winning start and ``starts_used``.
-
-    ``to_infidelity`` converts a least-squares cost to the target
-    type's infidelity; the default is the Eq. (1) Hilbert–Schmidt
-    conversion for ``dim`` (state-prep scans pass
-    :func:`~repro.instantiation.cost.state_infidelity_from_cost`).
-
-    Returns ``(best_run, starts_used)``.
-    """
-    if to_infidelity is None:
-        def to_infidelity(cost):
-            return infidelity_from_cost(cost, dim)
-    best: LMResult | None = None
-    used = 0
-    for run in runs:
-        used += 1
-        if best is None or run.cost < best.cost:
-            best = run
-        if to_infidelity(best.cost) <= success_threshold:
-            break  # short-circuit: a valid solution was found
-    return best, used
 
 
 @dataclass(frozen=True)
@@ -174,7 +95,12 @@ class SerializedEngine:
 
 @dataclass
 class InstantiationResult:
-    """Outcome of (possibly multi-start) instantiation."""
+    """Outcome of (possibly multi-start) instantiation.
+
+    ``aot_seconds`` is the engine's one-time cost as of this fit: the
+    AOT compile plus every VM the engine has built so far, scalar or
+    batched.
+    """
 
     params: np.ndarray
     infidelity: float
@@ -194,9 +120,10 @@ class InstantiationResult:
 class Instantiater:
     """Reusable instantiation engine for one PQC.
 
-    The constructor performs the AOT compilation and TNVM setup once;
-    :meth:`instantiate` can then be called with many targets and starts,
-    exactly matching the Listing 3 workflow.
+    The constructor performs the AOT compilation once and each VM is
+    set up once, on the first fit that needs it; :meth:`instantiate`
+    can then be called with many targets and starts, exactly matching
+    the Listing 3 workflow.
     """
 
     def __init__(
@@ -244,7 +171,7 @@ class Instantiater:
         self.aot_seconds = time.perf_counter() - start
         self.success_threshold = success_threshold
         self.num_params = self.program.num_params
-        self._batched_engine = None
+        self._batched_engine: BatchedInstantiater | None = None
         # Encode the infidelity threshold as a residual-cost threshold,
         # once per target type: unitary fits stop at 2*D*threshold
         # (Eq. 1), state-prep fits at the O(D) residual form's
@@ -261,7 +188,8 @@ class Instantiater:
     @property
     def vm(self) -> TNVM:
         """The scalar TNVM, built on first use (the first sequential
-        fit) and counted into ``aot_seconds``."""
+        fit) and counted into ``aot_seconds``, as the lockstep
+        schedule's batched VMs are."""
         if self._vm is None:
             t0 = time.perf_counter()
             self._vm = TNVM(
@@ -273,23 +201,12 @@ class Instantiater:
             self.aot_seconds += time.perf_counter() - t0
         return self._vm
 
-    def _batched(self):
-        """The lazily-built batched engine sharing this AOT compile."""
+    def _batched(self) -> BatchedInstantiater:
+        """The lockstep schedule, built on the first batched fit; it
+        runs this engine's program and adds its VM builds to this
+        engine's ``aot_seconds``."""
         if self._batched_engine is None:
-            from .batched import BatchedInstantiater
-
-            engine = BatchedInstantiater(
-                self.circuit,
-                precision=self.precision,
-                cache=self.cache,
-                success_threshold=self.success_threshold,
-                lm_options=self.lm_options,
-                program=self.program,
-            )  # circuit may be None; the shared program carries the shape
-            # The bytecode was compiled by *this* engine; report one
-            # combined AOT figure rather than double-counting zero.
-            engine.aot_seconds += self.aot_seconds
-            self._batched_engine = engine
+            self._batched_engine = BatchedInstantiater(self)
         return self._batched_engine
 
     # ------------------------------------------------------------------
@@ -385,69 +302,97 @@ class Instantiater:
         a ``COLUMN(0)`` engine only serves state-preparation fits (a
         unitary target needs all ``D`` columns).
         """
-        check_target_contract(self.contract, target)
+        if self.contract.column_based and not is_state_target(target):
+            raise ValueError(
+                f"a {self.contract.describe()} engine only serves "
+                "state-preparation targets; unitary fits need a "
+                "full-unitary engine"
+            )
         strategy = strategy if strategy is not None else self.strategy
         if strategy not in STRATEGIES:
             raise ValueError(
                 f"strategy must be one of {STRATEGIES}, got {strategy!r}"
             )
+        num_starts = max(1, starts)
         if strategy == "auto":
             strategy = (
                 "batched"
-                if max(1, starts) >= AUTO_BATCH_MIN_STARTS
-                and self.num_params > 0
+                if num_starts >= AUTO_BATCH_MIN_STARTS and self.num_params > 0
                 else "sequential"
             )
-        if strategy == "batched":
-            return self._batched().instantiate(
-                target, starts=starts, rng=rng, x0=x0
-            )
-
-        rng = np.random.default_rng(rng)
+        dim = self.program.dim
         if is_state_target(target):
-            residuals = StateResiduals(self.vm, target)
+            scalar_cls, batched_cls = StateResiduals, BatchedStateResiduals
             options = self._state_lm_options
             to_infidelity = state_infidelity_from_cost
         else:
-            residuals = HilbertSchmidtResiduals(self.vm, target)
+            scalar_cls = HilbertSchmidtResiduals
+            batched_cls = BatchedHilbertSchmidtResiduals
             options = self.lm_options
-            to_infidelity = None
-        fn = residuals.residuals_and_jacobian
+            to_infidelity = functools.partial(infidelity_from_cost, dim=dim)
+        if x0 is not None:
+            x0 = np.asarray(x0, dtype=np.float64)
+            if x0.shape != (self.num_params,):
+                raise ValueError(f"x0 must have shape ({self.num_params},)")
+        rng = np.random.default_rng(rng)
+        # One draw order for both schedules, so a seed gives them the
+        # same start population.
+        guesses = (
+            x0 if s == 0 and x0 is not None
+            else rng.uniform(-2 * np.pi, 2 * np.pi, self.num_params)
+            for s in range(num_starts)
+        )
+
+        runs: list[LMResult] = []
+        if strategy == "batched":
+            schedule = self._batched()
+            rows = np.array(list(guesses))
+            fn = batched_cls(
+                schedule.vm_for(num_starts), target
+            ).residuals_and_jacobian
+
+            def executed():
+                runs.extend(schedule.instantiate(fn, rows, options))
+                yield from runs
+
+        else:
+            fn = scalar_cls(self.vm, target).residuals_and_jacobian
+
+            def executed():
+                # Lazy: a start is drawn and run only when the scan
+                # asks for it, so breaking out of the scan skips the
+                # remaining starts.
+                for guess in guesses:
+                    runs.append(levenberg_marquardt(fn, guess, options))
+                    yield runs[-1]
 
         t0 = time.perf_counter()
-        runs: list[LMResult] = []
-
-        def run_starts():
-            # Lazy: each start draws and optimizes only when the
-            # winner scan asks for it, so breaking out of the scan is
-            # the multi-start short-circuit.
-            for s in range(max(1, starts)):
-                guess = draw_guess(
-                    rng, self.num_params, x0 if s == 0 else None
-                )
-                run = levenberg_marquardt(fn, guess, options)
-                runs.append(run)
-                yield run
-
         with telemetry.tracer().span(
             "fit", category="instantiate",
-            dim=self.vm.dim, starts=max(1, starts), strategy="sequential",
+            dim=dim, starts=num_starts, strategy=strategy,
         ) as span:
-            best, used = scan_winner(
-                run_starts(), self.vm.dim, self.success_threshold,
-                to_infidelity,
-            )
+            # The winner scan: best so far by cost, stopping at the
+            # first start where the best reaches the threshold (the
+            # paper's early-termination short-circuit).  The starts the
+            # lockstep schedule abandoned lie past that point, so both
+            # schedules agree on the winner and ``starts_used``.
+            best: LMResult | None = None
+            used = 0
+            for run in executed():
+                used += 1
+                if best is None or run.cost < best.cost:
+                    best = run
+                if to_infidelity(best.cost) <= self.success_threshold:
+                    break
             span.set(starts_used=used)
         optimize_seconds = time.perf_counter() - t0
-        infidelity = (
-            to_infidelity(best.cost)
-            if to_infidelity is not None
-            else infidelity_from_cost(best.cost, self.vm.dim)
-        )
+        assert best is not None
+        registry = telemetry.metrics()
+        infidelity = to_infidelity(best.cost)
         if not np.isfinite(infidelity):
             # Every start diverged to NaN/Inf: report an infinite (not
             # NaN) infidelity so callers' comparisons stay ordered.
-            telemetry.metrics().counter("instantiate.nonfinite_fits").add()
+            registry.counter("instantiate.nonfinite_fits").add()
             infidelity = float("inf")
         result = InstantiationResult(
             params=best.params,
@@ -460,7 +405,24 @@ class Instantiater:
             optimize_seconds=optimize_seconds,
             runs=runs,
         )
-        record_fit("sequential", self.vm.dim, result)
+        registry.counter("instantiate.fits").add()
+        registry.counter(f"instantiate.fits.{strategy}").add()
+        registry.counter("instantiate.lm_iterations").add(
+            result.total_iterations
+        )
+        registry.counter("instantiate.evaluations").add(
+            result.total_evaluations
+        )
+        registry.histogram("instantiate.starts_used").observe(used)
+        registry.histogram("instantiate.lm_iterations_per_fit").observe(
+            result.total_iterations
+        )
+        registry.histogram(f"instantiate.eval_wall.dim{dim}").observe(
+            optimize_seconds
+        )
+        registry.counter("instantiate.optimize_seconds").add(
+            optimize_seconds
+        )
         return result
 
 

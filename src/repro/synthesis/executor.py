@@ -269,10 +269,12 @@ class SerialCandidateExecutor(CandidateExecutor):
 # Worker-process side
 # ----------------------------------------------------------------------
 
-#: Rehydrated engines per (process, pool settings, structure key,
-#: contract): each worker unpickles a shape's payload once, on a miss,
-#: then reuses the engine — including its lazily built VMs and
-#: megakernel — for every later task on that shape.
+#: Rehydrated engines per (structure key, contract) — the pool's own
+#: key; a worker process serves one executor, and an executor one
+#: pool, so the pool's settings need no place in it.  Each worker
+#: unpickles a shape's payload once, on a miss, then reuses the engine
+#: — including its lazily built VMs and megakernel — for every later
+#: task on that shape.
 _WORKER_ENGINES: OrderedDict = OrderedDict()
 _WORKER_CAPACITY = 32
 
@@ -452,16 +454,6 @@ class ProcessCandidateExecutor(CandidateExecutor):
                     break
         self._mp_context = mp_context
         self._executor: ProcessPoolExecutor | None = None
-        # Engine-defining pool settings, folded into the worker-side
-        # engine key: if workers are ever shared across pools (e.g. a
-        # future cross-pass executor registry), a shape rehydrated
-        # under one pool's thresholds must not serve another's.
-        self._settings_key = (
-            pool.strategy,
-            pool.precision,
-            pool.success_threshold,
-            pool.lm_options,
-        )
 
     def _ensure_executor(self) -> ProcessPoolExecutor:
         if self._executor is None:
@@ -519,7 +511,7 @@ class ProcessCandidateExecutor(CandidateExecutor):
                 continue
             contract = job.contract
             payload = self.pool.serialized_bytes(job.circuit, contract)
-            key = (self._settings_key, job.circuit.structure_key(), contract)
+            key = (job.circuit.structure_key(), contract)
             pending[i] = _PendingFit(job=job, key=key, payload=payload)
 
         rebuilds = 0

@@ -52,7 +52,7 @@ import multiprocessing
 import os
 import signal
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 
 __all__ = [
@@ -251,6 +251,15 @@ class KillReport:
     snapshots: int
 
 
+def _group_leader(target, args) -> None:
+    """:func:`run_and_kill`'s spawned entry point: lead a new process
+    group, so the harness's signal also reaches every process the
+    victim starts (pool workers, multiprocessing helpers), then run
+    ``target(*args)``."""
+    os.setpgid(0, 0)
+    target(*args)
+
+
 def run_and_kill(
     target,
     args=(),
@@ -267,9 +276,13 @@ def run_and_kill(
     The harness polls ``watch_dir`` until at least ``snapshots``
     checkpoint snapshot files exist — proof the pass is past its first
     round boundary — then delivers ``kill_signal`` (default SIGKILL,
-    real unblockable process death, not a simulated exception) and
-    reaps the subprocess.  ``target`` must be a module-level callable
-    (it crosses a ``spawn`` pickle boundary).
+    real unblockable process death, not a simulated exception) to the
+    subprocess's process group and reaps the subprocess.  The
+    subprocess leads its own group, so the signal reaches the worker
+    processes it started too, and whatever of the group is still
+    alive when the harness returns is SIGKILLed: a killed pass leaves
+    no orphaned workers behind.  ``target`` must be a module-level
+    callable (it crosses a ``spawn`` pickle boundary).
 
     The kill races the pass by design: the victim may die mid-round,
     mid-snapshot-write, or even after finishing.  Every outcome must
@@ -280,14 +293,14 @@ def run_and_kill(
     from ..checkpoint import snapshot_count
 
     ctx = multiprocessing.get_context(mp_context)
-    proc = ctx.Process(target=target, args=tuple(args))
+    proc = ctx.Process(target=_group_leader, args=(target, tuple(args)))
     proc.start()
     killed = False
     deadline = time.monotonic() + timeout
     try:
         while proc.is_alive():
             if snapshot_count(watch_dir) >= snapshots:
-                os.kill(proc.pid, kill_signal)
+                os.killpg(proc.pid, kill_signal)
                 killed = True
                 break
             if time.monotonic() > deadline:
@@ -300,6 +313,11 @@ def run_and_kill(
         if proc.is_alive():
             raise TimeoutError("killed subprocess failed to exit")
     finally:
+        # The group is gone (ProcessLookupError) once every member has
+        # exited, or does not exist yet if the subprocess never got to
+        # lead it.
+        with suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)
         if proc.is_alive():
             proc.kill()
             proc.join(10.0)

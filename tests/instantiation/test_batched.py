@@ -5,7 +5,6 @@ import pytest
 
 from repro.circuit import fig5_circuit
 from repro.instantiation import (
-    BatchedInstantiater,
     HilbertSchmidtResiduals,
     Instantiater,
     batched_levenberg_marquardt,
@@ -110,7 +109,7 @@ def test_batched_engine_matches_sequential(name):
     circ = fig5_circuit(name)
     target = make_target(name, seed=11)
     seq = Instantiater(circ)
-    bat = BatchedInstantiater(circ)
+    bat = Instantiater(circ, strategy="batched")
     for seed in range(3):
         rs = seq.instantiate(target, starts=8, rng=seed)
         rb = bat.instantiate(target, starts=8, rng=seed)
@@ -136,7 +135,7 @@ def test_batched_short_circuit_starts_used():
         -np.pi, np.pi, circ.num_params
     )
     target = circ.get_unitary(p_true)
-    engine = BatchedInstantiater(circ)
+    engine = Instantiater(circ, strategy="batched")
     result = engine.instantiate(target, starts=8, x0=p_true, rng=2)
     assert result.success
     assert result.starts_used == 1
@@ -187,17 +186,37 @@ def test_strategy_validation():
 def test_batched_engine_reuses_vm_per_batch_size():
     circ = fig5_circuit("2-qubit shallow")
     target = make_target("2-qubit shallow", seed=3)
-    engine = BatchedInstantiater(circ)
+    engine = Instantiater(circ, strategy="batched")
     engine.instantiate(target, starts=4, rng=0)
-    vm4 = engine._vms[4]
+    vms = engine._batched_engine._vms
+    vm4 = vms[4]
     engine.instantiate(target, starts=4, rng=1)
-    assert engine._vms[4] is vm4
+    assert vms[4] is vm4
     engine.instantiate(target, starts=2, rng=0)
-    assert set(engine._vms) == {2, 4}
+    assert set(vms) == {2, 4}
+
+
+def test_every_result_reports_the_engine_aot_seconds():
+    """One AOT figure per engine: the first batched fit adds its
+    BatchedTNVM build to the compile time, a later fit with the same
+    start count adds nothing, and every result reports the engine's
+    figure as of that fit."""
+    circ = fig5_circuit("2-qubit shallow")
+    target = make_target("2-qubit shallow", seed=3)
+    engine = Instantiater(circ, strategy="batched")
+    compiled = engine.aot_seconds
+    first = engine.instantiate(target, starts=4, rng=0)
+    assert first.aot_seconds == engine.aot_seconds > compiled
+    again = engine.instantiate(target, starts=4, rng=1)
+    assert again.aot_seconds == first.aot_seconds
+    scalar = engine.instantiate(target, starts=1, rng=0, strategy="sequential")
+    assert scalar.aot_seconds == engine.aot_seconds > again.aot_seconds
+    wider = engine.instantiate(target, starts=6, rng=0)
+    assert wider.aot_seconds == engine.aot_seconds > scalar.aot_seconds
 
 
 def test_batched_x0_validation():
     circ = fig5_circuit("2-qubit shallow")
-    engine = BatchedInstantiater(circ)
+    engine = Instantiater(circ, strategy="batched")
     with pytest.raises(ValueError):
         engine.instantiate(np.eye(4), starts=2, x0=np.zeros(3))

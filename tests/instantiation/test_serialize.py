@@ -144,20 +144,6 @@ class TestEngineSerialization:
         assert np.array_equal(r1.params, r2.params)
         assert r1.infidelity == r2.infidelity
 
-    def test_rehydrated_in_child_process(self, circuit, target):
-        # The acceptance-bar scenario: serialize here, rehydrate in a
-        # *spawned* interpreter (no inherited state), compare numbers.
-        payload_bytes = pickle.dumps(Instantiater(circuit).serialize())
-        ctx = multiprocessing.get_context("spawn")
-        with ctx.Pool(1) as pool:
-            child = pool.apply(
-                _child_instantiate, (payload_bytes, target)
-            )
-        parent = Instantiater(circuit).instantiate(target, starts=4, rng=9)
-        child_params, child_infidelity, _ = child
-        assert np.array_equal(parent.params, child_params)
-        assert parent.infidelity == child_infidelity
-
     def test_pool_payload_cached_per_shape(self, circuit):
         pool = EnginePool()
         first = pool.serialized_bytes(circuit)
@@ -327,6 +313,8 @@ class TestFusedEngineSerialization:
         assert batched._vm is None
 
     def test_fused_rehydrated_in_spawned_child(self, circuit, target):
+        # The acceptance-bar scenario: serialize here, rehydrate in a
+        # *spawned* interpreter (no inherited state), compare numbers.
         parent_engine = Instantiater(circuit)
         payload_bytes = pickle.dumps(parent_engine.serialize())
         ctx = multiprocessing.get_context("spawn")

@@ -21,6 +21,7 @@ SIGKILLs the pass once snapshots appear); preemption with the
 import os
 import shutil
 import signal
+import time
 
 import numpy as np
 import pytest
@@ -70,6 +71,24 @@ def assert_resumed_identical(resumed, clean):
     assert resumed.nodes_expanded == clean.nodes_expanded
 
 
+def live_group_members(pgid):
+    """Pids of the non-zombie processes in process group ``pgid``."""
+    live = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat") as fh:
+                stat = fh.read()
+        except OSError:
+            continue  # exited while we looked
+        # "pid (comm) state ppid pgrp ...": comm may hold spaces.
+        state, _ppid, pgrp = stat.rpartition(")")[2].split()[:3]
+        if int(pgrp) == pgid and state != "Z":
+            live.append(int(entry))
+    return live
+
+
 def metrics_delta(before):
     return telemetry.delta(before, telemetry.metrics().snapshot())
 
@@ -78,10 +97,13 @@ def _victim_target():
     return reachable_target(build_qsearch_ansatz(2, 2, 2), 7)
 
 
-def _search_victim(ckpt_dir):
+def _search_victim(ckpt_dir, pgid_file):
     """Spawn-picklable chaos victim: a checkpointed parallel search the
     harness SIGKILLs mid-pass (workers=2 under spawn, per the headline
-    acceptance criterion)."""
+    acceptance criterion).  It records its process group first, so the
+    test can check that the kill left none of the group alive."""
+    with open(pgid_file, "w") as fh:
+        fh.write(str(os.getpgrp()))
     pool = EnginePool()
     executor = ProcessCandidateExecutor(pool, workers=2, mp_context="spawn")
     search = SynthesisSearch(
@@ -107,12 +129,23 @@ class TestParentDeath:
         ckpt = os.path.join(base, "search-kill")
         shutil.rmtree(ckpt, ignore_errors=True)  # stale smoke dirs
 
+        os.makedirs(base, exist_ok=True)  # the victim writes here first
+        pgid_file = os.path.join(base, "search-kill.pgid")
         report = run_and_kill(
-            _search_victim, (ckpt,), watch_dir=ckpt, snapshots=1
+            _search_victim, (ckpt, pgid_file), watch_dir=ckpt, snapshots=1
         )
         assert report.killed
         assert report.exitcode == -signal.SIGKILL  # died, not exited
         assert report.snapshots >= 1
+        # The victim's spawn workers died with it: nothing of its
+        # process group outlives the harness (zombies awaiting their
+        # reaper aside).  SIGKILL lands asynchronously, hence the poll.
+        with open(pgid_file) as fh:
+            pgid = int(fh.read())
+        deadline = time.monotonic() + 5.0
+        while live_group_members(pgid) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert live_group_members(pgid) == []
 
         # Resume in this (fresh) process, again parallel under spawn.
         pool = EnginePool()
