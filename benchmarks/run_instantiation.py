@@ -10,6 +10,8 @@ Usage::
         --json BENCH_multistart.json                     # emit artifact
     python benchmarks/run_instantiation.py --verify-overhead \
         --json BENCH_verify.json                         # verifier cost
+    python benchmarks/run_instantiation.py --sweeps \
+        --json BENCH_sweeps.json                         # TNVM sweep table
 
 For every Figure 5 benchmark circuit this prints the mean wall-clock
 instantiation time for OpenQudit (AOT included) and the baseline
@@ -19,22 +21,38 @@ OpenQudit engine is measured under *both* execution strategies —
 ``sequential`` (one scalar TNVM pass per start) and ``batched`` (all
 starts in one vectorized BatchedTNVM sweep) — and the comparison can
 be written to a JSON artifact for CI tracking.
+
+``--sweeps`` prints the TNVM sweep table instead: the minimum
+microseconds per ``evaluate_with_grad`` of the scalar VM and of a
+batch-8 VM, and the megakernel's numpy calls per sweep, for every
+Figure 5 circuit compiled for the full unitary and for ``COLUMN(0)``,
+with BLAS on one thread.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
+import sys
 import time
 
-import numpy as np
+if "--sweeps" in sys.argv:
+    # BLAS reads its thread count when numpy loads.
+    for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[_var] = "1"
 
-from repro.baseline import (
+import numpy as np  # noqa: E402
+
+from repro.baseline import (  # noqa: E402
     BaselineInstantiater,
     build_qsearch_ansatz_baseline,
 )
-from repro.checkpoint import atomic_write_json
-from repro.circuit import FIG5_BENCHMARKS, fig5_circuit
-from repro.instantiation import Instantiater
+from repro.checkpoint import atomic_write_json  # noqa: E402
+from repro.circuit import FIG5_BENCHMARKS, fig5_circuit  # noqa: E402
+from repro.instantiation import Instantiater  # noqa: E402
+
+#: parameter sets per batched sweep in the ``--sweeps`` table
+SWEEP_BATCH = 8
 
 
 def run_one(
@@ -221,6 +239,83 @@ def verify_overhead_suite(trials: int, json_path: str) -> None:
         print(f"wrote {json_path}")
 
 
+def _min_sweep_us(sweep, params, calls: int) -> float:
+    """Minimum wall time of one ``sweep(params)`` over ``calls`` timed
+    calls (after a short warm-up), in microseconds."""
+    for _ in range(10):
+        sweep(params)
+    best = float("inf")
+    clock = time.perf_counter
+    for _ in range(calls):
+        t0 = clock()
+        sweep(params)
+        best = min(best, clock() - t0)
+    return best * 1e6
+
+
+def sweep_suite(trials: int, json_path: str) -> None:
+    """The TNVM sweep table: min-of-N µs per ``evaluate_with_grad``.
+
+    Each Figure 5 circuit is compiled for the full unitary and for
+    ``COLUMN(0)``; the scalar VM (one megakernel call per sweep) and a
+    ``SWEEP_BATCH``-wide batched VM each run ``100 * trials`` timed
+    sweeps at fixed random parameters, and the table keeps the fastest
+    one.  ``num_numpy_calls`` is the megakernel's numpy dispatches per
+    sweep (contractions, copies and scatter stores).
+    """
+    from repro.tensornet import OutputContract
+    from repro.tnvm import TNVM, BatchedTNVM
+
+    calls = 100 * trials
+    rows = []
+    print(f"TNVM sweeps: min of {calls} evaluate_with_grad calls, "
+          f"BLAS threads {os.environ.get('OPENBLAS_NUM_THREADS', '?')}\n")
+    print(f"{'benchmark':<18} {'contract':<9} {'D':>3} {'P':>3} "
+          f"{'scalar(us)':>11} {f'batch{SWEEP_BATCH}(us)':>12} "
+          f"{'numpy calls':>12}")
+    for name in FIG5_BENCHMARKS:
+        circ = fig5_circuit(name)
+        params = np.random.default_rng(0).uniform(
+            -np.pi, np.pi, (SWEEP_BATCH, circ.num_params)
+        )
+        for contract in ("full", "column"):
+            program = circ.compile(
+                contract=OutputContract.column(0)
+                if contract == "column"
+                else None
+            )
+            scalar = TNVM(program)
+            batched = BatchedTNVM(program, SWEEP_BATCH)
+            row = {
+                "name": name,
+                "contract": contract,
+                "dim": program.dim,
+                "num_params": program.num_params,
+                "scalar_us": _min_sweep_us(
+                    scalar.evaluate_with_grad, params[0], calls
+                ),
+                "batched_us": _min_sweep_us(
+                    batched.evaluate_with_grad, params, calls
+                ),
+                "num_numpy_calls": scalar.fused_kernel.num_numpy_calls,
+            }
+            rows.append(row)
+            print(f"{name:<18} {contract:<9} {row['dim']:>3} "
+                  f"{row['num_params']:>3} {row['scalar_us']:>11.1f} "
+                  f"{row['batched_us']:>12.1f} "
+                  f"{row['num_numpy_calls']:>12}")
+    report = {
+        "mode": "sweeps",
+        "batch": SWEEP_BATCH,
+        "calls": calls,
+        "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
+        "rows": rows,
+    }
+    if json_path:
+        atomic_write_json(json_path, report)
+        print(f"wrote {json_path}")
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--starts", type=int, default=1)
@@ -243,12 +338,37 @@ def main() -> None:
         "vs on (emits BENCH_verify.json with --json)",
     )
     parser.add_argument(
+        "--sweeps",
+        action="store_true",
+        help="print the TNVM sweep table (min-of-N us per "
+        "evaluate_with_grad, scalar and batch 8, full and COLUMN(0), "
+        "BLAS on one thread; emits BENCH_sweeps.json with --json)",
+    )
+    parser.add_argument(
         "--json",
         default="",
         metavar="PATH",
         help="write the results (e.g. BENCH_multistart.json)",
     )
     args = parser.parse_args()
+
+    if args.sweeps:
+        # Times the fixed Figure 5 program set; --trials scales the
+        # number of timed sweeps, --json names the artifact.
+        if (
+            args.circuits
+            or args.skip_baseline
+            or args.verify_overhead
+            or args.starts != parser.get_default("starts")
+        ):
+            parser.error(
+                "--sweeps is exclusive with --starts/--circuits/"
+                "--skip-baseline/--verify-overhead (use --trials)"
+            )
+        if args.trials < 1:
+            parser.error("--trials must be >= 1")
+        sweep_suite(args.trials, args.json)
+        return
 
     if args.verify_overhead:
         # Builds the fixed Figure 5 engine set twice; only --trials

@@ -20,9 +20,11 @@ the code generator guarantees:
   on ``np`` or an array view is whitelisted (``np.matmul`` yes,
   ``np.frombuffer`` no);
 * **no aliased ``out=`` targets** — a contraction's ``out=`` view (or
-  ``np.copyto``'s destination) must not share an arena root
-  (``values[k]`` / ``grads[k]``) with any input of the same statement,
-  since the BLAS kernels do not tolerate overlapping operands;
+  ``np.copyto``'s destination) must not share an arena root with any
+  input of the same statement, since the BLAS kernels do not tolerate
+  overlapping operands.  The roots are the buffer stacks
+  (``stacks[k]``): a buffer's value and gradient rows are one stack
+  (:mod:`repro.tnvm.buffers`), so any two views of one buffer alias;
 * only sanctioned statement forms appear (assignments into names or
   arena subscripts, whitelisted calls, ``pass``, ``return fused_run``).
 """
@@ -146,19 +148,18 @@ class _KernelChecker:
                 self._where(make),
             )
         args = [a.arg for a in make.args.args]
-        if args != ["values", "grads", "dtype"]:
+        if args != ["stacks", "dtype"]:
             self.report.add(
                 "kernel-structure",
                 f"factory signature make_fused({', '.join(args)}) is "
-                "not make_fused(values, grads, dtype)",
+                "not make_fused(stacks, dtype)",
                 self._where(make),
             )
         self.defined |= set(args)
         for arg in args:
             self.roots[arg] = ("arg", arg)
-        # The arena tables themselves are roots.
-        self.roots["values"] = ("values", None)
-        self.roots["grads"] = ("grads", None)
+        # The stack table itself is a root.
+        self.roots["stacks"] = ("stacks", None)
 
         inner: ast.FunctionDef | None = None
         returned = False
@@ -349,7 +350,7 @@ class _KernelChecker:
             # copyto(dst, src): the first positional arg is the target.
             out_root = self._root_of(call.args[0])
             inputs = call.args[1:]
-        if out_root is not None and out_root[0] in ("values", "grads"):
+        if out_root is not None and out_root[0] == "stacks":
             for arg in inputs:
                 in_root = self._root_of(arg)
                 if in_root == out_root:
@@ -407,7 +408,7 @@ class _KernelChecker:
     def _root_of(self, node: ast.expr | None) -> tuple[str, object]:
         """Which storage a view expression ultimately aliases.
 
-        ``values[3].reshape(...)`` -> ``("values", 3)``;
+        ``stacks[3][16:].reshape(...)`` -> ``("stacks", 3)``;
         ``np.zeros(...)`` -> fresh scratch; a bound name inherits the
         root recorded at its single assignment.
         """
@@ -416,10 +417,7 @@ class _KernelChecker:
                 return self.roots.get(node.id, ("unknown", node.id))
             if isinstance(node, ast.Subscript):
                 base = node.value
-                if isinstance(base, ast.Name) and base.id in (
-                    "values",
-                    "grads",
-                ):
+                if isinstance(base, ast.Name) and base.id == "stacks":
                     idx = node.slice
                     if isinstance(idx, ast.Constant) and isinstance(
                         idx.value, int

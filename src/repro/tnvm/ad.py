@@ -2,20 +2,27 @@
 
 At initialization the batched TNVM turns each bytecode instruction
 into a specialized closure (the scalar TNVM emits the same calculus as
-one generated megakernel instead, see :mod:`repro.tnvm.fused`).  The
-AOT compiler annotated every instruction with the circuit parameters
-it depends on; the builders here use those sets to apply the correct
-calculus — operations whose operands depend on *independent* partials
-propagate each side separately, while operands with *overlapping*
-parameters get the product rule.
+one generated megakernel instead, see :mod:`repro.tnvm.fused`).  Every
+buffer is one stack of its value row and its gradient rows, in the row
+order :func:`~repro.tnvm.buffers.gradient_rows` derives from the
+instructions' parameter sets, and the builders apply the calculus to
+row spans of those stacks:
+
+* a product's value and every row of its first operand A come out of
+  one call (``A[0..Ra] * B[0]``), and the rows of the parameters only
+  B depends on out of a second (``A[0] * B[rows]``);
+* a parameter both operands depend on gets the product rule: its row
+  adds ``A[0] * B[y]`` to the ``A[x] * B[0]`` the first call wrote;
+* a ``TRANSPOSE`` copies the whole permuted stack at once.
 
 Every WRITE with parameter slots runs through
 :func:`build_batched_write_group`: one batched writer call per JIT'd
 expression, covering every gate that uses it (a lone gate included).
 
 All views are precomputed, so the contraction closures perform no
-allocation except one reused scratch matrix per product-rule
-instruction.
+allocation except in products whose operands share a parameter: one
+reused scratch matrix, and a gather of the B-only rows when a shared
+row interleaves them.
 """
 
 from __future__ import annotations
@@ -23,8 +30,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..jit.compiled import CompiledExpression
-from ..tensornet.bytecode import Instruction, Program
-from .buffers import MemoryPlan
+from ..tensornet.bytecode import Instruction
+from .buffers import MemoryPlan, product_rows
 
 __all__ = [
     "build_batched_closure",
@@ -34,10 +41,8 @@ __all__ = [
 
 def build_batched_closure(
     instr: Instruction,
-    program: Program,
     plan: MemoryPlan,
     compiled: list[CompiledExpression],
-    grad: bool,
 ):
     """Create the batch-vectorized callable for one instruction.
 
@@ -52,55 +57,33 @@ def build_batched_closure(
     if instr.opcode == "WRITE":
         return _build_batched_write(instr, plan, compiled)
     if instr.opcode == "MATMUL":
-        return _build_batched_matmul(instr, program, plan, grad)
+        (m, k), (_, n) = instr.a_shape, instr.b_shape
+        return _build_batched_product(
+            instr, plan, np.matmul, (m, k), (k, n), (m, n)
+        )
     if instr.opcode == "KRON":
-        return _build_batched_kron(instr, program, plan, grad)
+        (ra, ca), (rb, cb) = instr.a_shape, instr.b_shape
+        return _build_batched_product(
+            instr, plan, np.multiply,
+            (ra, 1, ca, 1), (1, rb, 1, cb), (ra, rb, ca, cb),
+        )
     if instr.opcode == "HADAMARD":
-        return _build_batched_hadamard(instr, program, plan, grad)
+        shape = tuple(instr.a_shape)
+        return _build_batched_product(
+            instr, plan, np.multiply, shape, shape, shape
+        )
     if instr.opcode == "TRANSPOSE":
-        return _build_batched_transpose(instr, program, plan, grad)
+        return _build_batched_transpose(instr, plan)
     raise ValueError(f"unknown opcode {instr.opcode}")
-
-
-def _param_positions(
-    out_params: tuple[int, ...], side_params: tuple[int, ...]
-) -> list[int]:
-    """For each output parameter, its row in the side's gradient stack
-    (or -1 when the side does not depend on it)."""
-    index = {p: i for i, p in enumerate(side_params)}
-    return [index.get(p, -1) for p in out_params]
-
-
-def _grouped_rows(maps):
-    """Split the per-row (a-position, b-position) maps into the three
-    product-rule cases: a-side only, b-side only, and overlapping."""
-    a_rows, a_idx, b_rows, b_idx, both = [], [], [], [], []
-    for row, (x, y) in enumerate(maps):
-        if x >= 0 and y >= 0:
-            both.append((row, x, y))
-        elif x >= 0:
-            a_rows.append(row)
-            a_idx.append(x)
-        else:
-            b_rows.append(row)
-            b_idx.append(y)
-    return a_rows, a_idx, b_rows, b_idx, both
-
-
-def _index(ix: list[int]):
-    """A slice when the indices are consecutive (zero-copy view, valid
-    ``out=`` target), else a fancy-index array."""
-    if ix and ix == list(range(ix[0], ix[-1] + 1)):
-        return slice(ix[0], ix[-1] + 1)
-    return np.asarray(ix, dtype=np.intp)
 
 
 # ----------------------------------------------------------------------
 # Batched builders
 #
-# Every view carries a leading batch axis.  Contractions
-# (MATMUL/KRON/HADAMARD/TRANSPOSE) broadcast over that axis in a
-# single numpy call, so the per-
+# Every view carries a leading batch axis, and every buffer is one
+# (batch, 1 + R, size) stack of its value row and gradient rows (see
+# repro.tnvm.buffers).  Contractions (MATMUL/KRON/HADAMARD/TRANSPOSE)
+# broadcast over the batch axis in a single numpy call, so the per-
 # instruction Python dispatch cost is amortized across all S starts.
 # A WRITE with parameter slots instead hands the JIT'd *batched*
 # expression writer views with a trailing batch axis (see
@@ -123,167 +106,79 @@ def _build_batched_write(instr, plan, compiled):
     return run_const
 
 
-def _build_batched_matmul(instr, program, plan, grad):
-    m, k = instr.a_shape
-    k2, n = instr.b_shape
-    assert k == k2
-    A = plan.value_view(instr.a_buf, (m, k))
-    B = plan.value_view(instr.b_buf, (k, n))
-    C = plan.value_view(instr.out_buf, (m, n))
+def _build_batched_product(instr, plan, ufunc, a_shape, b_shape, out_shape):
+    """Shared MATMUL/KRON/HADAMARD batched builder.
 
-    if not grad or not instr.params:
+    The output's rows are A's rows, then B's parameters that A lacks
+    (:func:`~repro.tnvm.buffers.gradient_rows`).  So one call computes
+    the value and every A-side row (``A[0..Ra] * B[0]``: one gemm per
+    batch element for MATMUL, one broadcast multiply otherwise), one
+    stacked call the B-only rows (``A[0] * B[rows]``), and a parameter
+    on both sides adds its product-rule addend ``A[0] * B[y]``.
+    """
+    A, B, C = instr.a_buf, instr.b_buf, instr.out_buf
+    a_rows, b_rows = plan.rows[A], plan.rows[B]
+    na = 1 + len(a_rows)
+    if ufunc is np.matmul and a_shape[0] > 1:
+        (m, k), (_, n) = a_shape, b_shape
+        lead_a = plan.view(A, 0, na, (na * m, k))
+        lead_c = plan.view(C, 0, na, (na * m, n))
+        b_val = plan.value_view(B, b_shape)
+    else:
+        # A broadcast over the stack axis.  A row-vector A (m == 1)
+        # takes it too: one gemv per row, as a lone row runs (see the
+        # megakernel's emit_product), where stacking would make a gemm.
+        lead_a = plan.view(A, 0, na, (na,) + a_shape)
+        lead_c = plan.view(C, 0, na, (na,) + out_shape)
+        b_val = plan.value_view(B, b_shape)[:, None]
+
+    b_only, shared = product_rows(a_rows, b_rows)
+    if not b_only and not shared:
 
         def run(params):
-            np.matmul(A, B, out=C)
+            ufunc(lead_a, b_val, out=lead_c)
 
         return run
 
-    GA = plan.grad_view(instr.a_buf, (m, k))
-    GB = plan.grad_view(instr.b_buf, (k, n))
-    GC = plan.grad_view(instr.out_buf, (m, n))
-    a_params = program.buffers[instr.a_buf].params
-    b_params = program.buffers[instr.b_buf].params
-    maps = list(
-        zip(
-            _param_positions(instr.params, a_params),
-            _param_positions(instr.params, b_params),
-        )
-    )
-    # Row-stacked gradient contraction: all rows of each product-rule
-    # case run as ONE broadcasted matmul over a (batch, rows, m, n)
-    # stack, instead of one gufunc dispatch per row.  Consecutive row
-    # ranges (the common case: sorted circuit params split cleanly
-    # between the two operands) use zero-copy slice views as ``out=``.
-    a_rows, a_idx, b_rows, b_idx, both = _grouped_rows(maps)
-    ra, ia = _index(a_rows), _index(a_idx)
-    rb, ib = _index(b_rows), _index(b_idx)
-    a_direct = isinstance(ra, slice)
-    b_direct = isinstance(rb, slice)
-    A_b = A[:, None]  # (batch, 1, m, k) broadcast view
-    B_b = B[:, None]
-    scratch = (
-        np.zeros((plan.batch, m, n), dtype=plan.dtype) if both else None
-    )
-
-    def run(params):
-        np.matmul(A, B, out=C)
-        if a_rows:
-            if a_direct:
-                np.matmul(GA[:, ia], B_b, out=GC[:, ra])
-            else:
-                GC[:, ra] = np.matmul(GA[:, ia], B_b)
-        if b_rows:
-            if b_direct:
-                np.matmul(A_b, GB[:, ib], out=GC[:, rb])
-            else:
-                GC[:, rb] = np.matmul(A_b, GB[:, ib])
-        for row, x, y in both:
-            # Overlapping parameters: product rule.
-            np.matmul(GA[:, x], B, out=GC[:, row])
-            np.matmul(A, GB[:, y], out=scratch)
-            GC[:, row] += scratch
-
-    return run
-
-
-def _build_batched_elementwise(instr, program, plan, grad, a_shape, b_shape):
-    """Shared KRON/HADAMARD batched builder: the two opcodes differ
-    only in how their operands are viewed (kron interleaves singleton
-    axes so the same broadcast multiply performs the outer product)."""
-    A = plan.value_view(instr.a_buf, a_shape)
-    B = plan.value_view(instr.b_buf, b_shape)
-    out_shape = np.broadcast_shapes(a_shape, b_shape)
-    C = plan.value_view(instr.out_buf, out_shape)
-
-    if not grad or not instr.params:
-
-        def run(params):
-            np.multiply(A, B, out=C)
-
-        return run
-
-    GA = plan.grad_view(instr.a_buf, a_shape)
-    GB = plan.grad_view(instr.b_buf, b_shape)
-    GC = plan.grad_view(instr.out_buf, out_shape)
-    a_params = program.buffers[instr.a_buf].params
-    b_params = program.buffers[instr.b_buf].params
-    maps = list(
-        zip(
-            _param_positions(instr.params, a_params),
-            _param_positions(instr.params, b_params),
-        )
-    )
-    rows_a, idx_a, rows_b, idx_b, both = _grouped_rows(maps)
-    sa, xa = _index(rows_a), _index(idx_a)
-    sb, xb = _index(rows_b), _index(idx_b)
-    a_direct = isinstance(sa, slice)
-    b_direct = isinstance(sb, slice)
-    A_b = A[:, None]
-    B_b = B[:, None]
+    a_val = plan.value_view(A, a_shape)
+    b_stack = plan.stack_view(B, b_shape)
+    c_stack = plan.stack_view(C, out_shape)
+    # B-only rows are a span unless a shared parameter interleaves
+    # them; then they are gathered (on an input).
+    lo = b_only[0] if b_only else 0
+    gather = bool(b_only) and b_only[-1] - lo >= len(b_only)
+    rows_b = np.asarray(b_only, dtype=np.intp) if gather else None
+    span_b = b_stack[:, lo: lo + len(b_only)]
+    out_b = c_stack[:, na: na + len(b_only)]
+    a_b = a_val[:, None]  # (batch, 1, ...) broadcast over B's rows
     scratch = (
         np.zeros((plan.batch,) + tuple(out_shape), dtype=plan.dtype)
-        if both
+        if shared
         else None
     )
 
     def run(params):
-        np.multiply(A, B, out=C)
-        if rows_a:
-            if a_direct:
-                np.multiply(GA[:, xa], B_b, out=GC[:, sa])
-            else:
-                GC[:, sa] = GA[:, xa] * B_b
-        if rows_b:
-            if b_direct:
-                np.multiply(A_b, GB[:, xb], out=GC[:, sb])
-            else:
-                GC[:, sb] = A_b * GB[:, xb]
-        for row, x, y in both:
-            np.multiply(GA[:, x], B, out=GC[:, row])
-            np.multiply(A, GB[:, y], out=scratch)
-            GC[:, row] += scratch
+        ufunc(lead_a, b_val, out=lead_c)
+        if b_only:
+            src = b_stack[:, rows_b] if gather else span_b
+            ufunc(a_b, src, out=out_b)
+        for x, y in shared:
+            # Product rule: the row already holds A[x] * B[0].
+            ufunc(a_val, b_stack[:, y], out=scratch)
+            c_stack[:, x] += scratch
 
     return run
 
 
-def _build_batched_kron(instr, program, plan, grad):
-    ra, ca = instr.a_shape
-    rb, cb = instr.b_shape
-    return _build_batched_elementwise(
-        instr, program, plan, grad, (ra, 1, ca, 1), (1, rb, 1, cb)
-    )
-
-
-def _build_batched_hadamard(instr, program, plan, grad):
-    shape = tuple(instr.a_shape)
-    return _build_batched_elementwise(
-        instr, program, plan, grad, shape, shape
-    )
-
-
-def _build_batched_transpose(instr, program, plan, grad):
-    shape = instr.shape
-    perm = instr.perm
-    src = plan.value_view(instr.a_buf, shape).transpose(
-        (0,) + tuple(p + 1 for p in perm)
-    )
-    dst = plan.value_view(instr.out_buf, src.shape[1:])
-
-    if not grad or not instr.params:
-
-        def run(params):
-            np.copyto(dst, src)
-
-        return run
-
-    gsrc_base = plan.grad_view(instr.a_buf, shape)
-    gperm = (0, 1) + tuple(p + 2 for p in perm)
-    gsrc = gsrc_base.transpose(gperm)
-    gdst = plan.grad_view(instr.out_buf, src.shape[1:])
+def _build_batched_transpose(instr, plan):
+    """One copy of the permuted stack: the output's rows are its
+    input's rows."""
+    perm = (0, 1) + tuple(p + 2 for p in instr.perm)
+    src = plan.stack_view(instr.a_buf, instr.shape).transpose(perm)
+    dst = plan.stack_view(instr.out_buf, src.shape[2:])
 
     def run(params):
         np.copyto(dst, src)
-        np.copyto(gdst, gsrc)
 
     return run
 
@@ -294,7 +189,6 @@ def _build_batched_transpose(instr, program, plan, grad):
 
 def build_batched_write_group(
     instrs: list[Instruction],
-    program: Program,
     plan: MemoryPlan,
     compiled: list[CompiledExpression],
     grad: bool,
@@ -305,12 +199,16 @@ def build_batched_write_group(
     All ``instrs`` reference the same ``expr_id`` (hence the same
     compiled writer) and carry parameter slots.  The writer runs once
     with an effective batch of ``G * S`` — gate axis times multi-start
-    axis — and the result is scattered into each instruction's arena
-    views.  That trades two cheap contiguous copies per instruction for
-    a G-fold reduction in ufunc dispatch count, which dominates the
-    batched WRITE cost at small batch sizes.  A lone gate (``G == 1``)
-    whose slots are in sorted order skips the scratch: the writer
-    stores straight into its arena views.
+    axis — into one ``(1 + k, ..., G * S)`` scratch stack, and each
+    instruction's slice is copied into its arena stack.  That trades
+    one cheap copy per instruction for a G-fold reduction in ufunc
+    dispatch count, which dominates the batched WRITE cost at small
+    batch sizes.  A gate's gradient rows follow its slots
+    (:func:`~repro.tnvm.buffers.gradient_rows`), so a gate with unique
+    slots takes its whole stack in that one copy, and a lone gate
+    (``G == 1``) with unique slots skips the scratch: the writer stores
+    straight into its arena stack.  Only duplicated slots accumulate
+    their rows one by one.
 
     Reordering is safe: WRITE instructions read no buffers and every
     buffer is written exactly once, so hoisting the group to the start
@@ -323,6 +221,7 @@ def build_batched_write_group(
     k = expr.num_params
     shape = expr.shape
     write = expr.write_batched
+    n = 1 + k if grad else 1  # stack rows the writer fills
 
     #: circuit-parameter row per (expression-parameter, gate): fancy-
     #: indexing ``param_rows`` with this yields a (k*G, S) gather that
@@ -331,44 +230,36 @@ def build_batched_write_group(
         [list(i.slots) for i in instrs], dtype=np.intp
     ).T.ravel()
 
+    def stack_t(instr, rows):
+        """An instruction's leading ``rows`` stack rows, batch axis
+        moved last: ``(rows,) + shape + (S,)``."""
+        view = plan.view(instr.out_buf, 0, rows, (rows,) + shape)
+        return np.moveaxis(view, 0, -1)
+
+    def direct(instr):
+        return not grad or len(plan.rows[instr.out_buf]) == k
+
     copies = []  # (group-scratch view, instruction arena view) pairs
-    scatters = []  # (per-slot grad views, gview_t, row map) triples
-    lone = instrs[0]
-    if G == 1 and (
-        not grad
-        or tuple(lone.slots) == tuple(program.buffers[lone.out_buf].params)
-    ):
-        # The writer stores straight into the lone gate's arena views
-        # (batch axis moved last): no scratch, no copy.
-        out_s = np.moveaxis(plan.value_view(lone.out_buf, shape), 0, -1)
-        grad_s = (
-            np.moveaxis(plan.grad_view(lone.out_buf, shape), [0, 1], [-1, 0])
-            if grad
-            else None
-        )
+    scatters = []  # (per-slot scratch rows, arena grad rows, row map)
+    if G == 1 and direct(instrs[0]):
+        stack_s = stack_t(instrs[0], n)
     else:
-        out_s = np.zeros(shape + (G * S,), dtype=plan.dtype)
-        grad_s = (
-            np.zeros((k,) + shape + (G * S,), dtype=plan.dtype)
-            if grad
-            else None
-        )
+        stack_s = np.zeros((n,) + shape + (G * S,), dtype=plan.dtype)
         for g, instr in enumerate(instrs):
             sl = slice(g * S, (g + 1) * S)
-            val_t = np.moveaxis(plan.value_view(instr.out_buf, shape), 0, -1)
-            copies.append((out_s[..., sl], val_t))
-            if not grad:
+            if direct(instr):
+                copies.append((stack_s[..., sl], stack_t(instr, n)))
                 continue
-            gview_t = np.moveaxis(
-                plan.grad_view(instr.out_buf, shape), [0, 1], [-1, 0]
-            )
-            sorted_params = program.buffers[instr.out_buf].params
-            if tuple(instr.slots) == tuple(sorted_params):
-                copies.append((grad_s[..., sl], gview_t))
-            else:
-                row_of = {p: i for i, p in enumerate(sorted_params)}
-                rows = [row_of[j] for j in instr.slots]
-                scatters.append((grad_s[..., sl], gview_t, rows))
+            rows = plan.rows[instr.out_buf]
+            arena = stack_t(instr, 1 + len(rows))
+            copies.append((stack_s[0, ..., sl], arena[0]))
+            scatters.append((
+                stack_s[1:, ..., sl],
+                arena[1:],
+                [rows.index(j) for j in instr.slots],
+            ))
+    out_s = stack_s[0]
+    grad_s = stack_s[1:] if grad else None
     # The batched writer fetched above carries the constants functions
     # too, so no scalar writer is compiled for this expression.
     expr.write_constants(out_s, grad_s)
@@ -377,10 +268,10 @@ def build_batched_write_group(
         write(params[gather].reshape(k, G * S), out_s, grad_s)
         for src, dst in copies:
             np.copyto(dst, src)
-        for src, gview_t, rows in scatters:
-            gview_t[:] = 0
+        for src, dst, rows in scatters:
+            dst[:] = 0
             for s, row in enumerate(rows):
-                gview_t[row] += src[s]
+                dst[row] += src[s]
 
     if grad_s is None:
 

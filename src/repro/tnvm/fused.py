@@ -18,9 +18,12 @@ for the paper's whole-pipeline LLVM emission):
   circuit-parameter unpack;
 * ``MATMUL``/``KRON``/``HADAMARD``/``TRANSPOSE`` become direct numpy
   calls on views pre-bound in the prologue, with ``out=`` targets into
-  the VM's arena;
-* the forward-mode product-rule cases (a-only / b-only / overlap, see
-  :mod:`repro.tnvm.ad`) run as one row-stacked numpy call per case.
+  the VM's arena.  Every buffer is one stack of value and gradient
+  rows (:mod:`repro.tnvm.buffers`), so a product computes its value
+  and all of its A-side gradient rows in one row-stacked call, its
+  B-only rows in a second, and a ``TRANSPOSE`` copies the whole stack
+  at once.  Only a parameter on both operands costs more: its
+  product-rule addend, two calls per parameter.
 
 The batched VM keeps its per-instruction closures instead: their
 grouped WRITE writers evaluate every same-expression gate as one
@@ -43,8 +46,7 @@ from .. import telemetry
 from ..jit.codegen import generate_inline_write, writer_globals
 from ..jit.compiled import CompiledExpression
 from ..tensornet.bytecode import Instruction, Program
-from .ad import _grouped_rows, _index, _param_positions
-from .buffers import MemoryPlan
+from .buffers import MemoryPlan, gradient_rows, product_rows
 
 __all__ = [
     "FusedKernel",
@@ -61,10 +63,10 @@ _H = "        "  # hot-body indent (inside fused_run)
 class FusedKernel:
     """One generated megakernel: source text plus codegen metadata.
 
-    The source defines ``make_fused(values, grads, dtype)`` — a factory
-    that binds arena views, runs the constant section once, and returns
-    the hot ``fused_run(params)`` function; :func:`bind_fused_kernel`
-    compiles and binds it.
+    The source defines ``make_fused(stacks, dtype)`` — a factory that
+    binds views of the plan's buffer stacks, runs the constant section
+    once, and returns the hot ``fused_run(params)`` function;
+    :func:`bind_fused_kernel` compiles and binds it.
     """
 
     source: str
@@ -83,14 +85,24 @@ class FusedKernel:
 class _FusedEmitter:
     """Accumulates the prologue/body statement streams for one section.
 
-    ``prefix`` keeps each section's local names unique; ``indent`` is
-    where the section's per-run statements live (the hot function for
-    the dynamic section, the prologue for the constant section).
+    ``rows`` is each buffer's gradient-row order
+    (:func:`~repro.tnvm.buffers.gradient_rows`; all empty without
+    differentiation), which fixes where every stack view starts and
+    ends.  ``prefix`` keeps each section's local names unique;
+    ``indent`` is where the section's per-run statements live (the hot
+    function for the dynamic section, the prologue for the constant
+    section).
     """
 
-    def __init__(self, program: Program, grad: bool, prefix: str, indent: str):
+    def __init__(
+        self,
+        program: Program,
+        rows: list[tuple[int, ...]],
+        prefix: str,
+        indent: str,
+    ):
         self.program = program
-        self.grad = grad
+        self.rows = rows
         self.prefix = prefix
         self.indent = indent
         self.pro: list[str] = []
@@ -111,14 +123,20 @@ class _FusedEmitter:
             raise ValueError(f"unknown opcode {instr.opcode}")
 
     # -- view-binding helpers ------------------------------------------
-    def value(self, buf: int, shape) -> str:
-        dims = ", ".join(str(s) for s in shape)
-        return f"values[{buf}].reshape({dims})"
+    def bind(self, name: str, expr: str) -> None:
+        self.pro.append(f"{_P}{name} = {expr}")
 
-    def gradstack(self, buf: int, shape) -> str:
-        n = len(self.program.buffers[buf].params)
+    def view(self, buf: int, lo: int, hi: int, shape) -> str:
+        """Stack rows ``lo..hi`` of ``buf`` viewed as ``shape``."""
+        size = self.program.buffers[buf].size
+        n = 1 + len(self.rows[buf])
+        ref = f"stacks[{buf}]"
+        if (lo, hi) != (0, n):
+            start = str(lo * size) if lo else ""
+            stop = str(hi * size) if hi != n else ""
+            ref += f"[{start}:{stop}]"
         dims = ", ".join(str(s) for s in shape)
-        return f"grads[{buf}].reshape({n}, {dims})"
+        return f"{ref}.reshape({dims})"
 
     def np_call(self, line: str) -> None:
         self.body.append(f"{self.indent}{line}")
@@ -130,32 +148,35 @@ class _FusedEmitter:
     ) -> None:
         shape = expr.shape
         u_entries, g_entries = expr.entries
-        use_grad = self.grad and bool(g_entries) and bool(instr.slots)
+        rows = self.rows[instr.out_buf]
+        use_grad = bool(rows) and bool(g_entries)
         vname = f"{name}_v"
-        self.pro.append(f"{_P}{vname} = {self.value(instr.out_buf, shape)}")
+        self.bind(vname, self.view(instr.out_buf, 0, 1, shape))
 
         scatter = None
         gname = None
         if use_grad:
-            sorted_params = self.program.buffers[instr.out_buf].params
             gview = f"{name}_g"
-            self.pro.append(
-                f"{_P}{gview} = {self.gradstack(instr.out_buf, shape)}"
+            self.bind(
+                gview,
+                self.view(
+                    instr.out_buf, 1, 1 + len(rows), (len(rows),) + shape
+                ),
             )
-            if tuple(instr.slots) == tuple(sorted_params):
+            if len(rows) == len(instr.slots):
+                # Unique slots: the rows follow the slots, so every
+                # partial is stored straight into its row.
                 gname = gview
             else:
-                # Scatter/accumulate path (duplicated or unordered
-                # slots): per-slot rows land in a scratch stack, then
-                # accumulate into the sorted-parameter rows.
+                # Duplicated slots: per-slot rows land in a scratch
+                # stack, then accumulate into their parameter's row.
                 gname = f"{name}_s"
                 dims = ", ".join(str(s) for s in shape)
-                self.pro.append(
-                    f"{_P}{gname} = np.zeros(({len(instr.slots)}, "
-                    f"{dims}), dtype=dtype)"
+                self.bind(
+                    gname,
+                    f"np.zeros(({len(instr.slots)}, {dims}), dtype=dtype)",
                 )
-                row_of = {p: i for i, p in enumerate(sorted_params)}
-                scatter = (gview, [row_of[j] for j in instr.slots])
+                scatter = (gview, [rows.index(j) for j in instr.slots])
 
         var_atoms = {
             param: f"p{instr.slots[k]}"
@@ -176,16 +197,23 @@ class _FusedEmitter:
         self.used_atoms |= inline.used_atoms
         self.num_write_stores += inline.num_dynamic
         if scatter is not None:
-            gview, rows = scatter
+            gview, targets = scatter
             self.np_call(f"{gview}[:] = 0")
-            for s, row in enumerate(rows):
+            for s, row in enumerate(targets):
                 self.np_call(f"{gview}[{row}] += {gname}[{s}]")
 
     # -- MATMUL / KRON / HADAMARD --------------------------------------
     def emit_product(self, name: str, instr: Instruction) -> None:
         """Shared contraction emitter; the three opcodes differ only in
         the ufunc and how their operands are viewed (KRON interleaves
-        singleton axes so a broadcast multiply is the outer product)."""
+        singleton axes so a broadcast multiply is the outer product).
+
+        The output's rows are A's rows followed by B's parameters that
+        A lacks (:func:`~repro.tnvm.buffers.gradient_rows`), so one call
+        computes the value and every A-side row, ``A[0..Ra] * B[0]``,
+        and one stacked call the B-only rows, ``A[0] * B[rows]``.  A
+        parameter on both sides adds ``A[0] * B[y]`` to its row.
+        """
         if instr.opcode == "MATMUL":
             m, k = instr.a_shape
             _, n2 = instr.b_shape
@@ -200,107 +228,77 @@ class _FusedEmitter:
         else:  # HADAMARD
             a_shape = b_shape = out_shape = tuple(instr.a_shape)
             ufunc = "np.multiply"
+        A, B, C = instr.a_buf, instr.b_buf, instr.out_buf
+        a_rows, b_rows = self.rows[A], self.rows[B]
+        na = 1 + len(a_rows)
 
+        # Value plus A-side rows: a row-stacked 2-D product for MATMUL,
+        # a broadcast over the leading stack axis otherwise.  A row
+        # vector A (m == 1) keeps one product per row: numpy runs it
+        # as a gemv (a dot when n == 1), which stacking would turn
+        # into a gemm of different complex64 rounding.
+        if ufunc == "np.matmul" and a_shape[0] > 1:
+            lead_a, lead_c = (na * m, k), (na * m, n2)
+        else:
+            lead_a, lead_c = (na,) + a_shape, (na,) + out_shape
         a, b, c = f"{name}_a", f"{name}_b", f"{name}_c"
-        self.pro.append(f"{_P}{a} = {self.value(instr.a_buf, a_shape)}")
-        self.pro.append(f"{_P}{b} = {self.value(instr.b_buf, b_shape)}")
-        self.pro.append(f"{_P}{c} = {self.value(instr.out_buf, out_shape)}")
+        self.bind(a, self.view(A, 0, na, lead_a))
+        self.bind(b, self.view(B, 0, 1, b_shape))
+        self.bind(c, self.view(C, 0, na, lead_c))
         self.np_call(f"{ufunc}({a}, {b}, out={c})")
 
-        if not self.grad or not instr.params:
+        b_only, shared = product_rows(a_rows, b_rows)
+        if not b_only and not shared:
             return
-        a_params = self.program.buffers[instr.a_buf].params
-        b_params = self.program.buffers[instr.b_buf].params
-        maps = list(
-            zip(
-                _param_positions(instr.params, a_params),
-                _param_positions(instr.params, b_params),
-            )
-        )
-        GA, GB, GC = f"{name}_GA", f"{name}_GB", f"{name}_GC"
-        if any(x >= 0 for x, _ in maps):
-            self.pro.append(
-                f"{_P}{GA} = {self.gradstack(instr.a_buf, a_shape)}"
-            )
-        if any(y >= 0 for _, y in maps):
-            self.pro.append(
-                f"{_P}{GB} = {self.gradstack(instr.b_buf, b_shape)}"
-            )
-        self.pro.append(
-            f"{_P}{GC} = {self.gradstack(instr.out_buf, out_shape)}"
-        )
-        scr = f"{name}_scr"
-        if any(x >= 0 and y >= 0 for x, y in maps):
+        av = f"{name}_av"
+        self.bind(av, self.view(A, 0, 1, a_shape))
+        # B-only rows interleave with shared ones only when a parameter
+        # sits on both sides; they are then gathered (on an input).
+        gather = bool(b_only) and b_only[-1] - b_only[0] >= len(b_only)
+        nb = 1 + len(b_rows)
+        bs = f"{name}_bs"
+        if shared or gather:
+            self.bind(bs, self.view(B, 0, nb, (nb,) + b_shape))
+        if b_only:
+            r = len(b_only)
+            gb, gc = f"{name}_gb", f"{name}_gc"
+            self.bind(gc, self.view(C, na, na + r, (r,) + out_shape))
+            if gather:
+                vals = ", ".join(str(v) for v in b_only)
+                self.bind(gb, f"np.asarray([{vals}], dtype=np.intp)")
+                gb = f"{bs}[{gb}]"
+            else:
+                lo = b_only[0]
+                self.bind(gb, self.view(B, lo, lo + r, (r,) + b_shape))
+            self.np_call(f"{ufunc}({av}, {gb}, out={gc})")
+        if shared:
+            cs, scr = f"{name}_cs", f"{name}_scr"
+            nc = 1 + len(self.rows[C])
+            self.bind(cs, self.view(C, 0, nc, (nc,) + out_shape))
             dims = ", ".join(str(s) for s in out_shape)
-            self.pro.append(f"{_P}{scr} = np.zeros(({dims}), dtype=dtype)")
-        # Row-stacked gradient contraction: all rows of each product-
-        # rule case run as ONE call over a (rows, ...) stack.  Stacked
-        # and per-row contractions are bit-identical: the gufunc
-        # applies the same 2-D kernel to each slice, and every gradient
-        # row reads only operand buffers (never other rows), so case
-        # order is free.
-        a_rows, a_idx, b_rows, b_idx, both = _grouped_rows(maps)
-        if a_rows:
-            ra, a_direct = self._idx(name, "ra", a_rows)
-            ia, _ = self._idx(name, "ia", a_idx)
-            if a_direct:
-                self.np_call(f"{ufunc}({GA}[{ia}], {b}, out={GC}[{ra}])")
-            elif ufunc == "np.matmul":
-                self.np_call(f"{GC}[{ra}] = np.matmul({GA}[{ia}], {b})")
-            else:
-                self.np_call(f"{GC}[{ra}] = {GA}[{ia}] * {b}")
-        if b_rows:
-            rb, b_direct = self._idx(name, "rb", b_rows)
-            ib, _ = self._idx(name, "ib", b_idx)
-            if b_direct:
-                self.np_call(f"{ufunc}({a}, {GB}[{ib}], out={GC}[{rb}])")
-            elif ufunc == "np.matmul":
-                self.np_call(f"{GC}[{rb}] = np.matmul({a}, {GB}[{ib}])")
-            else:
-                self.np_call(f"{GC}[{rb}] = {a} * {GB}[{ib}]")
-        for row, x, y in both:
-            # Overlapping parameters: product rule, via the scratch.
-            self.np_call(f"{ufunc}({GA}[{x}], {b}, out={GC}[{row}])")
-            self.np_call(f"{ufunc}({a}, {GB}[{y}], out={scr})")
-            self.np_call(f"{GC}[{row}] += {scr}")
-
-    def _idx(self, name: str, label: str, ix: list[int]):
-        """An index expression for a row list: ``start:stop`` when
-        consecutive (zero-copy view, valid ``out=`` target), else a
-        prologue-bound fancy-index array."""
-        sl = _index(ix)
-        if isinstance(sl, slice):
-            return f"{sl.start}:{sl.stop}", True
-        arr = f"{name}_{label}"
-        vals = ", ".join(str(v) for v in ix)
-        self.pro.append(f"{_P}{arr} = np.asarray([{vals}], dtype=np.intp)")
-        return arr, False
+            self.bind(scr, f"np.zeros(({dims}), dtype=dtype)")
+            for x, y in shared:
+                # Product rule: the row already holds A[x] * B[0].
+                self.np_call(f"{ufunc}({av}, {bs}[{y}], out={scr})")
+                self.np_call(f"{cs}[{x}] += {scr}")
 
     # -- TRANSPOSE -----------------------------------------------------
     def emit_transpose(self, name: str, instr: Instruction) -> None:
+        """One copy of the permuted stack: the output's rows are its
+        input's rows."""
         shape = tuple(instr.shape)
         perm = tuple(instr.perm)
         out_shape = tuple(shape[p] for p in perm)
+        n = 1 + len(self.rows[instr.a_buf])
         src, dst = f"{name}_src", f"{name}_dst"
-        self.pro.append(
-            f"{_P}{src} = {self.value(instr.a_buf, shape)}"
-            f".transpose({perm!r})"
+        stack_perm = (0,) + tuple(p + 1 for p in perm)
+        self.bind(
+            src,
+            f"{self.view(instr.a_buf, 0, n, (n,) + shape)}"
+            f".transpose({stack_perm!r})",
         )
-        self.pro.append(f"{_P}{dst} = {self.value(instr.out_buf, out_shape)}")
+        self.bind(dst, self.view(instr.out_buf, 0, n, (n,) + out_shape))
         self.np_call(f"np.copyto({dst}, {src})")
-        if not self.grad or not instr.params:
-            return
-        # Input and output parameter sets are identical for a transpose.
-        gsrc, gdst = f"{name}_gsrc", f"{name}_gdst"
-        gperm = (0,) + tuple(p + 1 for p in perm)
-        self.pro.append(
-            f"{_P}{gsrc} = {self.gradstack(instr.a_buf, shape)}"
-            f".transpose({gperm!r})"
-        )
-        self.pro.append(
-            f"{_P}{gdst} = {self.gradstack(instr.out_buf, out_shape)}"
-        )
-        self.np_call(f"np.copyto({gdst}, {gsrc})")
 
 
 def generate_fused_kernel(
@@ -314,16 +312,21 @@ def generate_fused_kernel(
     ``program.expressions``, with gradients exactly when the VM wants
     them) — the inlined WRITE bodies are emitted from the same
     simplified entry triples, by the same emitter, as the standalone
-    writers, so they compute the same values the writers would.
+    writers, so they compute the same values the writers would.  The
+    stack views follow :func:`~repro.tnvm.buffers.gradient_rows`, the
+    row order every ``grad`` :class:`MemoryPlan` of the program has.
     """
-    const = _FusedEmitter(program, grad=False, prefix="c", indent=_P)
+    rows = (
+        gradient_rows(program) if grad else [()] * len(program.buffers)
+    )
+    const = _FusedEmitter(program, rows, prefix="c", indent=_P)
     for n, instr in enumerate(program.const_section):
         const.emit(n, instr, compiled)
-    hot = _FusedEmitter(program, grad, prefix="i", indent=_H)
+    hot = _FusedEmitter(program, rows, prefix="i", indent=_H)
     for n, instr in enumerate(program.dynamic_section):
         hot.emit(n, instr, compiled)
 
-    lines = ["def make_fused(values, grads, dtype):"]
+    lines = ["def make_fused(stacks, dtype):"]
     # Bind the constant section's views, then run it once: every sweep
     # reads its outputs but none rewrites them.
     lines.extend(const.pro)
@@ -355,9 +358,10 @@ def generate_fused_kernel(
 def bind_fused_kernel(kernel: FusedKernel, plan: MemoryPlan):
     """Compile ``kernel``'s source and bind it to a memory plan.
 
-    This is the cheap half of fusion: every VM on one program binds
-    the one cached kernel here.  Binding runs the constant section
-    into ``plan``'s arena and returns the hot ``fused_run(params)``.
+    Every VM on one program binds the one cached kernel here, under a
+    ``fuse.bind`` span.  ``compile()`` of the source is most of a
+    first scalar VM build; binding then runs the constant section into
+    ``plan``'s arena and returns the hot ``fused_run(params)``.
 
     Under ``REPRO_VERIFY=1`` the kernel source is linted by
     :mod:`repro.analysis` before it is ``exec``-ed — this is the trust
@@ -366,10 +370,14 @@ def bind_fused_kernel(kernel: FusedKernel, plan: MemoryPlan):
     from ..analysis import maybe_lint_kernel
 
     maybe_lint_kernel(kernel, subject="fused kernel (bind)")
-    namespace = writer_globals()
-    namespace["np"] = np
-    exec(compile(kernel.source, "<fused>", "exec"), namespace)
-    return namespace["make_fused"](plan.values, plan.grads, plan.dtype)
+    with telemetry.tracer().span(
+        "fuse.bind", category="fuse",
+        grad=kernel.grad, source_bytes=len(kernel.source),
+    ):
+        namespace = writer_globals()
+        namespace["np"] = np
+        exec(compile(kernel.source, "<fused>", "exec"), namespace)
+        return namespace["make_fused"](plan.stacks, plan.dtype)
 
 
 def fused_kernel_for(

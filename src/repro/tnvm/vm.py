@@ -4,8 +4,10 @@ A TNVM executes the two-section bytecode produced by the AOT compiler.
 Both VMs share the one-time preparatory steps:
 
 1. allocate one contiguous memory region for all intermediate tensors
-   (:class:`~repro.tnvm.buffers.MemoryPlan`; the batched VM's views
-   carry a leading batch axis);
+   (:class:`~repro.tnvm.buffers.MemoryPlan`): each buffer is one stack
+   of its value row and its gradient rows, in the row order
+   :func:`~repro.tnvm.buffers.gradient_rows` derives from the program,
+   and the batched VM's views carry a leading batch axis;
 2. fetch every unique QGL expression referenced by the ``WRITE``
    instructions through the shared ``ExpressionCache``;
 3. specialize every instruction for the requested precision and
@@ -17,8 +19,9 @@ runs the whole program as one generated megakernel
 every sweep is a single call.  The :class:`BatchedTNVM` sweeps a list
 of pre-bound batch-vectorized closures (:mod:`repro.tnvm.ad`): the
 WRITEs of each JIT'd expression run as one grouped writer call, and a
-lone gate writes in place.  Either way a sweep does no allocation, no
-dispatch on opcodes and no compilation.
+lone gate with unique slots writes in place.  Either way a sweep does
+no dispatch on opcodes and no compilation, and allocates only where
+both operands of a product depend on one parameter.
 """
 
 from __future__ import annotations
@@ -118,14 +121,13 @@ class _VM:
         self._out_view = self.plan.value_view(
             program.output_buffer, out_shape
         )
-        out_spec = program.buffers[program.output_buffer]
-        #: fancy-index form: one vectorized scatter per sweep instead
-        #: of a Python copy loop over gradient rows
-        self._out_rows_idx = np.asarray(out_spec.params, dtype=np.intp)
-        self._out_grad_view = (
-            self.plan.grad_view(program.output_buffer, out_shape)
-            if want_grad and out_spec.params
-            else None
+        #: the circuit parameter of each output gradient row, in the
+        #: plan's row order: one vectorized scatter per sweep
+        self._out_rows_idx = np.asarray(
+            self.plan.rows[program.output_buffer], dtype=np.intp
+        )
+        self._out_grad_view = self.plan.grad_view(
+            program.output_buffer, out_shape
         )
         lead = () if batch is None else (batch,)
         self._full_grad = (
@@ -137,7 +139,7 @@ class _VM:
 
     @property
     def memory_bytes(self) -> int:
-        """Size of the preallocated arenas (the paper's 211KB metric)."""
+        """Size of the preallocated arena (the paper's 211KB metric)."""
         return self.plan.memory_bytes
 
     @property
@@ -285,9 +287,7 @@ class BatchedTNVM(_VM):
         self.batch = int(batch)
         want_grad = self._setup(program, precision, diff, cache, self.batch)
         for instr in program.const_section:
-            closure = build_batched_closure(
-                instr, program, self.plan, self.compiled, grad=False
-            )
+            closure = build_batched_closure(instr, self.plan, self.compiled)
             closure(())
 
         registry = telemetry.metrics()
@@ -311,14 +311,12 @@ class BatchedTNVM(_VM):
                 rest.append(instr)
         self._dynamic = [
             build_batched_write_group(
-                members, program, self.plan, self.compiled, grad=want_grad
+                members, self.plan, self.compiled, grad=want_grad
             )
             for members in groups.values()
         ]
         self._dynamic += [
-            build_batched_closure(
-                instr, program, self.plan, self.compiled, grad=want_grad
-            )
+            build_batched_closure(instr, self.plan, self.compiled)
             for instr in rest
         ]
 

@@ -82,7 +82,7 @@ class TestStructuralChecks:
     def test_rogue_module_level_statement(self):
         source = (
             "import os\n"
-            "def make_fused(values, grads, dtype):\n"
+            "def make_fused(stacks, dtype):\n"
             "    def fused_run(params):\n"
             "        pass\n"
             "    return fused_run\n"
@@ -95,8 +95,8 @@ class TestStructuralChecks:
         # (trailing batch size ``B``) is rejected.
         kernel = clean_kernels[("ansatz-2q", False)]
         source = kernel.source.replace(
-            "def make_fused(values, grads, dtype):",
-            "def make_fused(values, grads, dtype, B):",
+            "def make_fused(stacks, dtype):",
+            "def make_fused(stacks, dtype, B):",
         )
         assert source != kernel.source
         report = lint_kernel_source(source)
@@ -104,8 +104,8 @@ class TestStructuralChecks:
 
     def test_non_whitelisted_numpy_attribute(self):
         source = (
-            "def make_fused(values, grads, dtype):\n"
-            "    i0_v = values[0].reshape(2, 2)\n"
+            "def make_fused(stacks, dtype):\n"
+            "    i0_v = stacks[0].reshape(2, 2)\n"
             "    def fused_run(params):\n"
             "        np.frombuffer(i0_v)\n"
             "    return fused_run\n"
@@ -115,7 +115,7 @@ class TestStructuralChecks:
 
     def test_unbound_name_in_store(self):
         source = (
-            "def make_fused(values, grads, dtype):\n"
+            "def make_fused(stacks, dtype):\n"
             "    def fused_run(params):\n"
             "        i9_v[0, 0] = 1.0\n"
             "    return fused_run\n"
@@ -125,9 +125,9 @@ class TestStructuralChecks:
 
     def test_copyto_aliasing_destination(self):
         source = (
-            "def make_fused(values, grads, dtype):\n"
-            "    i0_a = values[0].reshape(2, 2)\n"
-            "    i0_b = values[0].reshape(2, 2)\n"
+            "def make_fused(stacks, dtype):\n"
+            "    i0_a = stacks[0].reshape(2, 2)\n"
+            "    i0_b = stacks[0].reshape(2, 2)\n"
             "    def fused_run(params):\n"
             "        np.copyto(i0_a, i0_b)\n"
             "    return fused_run\n"
@@ -135,11 +135,26 @@ class TestStructuralChecks:
         report = lint_kernel_source(source)
         assert "kernel-out-aliasing" in report.codes()
 
+    def test_rows_of_one_stack_alias(self):
+        # A buffer's value and gradient rows share one stack: an out=
+        # on its value row aliases an input on its gradient rows.
+        source = (
+            "def make_fused(stacks, dtype):\n"
+            "    i0_g = stacks[0][4:].reshape(2, 2)\n"
+            "    i0_v = stacks[0][:4].reshape(2, 2)\n"
+            "    i1_b = stacks[1].reshape(2, 2)\n"
+            "    def fused_run(params):\n"
+            "        np.matmul(i0_g, i1_b, out=i0_v)\n"
+            "    return fused_run\n"
+        )
+        report = lint_kernel_source(source)
+        assert "kernel-out-aliasing" in report.codes()
+
     def test_distinct_arena_slots_do_not_alias(self):
         source = (
-            "def make_fused(values, grads, dtype):\n"
-            "    i0_a = values[0].reshape(2, 2)\n"
-            "    i1_b = values[1].reshape(2, 2)\n"
+            "def make_fused(stacks, dtype):\n"
+            "    i0_a = stacks[0].reshape(2, 2)\n"
+            "    i1_b = stacks[1].reshape(2, 2)\n"
             "    def fused_run(params):\n"
             "        np.copyto(i1_b, i0_a)\n"
             "    return fused_run\n"

@@ -7,18 +7,28 @@ module pins what the execution paths must keep across every opcode,
 both precisions, and with and without differentiation: a VM rebuilt
 from shipped artifacts (program bytes and pickled compiled
 expressions) regenerates the original's kernel source byte for byte
-and is bit-identical to the original; kernels are generated once per
-program and survive pickling as source text; and neither VM takes a
-backend knob.
+and is bit-identical to the original; both VMs' gradients match
+central differences of a values-only VM; the megakernel makes one
+numpy call per TRANSPOSE and at most two per product without shared
+parameters; kernels are generated once per program and survive
+pickling as source text; and neither VM takes a backend knob.
 """
 
 import pickle
+import re
 
 import numpy as np
 import pytest
 
-from repro.circuit import QuditCircuit, build_qft_circuit, build_qsearch_ansatz, gates
+from repro.circuit import (
+    QuditCircuit,
+    build_qft_circuit,
+    build_qsearch_ansatz,
+    fig5_circuit,
+    gates,
+)
 from repro.jit.cache import ExpressionCache
+from repro.tensornet import OutputContract
 from repro.tensornet.bytecode import BufferSpec, Instruction, Program
 from repro.tensornet.network import ParamSlot
 from repro.tnvm import TNVM, BatchedTNVM, Differentiation, bind_fused_kernel
@@ -144,6 +154,42 @@ def _hadamard_overlap():
     return program
 
 
+def _unsorted_write():
+    # U3 bound to params (2, 0, 1): unique slots out of sorted order,
+    # whose gradient rows follow the slots, feeding a MATMUL whose B
+    # side adds parameter 3.
+    program = Program(
+        num_params=4,
+        radices=(2,),
+        expressions=[gates.u3().matrix, gates.rx().matrix],
+        buffers=[
+            BufferSpec(0, 4, (0, 1, 2), False),
+            BufferSpec(1, 4, (3,), False),
+            BufferSpec(2, 4, (0, 1, 2, 3), False),
+        ],
+        dynamic_section=[
+            Instruction(
+                "WRITE", out_buf=0, expr_id=0, slots=(2, 0, 1),
+                params=(0, 1, 2),
+            ),
+            Instruction("WRITE", out_buf=1, expr_id=1, slots=(3,), params=(3,)),
+            Instruction(
+                "MATMUL",
+                out_buf=2,
+                a_buf=0,
+                b_buf=1,
+                a_shape=(2, 2),
+                b_shape=(2, 2),
+                params=(0, 1, 2, 3),
+            ),
+        ],
+        output_buffer=2,
+        output_shape=(2, 2),
+    )
+    program.validate()
+    return program
+
+
 def _constant_circuit():
     # Fully constant: empty dynamic section, megakernel is a no-op.
     return build_qft_circuit(2).compile()
@@ -158,6 +204,7 @@ PROGRAMS = {
     "scatter-write": _scatter_write,
     "hadamard-disjoint": _hadamard_disjoint,
     "hadamard-overlap": _hadamard_overlap,
+    "unsorted-write": _unsorted_write,
     "constant": _constant_circuit,
 }
 
@@ -290,6 +337,100 @@ class TestBatchedEquivalence:
             u1, g1 = alone.evaluate_with_grad(rows[s : s + 1])
             assert np.array_equal(ub[s], u1[0])
             assert np.array_equal(gb[s], g1[0])
+
+
+class TestGradientRows:
+    """Every zoo program's gradient against central differences of a
+    values-only VM: a reference outside the AD path, so a row-order
+    bug shared by the scalar and batched VMs cannot pass."""
+
+    @pytest.mark.parametrize("name", list(PROGRAMS))
+    def test_grad_matches_central_differences(self, programs, name):
+        program = programs[name]
+        rows = np.random.default_rng(19).uniform(
+            -np.pi, np.pi, (3, program.num_params)
+        )
+        plain = TNVM(program, diff=Differentiation.NONE)
+        h = 1e-6
+        want = []
+        for row in rows:
+            partials = []
+            for p in range(program.num_params):
+                step = np.zeros(program.num_params)
+                step[p] = h
+                up = plain.evaluate(row + step).copy()
+                partials.append((up - plain.evaluate(row - step)) / (2 * h))
+            want.append(partials)
+        scalar = TNVM(program)
+        _, batched = BatchedTNVM(program, 3).evaluate_with_grad(rows)
+        for s, row in enumerate(rows):
+            _, got = scalar.evaluate_with_grad(row)
+            expected = np.reshape(want[s], got.shape)
+            np.testing.assert_allclose(got, expected, atol=1e-8, rtol=0)
+            np.testing.assert_allclose(
+                batched[s], expected, atol=1e-8, rtol=0
+            )
+
+
+#: most megakernel numpy calls per sweep on the full-unitary Figure 5
+#: programs: one per TRANSPOSE, and at most two per product (the value
+#: with the A-side rows, then the B-only rows)
+FIG5_FULL_CALLS = {
+    "2-qubit shallow": 19,
+    "3-qubit shallow": 38,
+    "3-qubit deep": 68,
+    "2-qutrit shallow": 19,
+    "3-qutrit shallow": 38,
+}
+
+
+@pytest.fixture(scope="module")
+def fig5_programs():
+    return {
+        (name, contract): fig5_circuit(name).compile(
+            contract=OutputContract.column(0) if contract == "column" else None
+        )
+        for name in FIG5_FULL_CALLS
+        for contract in ("full", "column")
+    }
+
+
+class TestCallStructure:
+    """The megakernel's numpy calls follow the stack layout: one copy
+    per TRANSPOSE, at most two calls per product whose operands share
+    no parameter, and no fancy-index assignment."""
+
+    @pytest.mark.parametrize("contract", ["full", "column"])
+    @pytest.mark.parametrize("name", list(FIG5_FULL_CALLS))
+    def test_calls_per_instruction(self, fig5_programs, name, contract):
+        program = fig5_programs[(name, contract)]
+        kernel = TNVM(program).fused_kernel
+        # No fancy-index assignment: every out= is a row span.
+        fancy_store = re.compile(r"^ +i\d+_\w+\[i\d+_\w+\] = ", re.MULTILINE)
+        assert "] = np.matmul(" not in kernel.source
+        assert not fancy_store.search(kernel.source)
+        hot = kernel.source.split("def fused_run(params):\n", 1)[1]
+        calls: dict[int, int] = {}
+        for line in hot.splitlines():
+            stripped = line.strip()
+            if (
+                stripped.startswith("np.")
+                or " += " in stripped
+                or stripped.endswith("[:] = 0")
+            ):
+                n = int(re.match(r"\D*i(\d+)_", stripped).group(1))
+                calls[n] = calls.get(n, 0) + 1
+        assert sum(calls.values()) == kernel.num_numpy_calls
+        for n, instr in enumerate(program.dynamic_section):
+            if instr.opcode == "TRANSPOSE":
+                assert calls.get(n) == 1, instr.render()
+            elif instr.opcode != "WRITE":
+                a = program.buffers[instr.a_buf].params
+                b = program.buffers[instr.b_buf].params
+                if not set(a) & set(b):
+                    assert 1 <= calls.get(n, 0) <= 2, instr.render()
+        if contract == "full":
+            assert kernel.num_numpy_calls <= FIG5_FULL_CALLS[name]
 
 
 class TestBackendKnob:

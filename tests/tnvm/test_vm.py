@@ -100,9 +100,17 @@ class TestPrecision:
 
     def test_memory_footprint_reported(self):
         circ = build_qsearch_ansatz(3, 4, 2)
-        vm64 = TNVM(circ.compile(), precision="f64")
+        program = circ.compile()
+        vm64 = TNVM(program, precision="f64")
         vm32 = TNVM(circ.compile(), precision="f32")
         assert vm64.memory_bytes == 2 * vm32.memory_bytes
+        # One arena: each buffer's value row plus one gradient row per
+        # parameter it depends on, and only the value rows without
+        # differentiation.
+        rows = sum((1 + len(b.params)) * b.size for b in program.buffers)
+        assert vm64.memory_bytes == 16 * rows
+        plain = TNVM(program, diff=Differentiation.NONE)
+        assert plain.memory_bytes == 16 * program.memory_elements
         # The paper reports ~211KB for the 3-qubit shallow circuit in
         # f64 with gradients; ours should be the same order.
         assert vm64.memory_bytes < 2_000_000
