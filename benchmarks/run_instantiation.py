@@ -26,7 +26,10 @@ be written to a JSON artifact for CI tracking.
 microseconds per ``evaluate_with_grad`` of the scalar VM and of a
 batch-8 VM, and the megakernel's numpy calls per sweep, for every
 Figure 5 circuit compiled for the full unitary and for ``COLUMN(0)``,
-with BLAS on one thread.
+with BLAS on one thread.  Its least-squares columns time what one LM
+evaluation adds on top: ``residuals_and_jacobian`` (sweep included)
+plus ``J^T J`` and ``J^T r`` as the LM loops form them, with unitary
+residuals on the full programs and state residuals on ``COLUMN(0)``.
 """
 
 from __future__ import annotations
@@ -253,6 +256,30 @@ def _min_sweep_us(sweep, params, calls: int) -> float:
     return best * 1e6
 
 
+def _least_squares(residuals, batch: int | None = None):
+    """One LM evaluation of ``residuals``: ``residuals_and_jacobian``
+    plus ``J^T J`` and ``J^T r``, formed as the LM loops form them
+    (one product per row of a ``batch``-row evaluation)."""
+    fn = residuals.residuals_and_jacobian
+    if batch is None:
+
+        def evaluate(params):
+            r, jac = fn(params)
+            return jac.T @ jac, jac.T @ r
+
+        return evaluate
+    num = residuals.num_params
+    jtj, jtr = np.empty((batch, num, num)), np.empty((batch, num))
+
+    def evaluate(params):
+        r, jac = fn(params)
+        for s in range(batch):
+            np.matmul(jac[s].T, jac[s], out=jtj[s])
+            np.matmul(jac[s].T, r[s], out=jtr[s])
+
+    return evaluate
+
+
 def sweep_suite(trials: int, json_path: str) -> None:
     """The TNVM sweep table: min-of-N µs per ``evaluate_with_grad``.
 
@@ -261,10 +288,21 @@ def sweep_suite(trials: int, json_path: str) -> None:
     ``SWEEP_BATCH``-wide batched VM each run ``100 * trials`` timed
     sweeps at fixed random parameters, and the table keeps the fastest
     one.  ``num_numpy_calls`` is the megakernel's numpy dispatches per
-    sweep (contractions, copies and scatter stores).
+    sweep (contractions, copies and scatter stores).  The ``lsq``
+    columns time one least-squares evaluation the same way
+    (:func:`_least_squares`): unitary residuals against a random
+    unitary on the full programs, state residuals against a random
+    state on ``COLUMN(0)``.
     """
+    from repro.instantiation import (
+        BatchedHilbertSchmidtResiduals,
+        BatchedStateResiduals,
+        HilbertSchmidtResiduals,
+        StateResiduals,
+    )
     from repro.tensornet import OutputContract
     from repro.tnvm import TNVM, BatchedTNVM
+    from repro.utils import random_unitary
 
     calls = 100 * trials
     rows = []
@@ -272,12 +310,14 @@ def sweep_suite(trials: int, json_path: str) -> None:
           f"BLAS threads {os.environ.get('OPENBLAS_NUM_THREADS', '?')}\n")
     print(f"{'benchmark':<18} {'contract':<9} {'D':>3} {'P':>3} "
           f"{'scalar(us)':>11} {f'batch{SWEEP_BATCH}(us)':>12} "
-          f"{'numpy calls':>12}")
+          f"{'numpy calls':>12} {'lsq(us)':>9} "
+          f"{f'lsq{SWEEP_BATCH}(us)':>10}")
     for name in FIG5_BENCHMARKS:
         circ = fig5_circuit(name)
         params = np.random.default_rng(0).uniform(
             -np.pi, np.pi, (SWEEP_BATCH, circ.num_params)
         )
+        unitary = random_unitary(circ.dim, rng=1)
         for contract in ("full", "column"):
             program = circ.compile(
                 contract=OutputContract.column(0)
@@ -286,6 +326,13 @@ def sweep_suite(trials: int, json_path: str) -> None:
             )
             scalar = TNVM(program)
             batched = BatchedTNVM(program, SWEEP_BATCH)
+            if contract == "column":
+                target = np.ascontiguousarray(unitary[:, 0])
+                lsq = StateResiduals(scalar, target)
+                lsq_batched = BatchedStateResiduals(batched, target)
+            else:
+                lsq = HilbertSchmidtResiduals(scalar, unitary)
+                lsq_batched = BatchedHilbertSchmidtResiduals(batched, unitary)
             row = {
                 "name": name,
                 "contract": contract,
@@ -298,12 +345,20 @@ def sweep_suite(trials: int, json_path: str) -> None:
                     batched.evaluate_with_grad, params, calls
                 ),
                 "num_numpy_calls": scalar.fused_kernel.num_numpy_calls,
+                "lsq_scalar_us": _min_sweep_us(
+                    _least_squares(lsq), params[0], calls
+                ),
+                "lsq_batched_us": _min_sweep_us(
+                    _least_squares(lsq_batched, SWEEP_BATCH), params, calls
+                ),
             }
             rows.append(row)
             print(f"{name:<18} {contract:<9} {row['dim']:>3} "
                   f"{row['num_params']:>3} {row['scalar_us']:>11.1f} "
                   f"{row['batched_us']:>12.1f} "
-                  f"{row['num_numpy_calls']:>12}")
+                  f"{row['num_numpy_calls']:>12} "
+                  f"{row['lsq_scalar_us']:>9.1f} "
+                  f"{row['lsq_batched_us']:>10.1f}")
     report = {
         "mode": "sweeps",
         "batch": SWEEP_BATCH,

@@ -44,11 +44,12 @@ class BaselineResiduals:
         trace = np.trace(self.target.conj().T @ u)
         mag = abs(trace)
         phase = trace / mag if mag > 1e-300 else 1.0
-        diff = u - phase * self.target
-        r = np.concatenate([diff.real.ravel(), diff.imag.ravel()])
-        flat = grad.reshape(grad.shape[0], -1)
-        jac = np.concatenate([flat.real, flat.imag], axis=1).T
-        return r, np.ascontiguousarray(jac)
+        # The engine's residual layout (repro.instantiation.cost):
+        # real and imaginary parts interleaved, and J a real view of
+        # the gradient.
+        r = (u - phase * self.target).reshape(-1).view(np.float64)
+        flat = grad.reshape(len(grad), u.size)
+        return r, flat.view(np.float64).T
 
 
 class BaselineInstantiater:

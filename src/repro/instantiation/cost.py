@@ -1,56 +1,51 @@
 """Cost and residual functions for instantiation targets.
 
-Two target types share one least-squares machinery:
-
 **Unitary targets** (paper Eq. 1): the infidelity
 ``L(theta) = 1 - |Tr(U_target^dag U(theta))| / D`` is minimized in
-least-squares form — the residual vector stacks the real and imaginary
-parts of ``U(theta) - phase * U_target`` where ``phase`` is the optimal
-global-phase alignment.  Then
+least-squares form over the residuals of ``U(theta) - phase *
+U_target``, where ``phase`` is the optimal global-phase alignment.
+Then ``sum(r^2) = 2 * D * L(theta)``, so driving the residuals to zero
+is exactly minimizing Eq. (1).
 
-    ``sum(r^2) = 2 * D * L(theta)``
+**Statevector targets** (state preparation, the search-based
+synthesis workload): fit ``U(theta)|0>``, the first column of the
+unitary, to a target state.  The infidelity is
+``1 - |<target|U(theta)|0>|^2`` and the residuals are those of
+``U(theta) e_0 - phase * target``: ``O(D)`` where the unitary fit's
+are ``O(D^2)``.  With unit-norm states
+``sum(r^2) = 2 * (1 - |overlap|)``, converted back by
+:func:`state_infidelity_from_cost`.
 
-so driving the residuals to zero is exactly minimizing Eq. (1).
+**One residual kernel for both kinds.**  The target is stored
+flattened to the contract's output (``D^2`` entries for a unitary,
+``D`` for a state), and the phase is the inner product of target and
+output, per row for a batch.  With ``d = output - phase * target``
+flattened to ``n`` entries, ``r`` is ``d`` viewed as float64, real and
+imaginary parts interleaved (``r[2i] = Re d_i``,
+``r[2i + 1] = Im d_i``).  ``J`` is the VM's full-gradient buffer
+viewed as a real ``(P, 2n)`` array and transposed: its rows
+interleave the same way, it keeps the VM's precision (float32 for an
+f32 VM), and it reaches ``J^T J`` without a copy.  The one copy left
+is a full-unitary VM serving a state target: its column-0 gradient
+slice, ``O(P D)``.  The Jacobian treats the phase as locally constant
+(the Gauss-Newton approximation, as in BQSKit's CERES residuals).
 
-**Statevector targets** (state preparation): fit ``U(theta)|0>`` to a
-target state, the search-based synthesis workload the paper's engine
-exists to serve.  The infidelity is ``1 - |<target|U(theta)|0>|^2``
-and the residuals stack the real and imaginary parts of
-``U(theta) e_0 - phase * target`` — only the *first column* of the
-evaluated unitary, so the residual vector is ``O(D)`` where the
-unitary fit's is ``O(D^2)``; state prep is the cheapest workload per
-candidate the engine has.  With unit-norm states
-``sum(r^2) = 2 * (1 - |overlap|)``, converted back to the infidelity
-by :func:`state_infidelity_from_cost`.
+**Views, valid until the next call.**  Like TNVM outputs, ``r`` and
+``J`` are overwritten by the next ``residuals_and_jacobian`` call;
+both LM loops consume them before they evaluate again.  Copy to
+retain.
 
-All Jacobians use the TNVM's forward-mode gradient with the phase
-treated as locally constant (the standard Gauss–Newton approximation,
-as in BQSKit's CERES residual functions).
-
-**The evaluate protocol.**  Residual classes read the VM's
-:class:`~repro.tensornet.OutputContract` and consume
-``evaluate``/``evaluate_with_grad`` output at its contract shape —
-there is no implicit "evaluate the full unitary, then slice" step.
-The one documented protocol, for scalar and batched VMs:
-
-=========  =======================  ================================
-contract   ``evaluate``             ``evaluate_with_grad`` gradient
-=========  =======================  ================================
-full       ``(D, D)`` / ``(B,D,D)`` ``(P, D, D)`` / ``(B, P, D, D)``
-column     ``(D,)`` / ``(B, D)``    ``(P, D)`` / ``(B, P, D)``
-=========  =======================  ================================
-
-The state-prep classes accept full-unitary VMs (column extracted by
-slicing, the pre-contract behaviour) or ``COLUMN(0)`` VMs (the vector
-used directly — the fast path).
-
-Each class has one public method, ``residuals_and_jacobian``: the LM
-loops need nothing else, and the cost is ``sum(r^2)`` of its
-residuals (converted by :func:`infidelity_from_cost` and
-:func:`state_infidelity_from_cost`).  Each batched class subclasses
-its scalar twin: it shares the twin's constructor (VM and target
-validation) and keeps only its own ``residuals_and_jacobian``, the
-same residuals for every row of a ``(S, P)`` parameter matrix.
+The classes consume ``evaluate_with_grad`` at the VM's contract shape
+(``(D, D)`` and ``(P, D, D)`` for the full unitary, ``(D,)`` and
+``(P, D)`` for ``COLUMN(0)``, behind a batch axis on a
+:class:`~repro.tnvm.vm.BatchedTNVM`).  Each class has one public
+method, ``residuals_and_jacobian``; the cost is ``sum(r^2)``
+(converted by :func:`infidelity_from_cost` and
+:func:`state_infidelity_from_cost`).  The two scalar classes bind the
+one scalar kernel and the two batched classes the one batched kernel,
+whose rows never depend on the batch width.  Each batched class
+subclasses its scalar twin and shares its constructor (VM and target
+validation).
 """
 
 from __future__ import annotations
@@ -75,6 +70,55 @@ __all__ = [
 ]
 
 
+def _bind(res, vm: TNVM, target: np.ndarray, first_column: bool) -> None:
+    """Attach the VM and the flattened target; ``first_column`` marks
+    a full-unitary VM serving a state target."""
+    if vm.diff is not Differentiation.GRADIENT:
+        raise ValueError(f"residuals require a GRADIENT {type(vm).__name__}")
+    res.vm = vm
+    res.dim = vm.dim
+    res.target = target.reshape(-1)
+    res.num_params = vm.num_params
+    res.num_residuals = 2 * res.target.size
+    res._first_column = first_column
+    res._real = np.float32 if vm.precision == "f32" else np.float64
+
+
+def _residuals_and_jacobian(res, params):
+    """Residuals ``(2n,)`` and Jacobian ``(2n, P)``, interleaved views
+    valid until the next call."""
+    out, grad = res.vm.evaluate_with_grad(params)
+    if res._first_column:
+        out, grad = out[:, 0], np.ascontiguousarray(grad[:, :, 0])
+    overlap = np.vdot(res.target, out)
+    mag = abs(overlap)
+    phase = overlap / mag if mag > 1e-300 else 1.0
+    r = (out.reshape(-1) - phase * res.target).view(np.float64)
+    # Explicit sizes: reshape(0, -1) is invalid, and a constant
+    # circuit's Jacobian is the empty (2n, 0) matrix.
+    jac = grad.reshape(res.num_params, res.target.size).view(res._real)
+    return r, jac.T
+
+
+def _batched_residuals_and_jacobian(res, params):
+    """Residuals ``(S, 2n)`` and Jacobian ``(S, 2n, P)`` for ``S``
+    parameter rows, interleaved views valid until the next call."""
+    out, grad = res.vm.evaluate_with_grad(params)
+    if res._first_column:
+        out, grad = out[:, :, 0], np.ascontiguousarray(grad[:, :, :, 0])
+    rows, size = len(out), res.target.size
+    out = out.reshape(rows, size)
+    # A per-row einsum, not a gemv across rows: a row's overlap must
+    # not depend on the batch width.
+    overlap = np.einsum("i,bi->b", res.target.conj(), out)
+    mag = np.abs(overlap)
+    safe = np.where(mag > 1e-300, mag, 1.0)
+    phase = np.where(mag > 1e-300, overlap / safe, 1.0)
+    r = (out - phase[:, None] * res.target).view(np.float64)
+    jac = grad.reshape(rows, res.num_params, size).view(res._real)
+    return r, jac.transpose(0, 2, 1)
+
+
 class HilbertSchmidtResiduals:
     """Residuals + Jacobian for instantiating a circuit to a target.
 
@@ -87,43 +131,15 @@ class HilbertSchmidtResiduals:
     """
 
     def __init__(self, vm: TNVM, target: np.ndarray):
-        if vm.diff is not Differentiation.GRADIENT:
-            raise ValueError(
-                f"residuals require a GRADIENT {type(vm).__name__}"
-            )
-        dim = vm.dim
         target = np.asarray(target, dtype=np.complex128)
-        if target.shape != (dim, dim):
+        if target.shape != (vm.dim, vm.dim):
             raise ValueError(
                 f"target shape {target.shape} does not match circuit "
-                f"dimension {dim}"
+                f"dimension {vm.dim}"
             )
-        self.vm = vm
-        self.target = target
-        self.dim = dim
-        self.num_params = vm.num_params
-        self.num_residuals = 2 * dim * dim
+        _bind(self, vm, target, first_column=False)
 
-    # ------------------------------------------------------------------
-    # ``params`` passes straight through to the VM (the writers index
-    # any sequence), and the alignment trace is the O(D^2) elementwise
-    # form ``sum(conj(target) * u)`` — ``Tr(T^dag U)`` without the
-    # O(D^3) matmul, mirroring the batched path's einsum.
-    def residuals_and_jacobian(
-        self, params: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Residual vector (2D^2,) and Jacobian (2D^2, P)."""
-        u, grad = self.vm.evaluate_with_grad(params)
-        trace = np.vdot(self.target, u)
-        mag = abs(trace)
-        phase = trace / mag if mag > 1e-300 else 1.0
-        diff = u - phase * self.target
-        r = np.concatenate([diff.real.ravel(), diff.imag.ravel()])
-        # Explicit column count: reshape(0, -1) is invalid, and a
-        # constant circuit's Jacobian is the empty (2D^2, 0) matrix.
-        flat = grad.reshape(self.num_params, self.dim * self.dim)
-        jac = np.concatenate([flat.real, flat.imag], axis=1).T
-        return r, np.ascontiguousarray(jac)
+    residuals_and_jacobian = _residuals_and_jacobian
 
 
 class BatchedHilbertSchmidtResiduals(HilbertSchmidtResiduals):
@@ -136,25 +152,7 @@ class BatchedHilbertSchmidtResiduals(HilbertSchmidtResiduals):
     per-start.
     """
 
-    def residuals_and_jacobian(
-        self, params: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Residual matrix ``(S, 2D^2)`` and Jacobian ``(S, 2D^2, P)``."""
-        u, grad = self.vm.evaluate_with_grad(params)
-        trace = np.einsum("ij,bij->b", self.target.conj(), u)
-        mag = np.abs(trace)
-        safe = np.where(mag > 1e-300, mag, 1.0)
-        phase = np.where(mag > 1e-300, trace / safe, 1.0)
-        diff = u - phase[:, None, None] * self.target
-        b = u.shape[0]
-        r = np.concatenate(
-            [diff.real.reshape(b, -1), diff.imag.reshape(b, -1)], axis=1
-        )
-        flat = grad.reshape(b, self.num_params, self.dim * self.dim)
-        jac = np.concatenate([flat.real, flat.imag], axis=2).transpose(
-            0, 2, 1
-        )
-        return r, np.ascontiguousarray(jac)
+    residuals_and_jacobian = _batched_residuals_and_jacobian
 
 
 # ----------------------------------------------------------------------
@@ -182,18 +180,13 @@ class StateResiduals:
     """
 
     def __init__(self, vm: TNVM, target):
-        if vm.diff is not Differentiation.GRADIENT:
-            raise ValueError(
-                f"residuals require a GRADIENT {type(vm).__name__}"
-            )
-        dim = vm.dim
         if isinstance(target, Statevector):
             target = target.amplitudes
         target = np.asarray(target, dtype=np.complex128)
-        if target.shape != (dim,):
+        if target.shape != (vm.dim,):
             raise ValueError(
                 f"target state shape {target.shape} does not match "
-                f"circuit dimension {dim}"
+                f"circuit dimension {vm.dim}"
             )
         norm = np.linalg.norm(target)
         # Loose enough for f32-sourced amplitudes; states further off
@@ -212,30 +205,9 @@ class StateResiduals:
                 f"state preparation fits U(theta) e_0, not column "
                 f"{contract.column_index}; use OutputContract.column(0)"
             )
-        self.vm = vm
-        self.dim = dim
-        self.target = target
-        self.num_params = vm.num_params
-        self.num_residuals = 2 * dim
-        self._column = contract.column_based
+        _bind(self, vm, target, first_column=not contract.column_based)
 
-    # ------------------------------------------------------------------
-    def residuals_and_jacobian(
-        self, params: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Residual vector (2D,) and Jacobian (2D, P)."""
-        u, grad = self.vm.evaluate_with_grad(params)
-        col = u if self._column else u[:, 0]
-        overlap = np.vdot(self.target, col)
-        mag = abs(overlap)
-        phase = overlap / mag if mag > 1e-300 else 1.0
-        diff = col - phase * self.target
-        r = np.concatenate([diff.real, diff.imag])
-        # d(U e_0)/dtheta_k: a column VM's gradient rows *are* the
-        # column derivatives; a full VM's get their first column sliced.
-        flat = grad if self._column else grad[:, :, 0]
-        jac = np.concatenate([flat.real, flat.imag], axis=1).T
-        return r, np.ascontiguousarray(jac)
+    residuals_and_jacobian = _residuals_and_jacobian
 
 
 class BatchedStateResiduals(StateResiduals):
@@ -248,23 +220,7 @@ class BatchedStateResiduals(StateResiduals):
     per-start.
     """
 
-    def residuals_and_jacobian(
-        self, params: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Residual matrix ``(S, 2D)`` and Jacobian ``(S, 2D, P)``."""
-        u, grad = self.vm.evaluate_with_grad(params)
-        cols = u if self._column else u[:, :, 0]
-        overlap = cols @ self.target.conj()
-        mag = np.abs(overlap)
-        safe = np.where(mag > 1e-300, mag, 1.0)
-        phase = np.where(mag > 1e-300, overlap / safe, 1.0)
-        diff = cols - phase[:, None] * self.target
-        r = np.concatenate([diff.real, diff.imag], axis=1)
-        flat = grad if self._column else grad[:, :, :, 0]
-        jac = np.concatenate([flat.real, flat.imag], axis=2).transpose(
-            0, 2, 1
-        )
-        return r, np.ascontiguousarray(jac)
+    residuals_and_jacobian = _batched_residuals_and_jacobian
 
 
 # ----------------------------------------------------------------------

@@ -407,6 +407,8 @@ class Instantiater:
         )
         registry.counter("instantiate.fits").add()
         registry.counter(f"instantiate.fits.{strategy}").add()
+        for run in runs:
+            registry.counter(f"instantiate.stop.{run.stop_reason}").add()
         registry.counter("instantiate.lm_iterations").add(
             result.total_iterations
         )

@@ -12,6 +12,16 @@ until a step reduces the cost, decay it (/10) on acceptance.  The
 step-size convergence test fires only on *accepted* steps: a tiny step
 under heavy damping means the damping is winning, not that the
 optimizer converged.
+
+Both loops use a residual function's ``(r, J)`` for three things
+only: the cost ``r^T r``, ``J^T J`` and ``J^T r``.  They consume each
+pair before the next evaluation, so ``(r, J)`` may be views the next
+call overwrites — the engine's residuals are views of the VM's
+gradient buffer (:mod:`repro.instantiation.cost`), and ``J`` reaches
+``J^T J`` without a copy.  The batched loop's state per start is its
+cost and its normal equations; it keeps no residuals or Jacobians and
+forms ``J^T J`` and ``J^T r`` once per accepted start, so a start's
+numbers never depend on the batch width.
 """
 
 from __future__ import annotations
@@ -75,7 +85,8 @@ def levenberg_marquardt(
 ) -> LMResult:
     """Minimize ``sum(residual_fn(x)[0]**2)`` from ``x0``.
 
-    ``residual_fn`` returns ``(r, J)`` with ``J[i, k] = dr_i / dx_k``.
+    ``residual_fn`` returns ``(r, J)`` with ``J[i, k] = dr_i / dx_k``;
+    both may be views the next call overwrites.
     """
     opts = options or LMOptions()
     x = np.asarray(x0, dtype=np.float64).copy()
@@ -175,6 +186,15 @@ def levenberg_marquardt(
     )
 
 
+def _normal_equations(R, J, starts, JtJ, Jtr) -> None:
+    """Write ``J^T J`` and ``J^T r`` of each start in ``starts`` into
+    its row of ``JtJ`` and ``Jtr``: one product per start, never one
+    across starts, so a row's numbers do not depend on the batch."""
+    for s in starts:
+        np.matmul(J[s].T, J[s], out=JtJ[s])
+        np.matmul(J[s].T, R[s], out=Jtr[s])
+
+
 def batched_levenberg_marquardt(
     residual_fn: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
     x0: np.ndarray,
@@ -186,7 +206,9 @@ def batched_levenberg_marquardt(
     ``residual_fn`` maps an ``(S, P)`` parameter matrix to ``(R, J)``
     with shapes ``(S, n_res)`` and ``(S, n_res, P)`` — typically
     :meth:`BatchedHilbertSchmidtResiduals.residuals_and_jacobian` over
-    a :class:`~repro.tnvm.vm.BatchedTNVM`.
+    a :class:`~repro.tnvm.vm.BatchedTNVM`.  Both may be views the next
+    call overwrites: each round reads its starts' costs and forms the
+    accepted starts' ``J^T J`` and ``J^T r`` before evaluating again.
 
     Each start runs the exact :func:`levenberg_marquardt` decision
     sequence, but the ``S`` state machines advance in *lockstep
@@ -236,8 +258,9 @@ def batched_levenberg_marquardt(
             for s in range(S)
         ]
 
-    JtJ = J.transpose(0, 2, 1) @ J  # (S, P, P)
-    Jtr = np.einsum("srp,sr->sp", J, R)  # (S, P)
+    JtJ = np.empty((S, P, P), dtype=J.dtype)
+    Jtr = np.empty((S, P), dtype=np.result_type(J, R))
+    _normal_equations(R, J, range(S), JtJ, Jtr)
     mu = np.full(S, opts.initial_mu)
     nu = opts.mu_up
     live = np.ones(S, dtype=bool)
@@ -333,11 +356,8 @@ def batched_levenberg_marquardt(
             if improved.any():
                 w = np.where(improved)[0]
                 X[w] = candidates[w]
-                R[w] = R_new[w]
-                J[w] = J_new[w]
                 cost[w] = cost_new[w]
-                JtJ[w] = J_new[w].transpose(0, 2, 1) @ J_new[w]
-                Jtr[w] = np.einsum("srp,sr->sp", J_new[w], R_new[w])
+                _normal_equations(R_new, J_new, w, JtJ, Jtr)
                 mu[w] = np.maximum(mu[w] / opts.mu_down, 1e-15)
                 fresh[w] = True
                 # Step-size convergence, accepted steps only (as in

@@ -1,8 +1,11 @@
 """Tests for the multi-start instantiation engine."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
+from repro import telemetry
 from repro.circuit import build_qft_circuit, build_qsearch_ansatz, gates, QuditCircuit
 from repro.instantiation import (
     AUTO_BATCH_MIN_STARTS,
@@ -10,6 +13,8 @@ from repro.instantiation import (
     LMOptions,
     instantiate,
 )
+from repro.telemetry.metrics import delta
+from repro.utils import random_unitary
 
 
 @pytest.fixture(scope="module")
@@ -106,6 +111,31 @@ class TestAccounting:
             lm_options=LMOptions(max_iterations=2),
         )
         assert result.runs[0].iterations <= 2
+
+    @pytest.mark.parametrize("strategy", ["sequential", "batched"])
+    def test_stop_reasons_are_counted(self, shallow2q, strategy):
+        # One instantiate.stop.<reason> per run, abandoned starts
+        # included.  Sequentially no start reaches an unreachable
+        # target, so all 8 run; batched, start 0 begins at the
+        # solution and the other 7 are abandoned.
+        circ, engine = shallow2q
+        if strategy == "sequential":
+            target, x0 = random_unitary(4, rng=5), None
+        else:
+            target, x0 = target_from_ansatz(circ, 11)
+        before = telemetry.metrics().snapshot()
+        result = engine.instantiate(
+            target, starts=8, rng=3, x0=x0, strategy=strategy
+        )
+        prefix = "instantiate.stop."
+        counts = {
+            name[len(prefix):]: n
+            for name, n in delta(before, telemetry.metrics().snapshot()).items()
+            if name.startswith(prefix)
+        }
+        assert counts == Counter(run.stop_reason for run in result.runs)
+        assert len(result.runs) == 8
+        assert len(counts) > 1
 
 
 class TestAutoStrategy:

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.circuit import QuditCircuit, gates
+from repro.circuit import QuditCircuit, fig5_circuit, gates
 from repro.instantiation.cost import (
     BatchedHilbertSchmidtResiduals,
+    BatchedStateResiduals,
     HilbertSchmidtResiduals,
 )
 from repro.instantiation.lm import (
@@ -13,6 +14,7 @@ from repro.instantiation.lm import (
     batched_levenberg_marquardt,
     levenberg_marquardt,
 )
+from repro.tensornet import OutputContract
 from repro.tnvm import TNVM, BatchedTNVM
 from repro.utils import random_unitary
 
@@ -140,9 +142,22 @@ def assert_sane(run):
     assert run.stop_reason in STOP_REASONS
 
 
+def assert_width_independent(fit, starts):
+    """Each start's trajectory ignores its slot and the batch width:
+    at full width it is bitwise the run it makes alone at width 1."""
+    for s, run in enumerate(fit(starts)):
+        assert_sane(run)
+        [alone] = fit(starts[s : s + 1])
+        assert np.array_equal(run.params, alone.params)
+        assert run.cost == alone.cost
+        assert run.iterations == alone.iterations
+        assert run.stop_reason == alone.stop_reason
+
+
 class TestIllConditioned:
     """Seeded rank-deficient fits: 8 starts, f64 and f32, against a
-    reachable and an unreachable target."""
+    reachable and an unreachable target; and state fits, whose ``2D``
+    residuals are fewer than the parameters."""
 
     @pytest.fixture(scope="class")
     def problem(self):
@@ -177,8 +192,6 @@ class TestIllConditioned:
     def test_batched_starts_do_not_depend_on_width(
         self, problem, precision, target
     ):
-        # Each start's trajectory ignores its slot and the batch width:
-        # at width 8 it is bitwise the run it makes alone at width 1.
         _, program, starts, targets = problem
 
         def fit(rows):
@@ -186,10 +199,38 @@ class TestIllConditioned:
             res = BatchedHilbertSchmidtResiduals(vm, targets[target])
             return batched_levenberg_marquardt(res.residuals_and_jacobian, rows)
 
-        for s, run in enumerate(fit(starts)):
-            assert_sane(run)
-            [alone] = fit(starts[s : s + 1])
-            assert np.array_equal(run.params, alone.params)
-            assert run.cost == alone.cost
-            assert run.iterations == alone.iterations
-            assert run.stop_reason == alone.stop_reason
+        assert_width_independent(fit, starts)
+
+    @pytest.fixture(scope="class")
+    def state_problem(self):
+        circ = fig5_circuit("2-qubit shallow")
+        rng = np.random.default_rng(12)
+        starts = rng.uniform(-2 * np.pi, 2 * np.pi, (8, circ.num_params))
+        theta = rng.uniform(-np.pi, np.pi, circ.num_params)
+        amps = rng.normal(size=circ.dim) + 1j * rng.normal(size=circ.dim)
+        targets = {
+            "reachable": np.ascontiguousarray(circ.get_unitary(theta)[:, 0]),
+            "random": amps / np.linalg.norm(amps),
+        }
+        programs = {
+            "full": circ.compile(),
+            "column": circ.compile(contract=OutputContract.column(0)),
+        }
+        return programs, starts, targets
+
+    @pytest.mark.parametrize("target", ["reachable", "random"])
+    @pytest.mark.parametrize("precision", ["f64", "f32"])
+    @pytest.mark.parametrize("contract", ["full", "column"])
+    def test_batched_state_starts_do_not_depend_on_width(
+        self, state_problem, contract, precision, target
+    ):
+        # The same guarantee for state targets: a row's overlap and
+        # normal equations never mix rows, on either VM.
+        programs, starts, targets = state_problem
+
+        def fit(rows):
+            vm = BatchedTNVM(programs[contract], len(rows), precision=precision)
+            res = BatchedStateResiduals(vm, targets[target])
+            return batched_levenberg_marquardt(res.residuals_and_jacobian, rows)
+
+        assert_width_independent(fit, starts)
