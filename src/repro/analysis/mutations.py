@@ -249,8 +249,10 @@ def _mut_dangling_write(program: Program, rng: np.random.Generator) -> Program:
 
 _UNPACK_RE = re.compile(r"^\s+p\d+ = params\[\d+\]\n", re.MULTILINE)
 _TEMP_ASSIGN_RE = re.compile(r"^(\s+)(i\d+_t\d+) = .+\n", re.MULTILINE)
+#: a product call by its form, ``np.<ufunc>(a, b, out=c)``, whatever
+#: the generator names its views (``b`` may pick stack rows)
 _CONTRACT_CALL_RE = re.compile(
-    r"np\.(matmul|multiply)\((i\d+_a), (i\d+_b), out=(i\d+_c)\)"
+    r"np\.(matmul|multiply)\((\w+), ([\w\[\]]+), out=(\w+)\)"
 )
 _NP_CALL_RE = re.compile(r"np\.(matmul|multiply|copyto)\(")
 

@@ -108,10 +108,6 @@ class Program:
         return self.output_shape[0]
 
     @property
-    def num_instructions(self) -> int:
-        return len(self.const_section) + len(self.dynamic_section)
-
-    @property
     def memory_elements(self) -> int:
         """Total complex elements across all buffers (the single
         contiguous region the TNVM allocates)."""

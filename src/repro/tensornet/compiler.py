@@ -137,7 +137,7 @@ class _CodeGen:
         dim_in = math.prod(self.dims[i] for i in self.network.open_in)
         if root.is_leaf:
             # A single-gate circuit: fuse the final permutation too.
-            self._fuse_root_leaf(root, target, (dim_out, dim_in))
+            self._prepare_child(root, target, (dim_out, dim_in))
         self._fuse_or_mark_transposes(root)
         self._emit_node(root)
 
@@ -207,15 +207,6 @@ class _CodeGen:
             )
             child.tensor.expression = fused
             child.indices = target
-
-    # Root-level leaf fusion (root is a single gate covering the circuit).
-    def _fuse_root_leaf(
-        self,
-        node: TreeNode,
-        target: tuple[int, ...],
-        matrix_shape: tuple[int, int],
-    ) -> None:
-        self._prepare_child(node, target, matrix_shape)
 
     # ------------------------------------------------------------------
     # Emission

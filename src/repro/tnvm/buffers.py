@@ -1,4 +1,4 @@
-"""Memory planning for the TNVM.
+"""Memory planning and contraction lowering for the TNVM.
 
 The TNVM allocates a single contiguous complex arena for every tensor
 the program touches (paper section IV-B: "a single, contiguous memory
@@ -10,20 +10,43 @@ parameter the buffer depends on (``R = 0`` for constant buffers and
 without differentiation).  Views are materialized once at
 initialization.
 
-:func:`gradient_rows` is the one owner of the row order.  It chooses
-the order so that every instruction reads and writes row spans: a
-product's value and all its first-operand rows come out of one
-row-stacked call, the second operand's remaining rows out of one
-stacked call, and a ``TRANSPOSE`` is one copy of the whole stack.
+This module makes the two decisions both VMs share.
+:func:`gradient_rows` fixes every buffer's row order, and
+:func:`contraction_calls` lowers each ``MATMUL``/``KRON``/``HADAMARD``
+/``TRANSPOSE`` to the numpy calls that apply the forward-mode calculus
+to row spans of those stacks:
+
+* a product's value and every row of its first operand A come out of
+  one call, ``A[0..Ra] * B[0]``: one row-stacked gemm for ``MATMUL``,
+  one broadcast multiply over the stack axis otherwise.  A row-vector
+  A (``m == 1``) keeps one product per row, because numpy runs it as a
+  gemv, and stacking would make it a gemm with different complex64
+  rounding;
+* the rows of the parameters only B depends on come out of a second,
+  ``A[0] * B[rows]``, over a span of B's stack, or a gather when a
+  shared parameter interleaves them;
+* a parameter on both operands adds its product-rule addend
+  ``A[0] * B[y]``, through a scratch array, to the ``A[x] * B[0]`` the
+  first call wrote;
+* a ``TRANSPOSE`` copies the whole permuted stack at once.
+
+The scalar megakernel (:mod:`repro.tnvm.fused`) prints these calls,
+and the batched VM (:mod:`repro.tnvm.ad`) binds them on
+:meth:`MemoryPlan.view` behind its batch axis, so both VMs make the
+same calls on the same rows.
 """
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
-from ..tensornet.bytecode import Program
+from ..tensornet.bytecode import Instruction, Program
 
-__all__ = ["MemoryPlan", "gradient_rows", "product_rows"]
+__all__ = [
+    "Call", "MemoryPlan", "StackView", "contraction_calls", "gradient_rows"
+]
 
 
 def gradient_rows(program: Program) -> list[tuple[int, ...]]:
@@ -57,22 +80,94 @@ def gradient_rows(program: Program) -> list[tuple[int, ...]]:
     return rows
 
 
-def product_rows(
-    a_rows: tuple[int, ...], b_rows: tuple[int, ...]
-) -> tuple[list[int], list[tuple[int, int]]]:
-    """Where a product's B-side gradient rows land, under
-    :func:`gradient_rows`.
+class StackView(NamedTuple):
+    """One operand of a :class:`Call`: stack rows ``lo..hi`` of
+    ``buffer`` viewed as ``shape``, with its axes then permuted by
+    ``perm``.  ``pick`` takes stack rows along the first axis: one row
+    (an int, still a view) or several (a tuple, a gather).  A
+    ``buffer`` of None is the instruction's scratch array."""
 
-    The output's leading ``1 + len(a_rows)`` stack rows hold the value
-    and A's rows; the B-only rows follow them.  Returns the B stack
-    rows of the parameters A lacks, in B's order, and an
-    ``(output stack row, B stack row)`` pair per parameter on both
-    sides (its row needs the product-rule addend).
+    buffer: int | None
+    lo: int
+    hi: int
+    shape: tuple[int, ...]
+    perm: tuple[int, ...] = ()
+    pick: int | tuple[int, ...] | None = None
+
+
+class Call(NamedTuple):
+    """One numpy call: ``np.<op>(*args, out=out)`` for ``matmul`` and
+    ``multiply``; ``copyto`` copies ``args[0]`` into ``out`` and
+    ``add`` adds it there."""
+
+    op: str
+    out: StackView
+    args: tuple[StackView, ...]
+
+
+def contraction_calls(
+    instr: Instruction, rows: list[tuple[int, ...]]
+) -> list[Call]:
+    """The numpy calls that run one ``MATMUL``/``KRON``/``HADAMARD``/
+    ``TRANSPOSE``, given every buffer's gradient rows
+    (:func:`gradient_rows`, or all empty without differentiation).
+
+    KRON views its operands with interleaved singleton axes, so a
+    broadcast multiply is the outer product.  A batched VM puts its
+    batch axis in front of every view and pads an operand with
+    singleton axes after it up to the output's rank, so every operand
+    broadcasts as it does here.
     """
-    a_row = {p: 1 + x for x, p in enumerate(a_rows)}
-    b_only = [1 + y for y, p in enumerate(b_rows) if p not in a_row]
-    shared = [(a_row[p], 1 + y) for y, p in enumerate(b_rows) if p in a_row]
-    return b_only, shared
+    A, C = instr.a_buf, instr.out_buf
+    na = 1 + len(rows[A])
+    if instr.opcode == "TRANSPOSE":
+        shape = tuple(instr.shape)
+        out_shape = tuple(shape[p] for p in instr.perm)
+        perm = (0,) + tuple(p + 1 for p in instr.perm)
+        src = StackView(A, 0, na, (na,) + shape, perm)
+        return [Call("copyto", StackView(C, 0, na, (na,) + out_shape), (src,))]
+    if instr.opcode == "MATMUL":
+        (m, k), (_, n) = instr.a_shape, instr.b_shape
+        op, a_shape, b_shape, out_shape = "matmul", (m, k), (k, n), (m, n)
+    elif instr.opcode == "KRON":
+        (ra, ca), (rb, cb) = instr.a_shape, instr.b_shape
+        op, out_shape = "multiply", (ra, rb, ca, cb)
+        a_shape, b_shape = (ra, 1, ca, 1), (1, rb, 1, cb)
+    elif instr.opcode == "HADAMARD":
+        op = "multiply"
+        a_shape = b_shape = out_shape = tuple(instr.a_shape)
+    else:
+        raise ValueError(f"{instr.opcode} is not a contraction")
+    B = instr.b_buf
+    if op == "matmul" and m > 1:
+        lead_a, lead_c = (na * m, k), (na * m, n)
+    else:
+        lead_a, lead_c = (na,) + a_shape, (na,) + out_shape
+    lead = (StackView(A, 0, na, lead_a), StackView(B, 0, 1, b_shape))
+    calls = [Call(op, StackView(C, 0, na, lead_c), lead)]
+    a_row = {p: x for x, p in enumerate(rows[A], 1)}
+    b_rows = rows[B]
+    b_only = [y for y, p in enumerate(b_rows, 1) if p not in a_row]
+    a_val = StackView(A, 0, 1, a_shape)
+    nb = 1 + len(b_rows)
+    b_stack = StackView(B, 0, nb, (nb,) + b_shape)
+    if b_only:
+        r, lo = len(b_only), b_only[0]
+        if b_only[-1] - lo >= r:  # a shared row interleaves them
+            src = b_stack._replace(pick=tuple(b_only))
+        else:
+            src = StackView(B, lo, lo + r, (r,) + b_shape)
+        out = StackView(C, na, na + r, (r,) + out_shape)
+        calls.append(Call(op, out, (a_val, src)))
+    nc = na + len(b_only)
+    c_stack = StackView(C, 0, nc, (nc,) + out_shape)
+    scratch = StackView(None, 0, 1, out_shape)
+    for y, p in enumerate(b_rows, 1):
+        if p in a_row:
+            calls.append(Call(op, scratch, (a_val, b_stack._replace(pick=y))))
+            row = c_stack._replace(pick=a_row[p])
+            calls.append(Call("add", row, (scratch,)))
+    return calls
 
 
 class MemoryPlan:
@@ -132,26 +227,3 @@ class MemoryPlan:
         size = self.sizes[buffer_id]
         span = self.stacks[buffer_id][..., lo * size: hi * size]
         return span.reshape(span.shape[:-1] + tuple(shape))
-
-    def stack_view(
-        self, buffer_id: int, shape: tuple[int, ...]
-    ) -> np.ndarray:
-        """A buffer's whole stack, ``(1 + R,) + shape``."""
-        n = 1 + len(self.rows[buffer_id])
-        return self.view(buffer_id, 0, n, (n,) + tuple(shape))
-
-    def value_view(
-        self, buffer_id: int, shape: tuple[int, ...]
-    ) -> np.ndarray:
-        """A buffer's value row, viewed as ``shape``."""
-        return self.view(buffer_id, 0, 1, shape)
-
-    def grad_view(
-        self, buffer_id: int, shape: tuple[int, ...]
-    ) -> np.ndarray | None:
-        """A buffer's gradient rows, ``(R,) + shape`` in
-        :attr:`rows` order; None for a buffer without gradient rows."""
-        n = len(self.rows[buffer_id])
-        if not n:
-            return None
-        return self.view(buffer_id, 1, 1 + n, (n,) + tuple(shape))

@@ -16,16 +16,12 @@ for the paper's whole-pipeline LLVM emission):
   the standalone writers also wrap) — no per-gate function call, with
   the gate's local parameters renamed onto one shared
   circuit-parameter unpack;
-* ``MATMUL``/``KRON``/``HADAMARD``/``TRANSPOSE`` become direct numpy
-  calls on views pre-bound in the prologue, with ``out=`` targets into
-  the VM's arena.  Every buffer is one stack of value and gradient
-  rows (:mod:`repro.tnvm.buffers`), so a product computes its value
-  and all of its A-side gradient rows in one row-stacked call, its
-  B-only rows in a second, and a ``TRANSPOSE`` copies the whole stack
-  at once.  Only a parameter on both operands costs more: its
-  product-rule addend, two calls per parameter.
+* ``MATMUL``/``KRON``/``HADAMARD``/``TRANSPOSE`` become the numpy
+  calls :func:`~repro.tnvm.buffers.contraction_calls` lowers them to,
+  printed on views pre-bound in the prologue, with ``out=`` targets
+  into the VM's arena.
 
-The batched VM keeps its per-instruction closures instead: their
+The batched VM binds the same calls as closures instead, because its
 grouped WRITE writers evaluate every same-expression gate as one
 ``G*S``-stacked ufunc call, which per-gate inlined stores cannot beat.
 
@@ -46,7 +42,7 @@ from .. import telemetry
 from ..jit.codegen import generate_inline_write, writer_globals
 from ..jit.compiled import CompiledExpression
 from ..tensornet.bytecode import Instruction, Program
-from .buffers import MemoryPlan, gradient_rows, product_rows
+from .buffers import Call, MemoryPlan, StackView, contraction_calls, gradient_rows
 
 __all__ = [
     "FusedKernel",
@@ -115,12 +111,8 @@ class _FusedEmitter:
         name = f"{self.prefix}{n}"
         if instr.opcode == "WRITE":
             self.emit_write(name, instr, compiled[instr.expr_id])
-        elif instr.opcode in ("MATMUL", "KRON", "HADAMARD"):
-            self.emit_product(name, instr)
-        elif instr.opcode == "TRANSPOSE":
-            self.emit_transpose(name, instr)
         else:
-            raise ValueError(f"unknown opcode {instr.opcode}")
+            self.emit_calls(name, contraction_calls(instr, self.rows))
 
     # -- view-binding helpers ------------------------------------------
     def bind(self, name: str, expr: str) -> None:
@@ -202,103 +194,43 @@ class _FusedEmitter:
             for s, row in enumerate(targets):
                 self.np_call(f"{gview}[{row}] += {gname}[{s}]")
 
-    # -- MATMUL / KRON / HADAMARD --------------------------------------
-    def emit_product(self, name: str, instr: Instruction) -> None:
-        """Shared contraction emitter; the three opcodes differ only in
-        the ufunc and how their operands are viewed (KRON interleaves
-        singleton axes so a broadcast multiply is the outer product).
+    # -- MATMUL / KRON / HADAMARD / TRANSPOSE ---------------------------
+    def emit_calls(self, name: str, calls: list[Call]) -> None:
+        """Print one contraction's calls
+        (:func:`~repro.tnvm.buffers.contraction_calls`), binding each
+        distinct view once in the prologue."""
+        names: dict[tuple, str] = {}
 
-        The output's rows are A's rows followed by B's parameters that
-        A lacks (:func:`~repro.tnvm.buffers.gradient_rows`), so one call
-        computes the value and every A-side row, ``A[0..Ra] * B[0]``,
-        and one stacked call the B-only rows, ``A[0] * B[rows]``.  A
-        parameter on both sides adds ``A[0] * B[y]`` to its row.
-        """
-        if instr.opcode == "MATMUL":
-            m, k = instr.a_shape
-            _, n2 = instr.b_shape
-            a_shape, b_shape, out_shape = (m, k), (k, n2), (m, n2)
-            ufunc = "np.matmul"
-        elif instr.opcode == "KRON":
-            ra, ca = instr.a_shape
-            rb, cb = instr.b_shape
-            a_shape, b_shape = (ra, 1, ca, 1), (1, rb, 1, cb)
-            out_shape = (ra, rb, ca, cb)
-            ufunc = "np.multiply"
-        else:  # HADAMARD
-            a_shape = b_shape = out_shape = tuple(instr.a_shape)
-            ufunc = "np.multiply"
-        A, B, C = instr.a_buf, instr.b_buf, instr.out_buf
-        a_rows, b_rows = self.rows[A], self.rows[B]
-        na = 1 + len(a_rows)
+        def bound(key: tuple, expr: str) -> str:
+            if key not in names:
+                names[key] = f"{name}_{len(names)}"
+                self.bind(names[key], expr)
+            return names[key]
 
-        # Value plus A-side rows: a row-stacked 2-D product for MATMUL,
-        # a broadcast over the leading stack axis otherwise.  A row
-        # vector A (m == 1) keeps one product per row: numpy runs it
-        # as a gemv (a dot when n == 1), which stacking would turn
-        # into a gemm of different complex64 rounding.
-        if ufunc == "np.matmul" and a_shape[0] > 1:
-            lead_a, lead_c = (na * m, k), (na * m, n2)
-        else:
-            lead_a, lead_c = (na,) + a_shape, (na,) + out_shape
-        a, b, c = f"{name}_a", f"{name}_b", f"{name}_c"
-        self.bind(a, self.view(A, 0, na, lead_a))
-        self.bind(b, self.view(B, 0, 1, b_shape))
-        self.bind(c, self.view(C, 0, na, lead_c))
-        self.np_call(f"{ufunc}({a}, {b}, out={c})")
-
-        b_only, shared = product_rows(a_rows, b_rows)
-        if not b_only and not shared:
-            return
-        av = f"{name}_av"
-        self.bind(av, self.view(A, 0, 1, a_shape))
-        # B-only rows interleave with shared ones only when a parameter
-        # sits on both sides; they are then gathered (on an input).
-        gather = bool(b_only) and b_only[-1] - b_only[0] >= len(b_only)
-        nb = 1 + len(b_rows)
-        bs = f"{name}_bs"
-        if shared or gather:
-            self.bind(bs, self.view(B, 0, nb, (nb,) + b_shape))
-        if b_only:
-            r = len(b_only)
-            gb, gc = f"{name}_gb", f"{name}_gc"
-            self.bind(gc, self.view(C, na, na + r, (r,) + out_shape))
-            if gather:
-                vals = ", ".join(str(v) for v in b_only)
-                self.bind(gb, f"np.asarray([{vals}], dtype=np.intp)")
-                gb = f"{bs}[{gb}]"
+        def ref(v: StackView) -> str:
+            if v.buffer is None:
+                dims = ", ".join(str(s) for s in v.shape)
+                expr = f"np.zeros(({dims}), dtype=dtype)"
             else:
-                lo = b_only[0]
-                self.bind(gb, self.view(B, lo, lo + r, (r,) + b_shape))
-            self.np_call(f"{ufunc}({av}, {gb}, out={gc})")
-        if shared:
-            cs, scr = f"{name}_cs", f"{name}_scr"
-            nc = 1 + len(self.rows[C])
-            self.bind(cs, self.view(C, 0, nc, (nc,) + out_shape))
-            dims = ", ".join(str(s) for s in out_shape)
-            self.bind(scr, f"np.zeros(({dims}), dtype=dtype)")
-            for x, y in shared:
-                # Product rule: the row already holds A[x] * B[0].
-                self.np_call(f"{ufunc}({av}, {bs}[{y}], out={scr})")
-                self.np_call(f"{cs}[{x}] += {scr}")
+                expr = self.view(v.buffer, v.lo, v.hi, v.shape)
+                if v.perm:
+                    expr += f".transpose({v.perm!r})"
+            base = bound(v._replace(pick=None), expr)
+            if isinstance(v.pick, tuple):
+                vals = ", ".join(str(r) for r in v.pick)
+                rows = bound(v.pick, f"np.asarray([{vals}], dtype=np.intp)")
+                return f"{base}[{rows}]"
+            return base if v.pick is None else f"{base}[{v.pick}]"
 
-    # -- TRANSPOSE -----------------------------------------------------
-    def emit_transpose(self, name: str, instr: Instruction) -> None:
-        """One copy of the permuted stack: the output's rows are its
-        input's rows."""
-        shape = tuple(instr.shape)
-        perm = tuple(instr.perm)
-        out_shape = tuple(shape[p] for p in perm)
-        n = 1 + len(self.rows[instr.a_buf])
-        src, dst = f"{name}_src", f"{name}_dst"
-        stack_perm = (0,) + tuple(p + 1 for p in perm)
-        self.bind(
-            src,
-            f"{self.view(instr.a_buf, 0, n, (n,) + shape)}"
-            f".transpose({stack_perm!r})",
-        )
-        self.bind(dst, self.view(instr.out_buf, 0, n, (n,) + out_shape))
-        self.np_call(f"np.copyto({dst}, {src})")
+        for call in calls:
+            args = [ref(v) for v in call.args]
+            out = ref(call.out)
+            if call.op == "copyto":
+                self.np_call(f"np.copyto({out}, {args[0]})")
+            elif call.op == "add":
+                self.np_call(f"{out} += {args[0]}")
+            else:
+                self.np_call(f"np.{call.op}({args[0]}, {args[1]}, out={out})")
 
 
 def generate_fused_kernel(

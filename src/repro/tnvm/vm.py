@@ -19,9 +19,11 @@ runs the whole program as one generated megakernel
 every sweep is a single call.  The :class:`BatchedTNVM` sweeps a list
 of pre-bound batch-vectorized closures (:mod:`repro.tnvm.ad`): the
 WRITEs of each JIT'd expression run as one grouped writer call, and a
-lone gate with unique slots writes in place.  Either way a sweep does
-no dispatch on opcodes and no compilation, and allocates only where
-both operands of a product depend on one parameter.
+lone gate with unique slots writes in place.  Both make the numpy
+calls :func:`~repro.tnvm.buffers.contraction_calls` lowers each
+contraction to.  Either way a sweep does no dispatch on opcodes and no
+compilation, and allocates only to gather B-only gradient rows around
+a parameter both operands of a product depend on.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from ..jit.cache import ExpressionCache, global_cache
 from ..jit.compiled import CompiledExpression
 from ..tensornet.bytecode import Instruction, Program
 from ..tensornet.contract import OutputContract
-from .ad import build_batched_closure, build_batched_write_group
+from .ad import build_batched_calls, build_batched_write_group
 from .buffers import MemoryPlan
 from .fused import bind_fused_kernel, fused_kernel_for
 
@@ -118,16 +120,13 @@ class _VM:
         # vector through the dynamic section; full programs a (D, D)
         # matrix.
         out_shape = (dim,) if self.contract.column_based else (dim, dim)
-        self._out_view = self.plan.value_view(
-            program.output_buffer, out_shape
-        )
+        out, rows = program.output_buffer, self.plan.rows[program.output_buffer]
+        self._out_view = self.plan.view(out, 0, 1, out_shape)
         #: the circuit parameter of each output gradient row, in the
         #: plan's row order: one vectorized scatter per sweep
-        self._out_rows_idx = np.asarray(
-            self.plan.rows[program.output_buffer], dtype=np.intp
-        )
-        self._out_grad_view = self.plan.grad_view(
-            program.output_buffer, out_shape
+        self._out_rows_idx = np.asarray(rows, dtype=np.intp)
+        self._out_grad_view = self.plan.view(
+            out, 1, 1 + len(rows), (len(rows),) + out_shape
         )
         lead = () if batch is None else (batch,)
         self._full_grad = (
@@ -228,8 +227,7 @@ class TNVM(_VM):
         self._check(params)
         self._grad_sweeps.add()
         self._run(params)
-        if self._out_grad_view is not None:
-            self._full_grad[self._out_rows_idx] = self._out_grad_view
+        self._full_grad[self._out_rows_idx] = self._out_grad_view
         return self._out_view, self._full_grad
 
     def _check(self, params: Sequence[float]) -> None:
@@ -287,8 +285,8 @@ class BatchedTNVM(_VM):
         self.batch = int(batch)
         want_grad = self._setup(program, precision, diff, cache, self.batch)
         for instr in program.const_section:
-            closure = build_batched_closure(instr, self.plan, self.compiled)
-            closure(())
+            for call in build_batched_calls(instr, self.plan, self.compiled):
+                call()
 
         registry = telemetry.metrics()
         self._sweeps = registry.counter("vm.batched_sweeps")
@@ -309,15 +307,17 @@ class BatchedTNVM(_VM):
                 groups.setdefault(instr.expr_id, []).append(instr)
             else:
                 rest.append(instr)
-        self._dynamic = [
+        self._writes = [
             build_batched_write_group(
                 members, self.plan, self.compiled, grad=want_grad
             )
             for members in groups.values()
         ]
-        self._dynamic += [
-            build_batched_closure(instr, self.plan, self.compiled)
+        #: every other instruction's calls, in program order
+        self._calls = [
+            call
             for instr in rest
+            for call in build_batched_calls(instr, self.plan, self.compiled)
         ]
 
     # ------------------------------------------------------------------
@@ -333,8 +333,10 @@ class BatchedTNVM(_VM):
         """
         rows = self._check(params)
         self._sweeps.add()
-        for run in self._dynamic:
-            run(rows)
+        for write in self._writes:
+            write(rows)
+        for call in self._calls:
+            call()
         return self._out_view
 
     def evaluate_with_grad(
@@ -353,10 +355,11 @@ class BatchedTNVM(_VM):
             )
         rows = self._check(params)
         self._grad_sweeps.add()
-        for run in self._dynamic:
-            run(rows)
-        if self._out_grad_view is not None:
-            self._full_grad[:, self._out_rows_idx] = self._out_grad_view
+        for write in self._writes:
+            write(rows)
+        for call in self._calls:
+            call()
+        self._full_grad[:, self._out_rows_idx] = self._out_grad_view
         return self._out_view, self._full_grad
 
     def _check(self, params: np.ndarray) -> np.ndarray:

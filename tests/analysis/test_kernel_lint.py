@@ -11,6 +11,7 @@ from repro.analysis import (
     verify_kernel,
 )
 from repro.analysis.mutations import (
+    _CONTRACT_CALL_RE,
     MUTATION_CLASSES,
     NotApplicable,
     mutate_kernel,
@@ -67,6 +68,16 @@ class TestMutationRejection:
                 report.render(),
             )
         assert applicable > 0, f"{cls.name} never applicable"
+
+    def test_alias_mutation_sees_every_product_call(self, clean_kernels):
+        # Sites are found by the call's form, so renaming the
+        # generator's locals cannot make the class inapplicable.
+        for key, kernel in clean_kernels.items():
+            source = kernel.source
+            products = source.count("np.matmul(")
+            products += source.count("np.multiply(")
+            sites = _CONTRACT_CALL_RE.findall(source)
+            assert len(sites) == products, key
 
     def test_expected_codes_are_known(self):
         for cls in KERNEL_CLASSES:

@@ -1,7 +1,8 @@
 """Scalar megakernel tests.
 
 The scalar TNVM runs every program as one generated megakernel; the
-batched TNVM runs grouped per-instruction closures.  Both are checked
+batched TNVM runs grouped WRITE closures and one closure per
+contraction call.  Both are checked
 against the interpreted baseline in ``test_differential.py``.  This
 module pins what the execution paths must keep across every opcode,
 both precisions, and with and without differentiation: a VM rebuilt
@@ -10,10 +11,13 @@ expressions) regenerates the original's kernel source byte for byte
 and is bit-identical to the original; both VMs' gradients match
 central differences of a values-only VM; the megakernel makes one
 numpy call per TRANSPOSE and at most two per product without shared
-parameters; kernels are generated once per program and survive
+parameters, and both VMs make exactly the calls ``contraction_calls``
+lowers the Figure 5 programs to; kernels are generated once per
+program and survive
 pickling as source text; and neither VM takes a backend knob.
 """
 
+import math
 import pickle
 import re
 
@@ -32,6 +36,7 @@ from repro.tensornet import OutputContract
 from repro.tensornet.bytecode import BufferSpec, Instruction, Program
 from repro.tensornet.network import ParamSlot
 from repro.tnvm import TNVM, BatchedTNVM, Differentiation, bind_fused_kernel
+from repro.tnvm.buffers import contraction_calls, gradient_rows
 from repro.tnvm.fused import fused_kernel_for
 
 
@@ -190,6 +195,41 @@ def _unsorted_write():
     return program
 
 
+def _matmul_gather():
+    # RX(t1) @ U3(t0, t1, t2): B's rows for t0 and t2 straddle the
+    # shared t1, so the B-only rows are gathered.
+    program = Program(
+        num_params=3,
+        radices=(2,),
+        expressions=[gates.rx().matrix, gates.u3().matrix],
+        buffers=[
+            BufferSpec(0, 4, (1,), False),
+            BufferSpec(1, 4, (0, 1, 2), False),
+            BufferSpec(2, 4, (0, 1, 2), False),
+        ],
+        dynamic_section=[
+            Instruction("WRITE", out_buf=0, expr_id=0, slots=(1,), params=(1,)),
+            Instruction(
+                "WRITE", out_buf=1, expr_id=1, slots=(0, 1, 2),
+                params=(0, 1, 2),
+            ),
+            Instruction(
+                "MATMUL",
+                out_buf=2,
+                a_buf=0,
+                b_buf=1,
+                a_shape=(2, 2),
+                b_shape=(2, 2),
+                params=(0, 1, 2),
+            ),
+        ],
+        output_buffer=2,
+        output_shape=(2, 2),
+    )
+    program.validate()
+    return program
+
+
 def _constant_circuit():
     # Fully constant: empty dynamic section, megakernel is a no-op.
     return build_qft_circuit(2).compile()
@@ -205,6 +245,7 @@ PROGRAMS = {
     "hadamard-disjoint": _hadamard_disjoint,
     "hadamard-overlap": _hadamard_overlap,
     "unsorted-write": _unsorted_write,
+    "matmul-gather": _matmul_gather,
     "constant": _constant_circuit,
 }
 
@@ -372,15 +413,23 @@ class TestGradientRows:
             )
 
 
-#: most megakernel numpy calls per sweep on the full-unitary Figure 5
-#: programs: one per TRANSPOSE, and at most two per product (the value
-#: with the A-side rows, then the B-only rows)
-FIG5_FULL_CALLS = {
-    "2-qubit shallow": 19,
-    "3-qubit shallow": 38,
-    "3-qubit deep": 68,
-    "2-qutrit shallow": 19,
-    "3-qutrit shallow": 38,
+#: numpy calls and BLAS calls per scalar sweep on the Figure 5
+#: programs, counted from ``contraction_calls``: one copy per
+#: TRANSPOSE and at most two calls per product (the value with the
+#: A-side rows, then the B-only rows).  A matmul makes one BLAS call per
+#: element of its leading (broadcast) dimensions; ``COLUMN(0)`` puts the
+#: many-parameter state on the B side, where every row is its own call.
+FIG5_CALLS = {
+    ("2-qubit shallow", "full"): (19, 34),
+    ("3-qubit shallow", "full"): (38, 83),
+    ("3-qubit deep", "full"): (68, 161),
+    ("2-qutrit shallow", "full"): (19, 25),
+    ("3-qutrit shallow", "full"): (38, 60),
+    ("2-qubit shallow", "column"): (18, 70),
+    ("3-qubit shallow", "column"): (36, 209),
+    ("3-qubit deep", "column"): (68, 737),
+    ("2-qutrit shallow", "column"): (18, 49),
+    ("3-qutrit shallow", "column"): (36, 144),
 }
 
 
@@ -390,18 +439,17 @@ def fig5_programs():
         (name, contract): fig5_circuit(name).compile(
             contract=OutputContract.column(0) if contract == "column" else None
         )
-        for name in FIG5_FULL_CALLS
-        for contract in ("full", "column")
+        for name, contract in FIG5_CALLS
     }
 
 
 class TestCallStructure:
     """The megakernel's numpy calls follow the stack layout: one copy
     per TRANSPOSE, at most two calls per product whose operands share
-    no parameter, and no fancy-index assignment."""
+    no parameter, and no fancy-index assignment; and both VMs make the
+    calls the lowering counts."""
 
-    @pytest.mark.parametrize("contract", ["full", "column"])
-    @pytest.mark.parametrize("name", list(FIG5_FULL_CALLS))
+    @pytest.mark.parametrize("name, contract", list(FIG5_CALLS))
     def test_calls_per_instruction(self, fig5_programs, name, contract):
         program = fig5_programs[(name, contract)]
         kernel = TNVM(program).fused_kernel
@@ -429,8 +477,27 @@ class TestCallStructure:
                 b = program.buffers[instr.b_buf].params
                 if not set(a) & set(b):
                     assert 1 <= calls.get(n, 0) <= 2, instr.render()
-        if contract == "full":
-            assert kernel.num_numpy_calls <= FIG5_FULL_CALLS[name]
+
+    @pytest.mark.parametrize("name, contract", list(FIG5_CALLS))
+    def test_both_vms_make_the_lowered_calls(
+        self, fig5_programs, name, contract
+    ):
+        program = fig5_programs[(name, contract)]
+        rows = gradient_rows(program)
+        calls = [
+            call
+            for instr in program.dynamic_section
+            if instr.opcode != "WRITE"
+            for call in contraction_calls(instr, rows)
+        ]
+        blas = sum(
+            math.prod(call.out.shape[:-2])
+            for call in calls
+            if call.op == "matmul"
+        )
+        assert (len(calls), blas) == FIG5_CALLS[(name, contract)]
+        assert TNVM(program).fused_kernel.num_numpy_calls == len(calls)
+        assert len(BatchedTNVM(program, 2)._calls) == len(calls)
 
 
 class TestBackendKnob:
@@ -442,7 +509,8 @@ class TestBackendKnob:
         vm = BatchedTNVM(program, 4)
         assert vm.fused_kernel is None
         # Same-expression WRITEs share one grouped writer call.
-        assert len(vm._dynamic) < len(program.dynamic_section)
+        writes = [i for i in program.dynamic_section if i.opcode == "WRITE"]
+        assert len(vm._writes) < len(writes)
 
     def test_vm_rejects_unknown_backend(self, programs):
         with pytest.raises(TypeError):
