@@ -12,6 +12,8 @@ Usage::
         --json BENCH_verify.json                         # verifier cost
     python benchmarks/run_instantiation.py --sweeps \
         --json BENCH_sweeps.json                         # TNVM sweep table
+    python benchmarks/run_instantiation.py --lm \
+        --json BENCH_lm.json                             # LM round table
 
 For every Figure 5 benchmark circuit this prints the mean wall-clock
 instantiation time for OpenQudit (AOT included) and the baseline
@@ -30,6 +32,15 @@ with BLAS on one thread.  Its least-squares columns time what one LM
 evaluation adds on top: ``residuals_and_jacobian`` (sweep included)
 plus ``J^T J`` and ``J^T r`` as the LM loops form them, with unitary
 residuals on the full programs and state residuals on ``COLUMN(0)``.
+
+``--lm`` prints the LM loop table: the minimum microseconds per
+scalar LM iteration and per lockstep round at 1 and 8 starts, for
+every Figure 5 shape (``P`` parameters, ``2n = 2D^2`` residuals for
+the full unitary, ``2n = 2D`` for ``COLUMN(0)``), BLAS on one thread.
+The residual function is a stub that returns the same ``(r, J)``
+views every call and shrinks ``r`` a little, so every step is
+accepted and no TNVM sweep runs: the table is the loop's own cost,
+its linear algebra included.
 """
 
 from __future__ import annotations
@@ -39,7 +50,7 @@ import os
 import sys
 import time
 
-if "--sweeps" in sys.argv:
+if "--sweeps" in sys.argv or "--lm" in sys.argv:
     # BLAS reads its thread count when numpy loads.
     for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ[_var] = "1"
@@ -52,10 +63,18 @@ from repro.baseline import (  # noqa: E402
 )
 from repro.checkpoint import atomic_write_json  # noqa: E402
 from repro.circuit import FIG5_BENCHMARKS, fig5_circuit  # noqa: E402
-from repro.instantiation import Instantiater  # noqa: E402
+from repro.instantiation import (  # noqa: E402
+    Instantiater,
+    LMOptions,
+    batched_levenberg_marquardt,
+    levenberg_marquardt,
+)
 
 #: parameter sets per batched sweep in the ``--sweeps`` table
 SWEEP_BATCH = 8
+
+#: lockstep widths timed by the ``--lm`` table
+LM_WIDTHS = (1, 8)
 
 
 def run_one(
@@ -258,8 +277,10 @@ def _min_sweep_us(sweep, params, calls: int) -> float:
 
 def _least_squares(residuals, batch: int | None = None):
     """One LM evaluation of ``residuals``: ``residuals_and_jacobian``
-    plus ``J^T J`` and ``J^T r``, formed as the LM loops form them
-    (one product per row of a ``batch``-row evaluation)."""
+    plus ``J^T J`` and ``J^T r``, formed as the LM loops form them (for
+    a ``batch``-row evaluation, one stacked product pair over every
+    row, as the lockstep loop does when every start's step is
+    accepted)."""
     fn = residuals.residuals_and_jacobian
     if batch is None:
 
@@ -273,9 +294,9 @@ def _least_squares(residuals, batch: int | None = None):
 
     def evaluate(params):
         r, jac = fn(params)
-        for s in range(batch):
-            np.matmul(jac[s].T, jac[s], out=jtj[s])
-            np.matmul(jac[s].T, r[s], out=jtr[s])
+        jt = jac.transpose(0, 2, 1)
+        np.matmul(jt, jac, out=jtj)
+        np.matmul(jt, r[:, :, None], out=jtr[:, :, None])
 
     return evaluate
 
@@ -371,6 +392,106 @@ def sweep_suite(trials: int, json_path: str) -> None:
         print(f"wrote {json_path}")
 
 
+def _lm_stub(num_params: int, num_residuals: int, width: int | None):
+    """A residual function that returns the same ``(r, J)`` views on
+    every call, ``J`` laid out as the engine's (a transposed view of a
+    ``(P, 2n)`` block per row), and shrinks ``r`` by 0.1% per call so
+    every step lowers the cost and is accepted."""
+    rng = np.random.default_rng(0)
+    lead = () if width is None else (width,)
+    block = rng.normal(size=lead + (num_params, num_residuals))
+    jac = block.T if width is None else block.transpose(0, 2, 1)
+    r0 = rng.normal(size=lead + (num_residuals,))
+    r = np.empty_like(r0)
+    scale = [1.0]
+
+    def fn(x):
+        scale[0] *= 0.999
+        np.multiply(r0, scale[0], out=r)
+        return r, jac
+
+    return fn
+
+
+def _min_round_us(run, rounds: int, trials: int) -> float:
+    """Minimum wall time per LM iteration or round over ``trials`` runs
+    of ``rounds`` iterations each, in microseconds."""
+    run()
+    best = float("inf")
+    for _ in range(trials):
+        t0 = time.perf_counter()
+        run()
+        best = min(best, (time.perf_counter() - t0) / rounds)
+    return best * 1e6
+
+
+def lm_suite(trials: int, json_path: str, rounds: int = 100) -> None:
+    """The LM loop table: min-of-N µs per scalar iteration and per
+    lockstep round on a stub residual (:func:`_lm_stub`).
+
+    Every Figure 5 shape runs twice, with ``2n = 2D^2`` residuals (the
+    full unitary) and ``2n = 2D`` (``COLUMN(0)``).  Each run makes
+    ``rounds`` iterations with no stopping test able to fire before
+    the budget; the table keeps the fastest of ``trials`` runs.
+    """
+    options = LMOptions(
+        max_iterations=rounds, gradient_tolerance=0.0, step_tolerance=0.0
+    )
+    rows = []
+    print(f"LM loop: min of {trials} runs of {rounds} iterations, stub "
+          f"residuals (every step accepted, no sweep), BLAS threads "
+          f"{os.environ.get('OPENBLAS_NUM_THREADS', '?')}\n")
+    widths = "".join(f" {f'round W={w}(us)':>15}" for w in LM_WIDTHS)
+    print(f"{'benchmark':<18} {'contract':<9} {'D':>3} {'P':>3} "
+          f"{'2n':>5} {'scalar(us)':>11}{widths}")
+    for name in FIG5_BENCHMARKS:
+        circ = fig5_circuit(name)
+        dim, num = circ.dim, circ.num_params
+        for contract, size in (("full", 2 * dim * dim), ("column", 2 * dim)):
+            x0 = np.random.default_rng(1).uniform(
+                -np.pi, np.pi, (max(LM_WIDTHS), num)
+            )
+
+            def scalar():
+                fn = _lm_stub(num, size, None)
+                levenberg_marquardt(fn, x0[0], options)
+
+            row = {
+                "name": name,
+                "contract": contract,
+                "dim": dim,
+                "num_params": num,
+                "num_residuals": size,
+                "scalar_us": _min_round_us(scalar, rounds, trials),
+            }
+            for width in LM_WIDTHS:
+
+                def lockstep(width=width):
+                    fn = _lm_stub(num, size, width)
+                    batched_levenberg_marquardt(fn, x0[:width], options)
+
+                row[f"round_w{width}_us"] = _min_round_us(
+                    lockstep, rounds, trials
+                )
+            rows.append(row)
+            cells = "".join(
+                f" {row[f'round_w{w}_us']:>15.1f}" for w in LM_WIDTHS
+            )
+            print(f"{name:<18} {contract:<9} {dim:>3} {num:>3} {size:>5} "
+                  f"{row['scalar_us']:>11.1f}{cells}")
+    report = {
+        "mode": "lm",
+        "rounds": rounds,
+        "trials": trials,
+        "widths": list(LM_WIDTHS),
+        "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
+        "rows": rows,
+    }
+    if json_path:
+        atomic_write_json(json_path, report)
+        print(f"wrote {json_path}")
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--starts", type=int, default=1)
@@ -400,6 +521,13 @@ def main() -> None:
         "BLAS on one thread; emits BENCH_sweeps.json with --json)",
     )
     parser.add_argument(
+        "--lm",
+        action="store_true",
+        help="print the LM loop table (min-of-N us per scalar iteration "
+        "and per lockstep round at 1 and 8 starts, stub residuals, "
+        "BLAS on one thread; emits BENCH_lm.json with --json)",
+    )
+    parser.add_argument(
         "--json",
         default="",
         metavar="PATH",
@@ -407,22 +535,25 @@ def main() -> None:
     )
     args = parser.parse_args()
 
-    if args.sweeps:
-        # Times the fixed Figure 5 program set; --trials scales the
-        # number of timed sweeps, --json names the artifact.
+    if args.sweeps or args.lm:
+        # Each table times a fixed Figure 5 set; --trials scales the
+        # number of timed calls, --json names the artifact.
+        flag = "--sweeps" if args.sweeps else "--lm"
         if (
-            args.circuits
+            (args.sweeps and args.lm)
+            or args.circuits
             or args.skip_baseline
             or args.verify_overhead
             or args.starts != parser.get_default("starts")
         ):
             parser.error(
-                "--sweeps is exclusive with --starts/--circuits/"
-                "--skip-baseline/--verify-overhead (use --trials)"
+                f"{flag} is exclusive with --starts/--circuits/"
+                "--skip-baseline/--verify-overhead and the other table "
+                "(use --trials)"
             )
         if args.trials < 1:
             parser.error("--trials must be >= 1")
-        sweep_suite(args.trials, args.json)
+        (sweep_suite if args.sweeps else lm_suite)(args.trials, args.json)
         return
 
     if args.verify_overhead:

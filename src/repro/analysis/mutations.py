@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import dataclasses
 import re
+import zlib
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, TypeVar
@@ -39,6 +40,7 @@ __all__ = [
     "mutate_program",
     "mutate_kernel",
     "run_mutation_corpus",
+    "corpus_rng",
     "CorpusResult",
 ]
 
@@ -463,6 +465,17 @@ class CorpusResult:
         return "\n".join(lines)
 
 
+def corpus_rng(seed: int, name: str, subject: int) -> np.random.Generator:
+    """The generator that draws class ``name``'s mutation site on
+    subject ``subject`` of a corpus run under ``seed``.
+
+    The class enters through a CRC-32 of its name, not ``hash``, which
+    changes with ``PYTHONHASHSEED``: every process draws the same
+    mutants, so a mutant a run misses can be reproduced from its seed.
+    """
+    return np.random.default_rng([seed, zlib.crc32(name.encode()), subject])
+
+
 def run_mutation_corpus(
     programs: list[Program],
     kernel_sources: list[str],
@@ -501,9 +514,7 @@ def run_mutation_corpus(
             else list(enumerate(kernel_sources))
         )
         for i, subject in subjects:
-            rng = np.random.default_rng(
-                [seed, hash(cls.name) & 0x7FFFFFFF, i]
-            )
+            rng = corpus_rng(seed, cls.name, i)
             try:
                 if cls.kind == "program":
                     mutant = mutate_program(cls.name, subject, rng)

@@ -72,7 +72,7 @@ class BatchedInstantiater:
         num_starts = len(guesses)
         success_cost = options.success_cost
 
-        def should_abandon(live: np.ndarray, cost: np.ndarray) -> bool:
+        def should_abandon(live: list[bool], cost: list[float]) -> bool:
             # The sequential schedule stops after the first start s
             # where the best cost over starts 0..s reaches the
             # threshold.  Once every start of such a prefix has

@@ -78,6 +78,8 @@ def _bind(res, vm: TNVM, target: np.ndarray, first_column: bool) -> None:
     res.vm = vm
     res.dim = vm.dim
     res.target = target.reshape(-1)
+    #: the batched kernel's per-row overlap reads the conjugate
+    res._target_conj = res.target.conj()
     res.num_params = vm.num_params
     res.num_residuals = 2 * res.target.size
     res._first_column = first_column
@@ -110,7 +112,7 @@ def _batched_residuals_and_jacobian(res, params):
     out = out.reshape(rows, size)
     # A per-row einsum, not a gemv across rows: a row's overlap must
     # not depend on the batch width.
-    overlap = np.einsum("i,bi->b", res.target.conj(), out)
+    overlap = np.einsum("i,bi->b", res._target_conj, out)
     mag = np.abs(overlap)
     safe = np.where(mag > 1e-300, mag, 1.0)
     phase = np.where(mag > 1e-300, overlap / safe, 1.0)

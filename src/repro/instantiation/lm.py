@@ -22,14 +22,29 @@ gradient buffer (:mod:`repro.instantiation.cost`), and ``J`` reaches
 cost and its normal equations; it keeps no residuals or Jacobians and
 forms ``J^T J`` and ``J^T r`` once per accepted start, so a start's
 numbers never depend on the batch width.
+
+What a lockstep round costs: between two sweeps the batched loop makes
+the same handful of numpy calls at any width.  Per-start state lives
+in Python lists; one reduction gives every start's ``max|J^T r|`` and
+finiteness test; the damped systems are formed and solved as whole
+stacks when every start is live; the accepted starts' ``J^T J`` and
+``J^T r`` are one stacked ``np.matmul`` pair, which BLAS still runs as
+one product per row.  What is left is linear algebra: on a stub
+residual at P = 18 (``benchmarks/run_instantiation.py --lm``), a
+round of 8 starts costs about 80 us, a third of it the stacked solve
+of 8 18x18 systems, and a round of 1 start about as much as a scalar
+iteration.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
+
+from .. import telemetry
 
 __all__ = [
     "LMOptions",
@@ -186,20 +201,66 @@ def levenberg_marquardt(
     )
 
 
-def _normal_equations(R, J, starts, JtJ, Jtr) -> None:
-    """Write ``J^T J`` and ``J^T r`` of each start in ``starts`` into
-    its row of ``JtJ`` and ``Jtr``: one product per start, never one
-    across starts, so a row's numbers do not depend on the batch."""
-    for s in starts:
-        np.matmul(J[s].T, J[s], out=JtJ[s])
-        np.matmul(J[s].T, R[s], out=Jtr[s])
+#: A subset of starts stacks its normal equations on a copy of its rows
+#: of ``J`` when it has at least ``STACK_ROWS_MIN`` rows of at most
+#: ``STACK_COPY_MAX`` entries each.  Below the first, the copy and the
+#: scatter back cost more than the per-row calls they save; past the
+#: second, so does the copy (among the Figure 5 shapes, the
+#: full-unitary Jacobians from D = 8 up, 2n * P >= 4,224).
+STACK_ROWS_MIN = 4
+STACK_COPY_MAX = 2048
+
+
+def _normal_equations(R, J, rows, JtJ, Jtr) -> None:
+    """Write ``J^T J`` and ``J^T r`` of each start in ``rows`` (ascending
+    slot indices) into its row of ``JtJ`` and ``Jtr``.
+
+    A product never spans starts, so a row's numbers do not depend on
+    the batch: ``np.matmul`` over a stack makes one BLAS call per
+    matrix with the strides a per-row call passes (fancy indexing
+    keeps them), so the stacked and per-row products are bitwise
+    equal.  Every row stacks on ``J`` itself; a subset stacks on a copy
+    of its rows unless it is small or its rows are large.
+    """
+    if len(rows) == len(JtJ):
+        Jt = J.transpose(0, 2, 1)
+        np.matmul(Jt, J, out=JtJ)
+        np.matmul(Jt, R[:, :, None], out=Jtr[:, :, None])
+    elif len(rows) >= STACK_ROWS_MIN and J[0].size <= STACK_COPY_MAX:
+        Jw = J[rows]
+        Jwt = Jw.transpose(0, 2, 1)
+        JtJ[rows] = np.matmul(Jwt, Jw)
+        Jtr[rows] = np.matmul(Jwt, R[rows][:, :, None])[:, :, 0]
+    else:
+        for s in rows:
+            np.matmul(J[s].T, J[s], out=JtJ[s])
+            np.matmul(J[s].T, R[s], out=Jtr[s])
+
+
+def _row_norms_squared(a: np.ndarray) -> list[float]:
+    """``np.linalg.norm(a, axis=1) ** 2`` before its square root: the
+    same per-row reduction, without the wrapper."""
+    return np.add.reduce(a * a, axis=1).tolist()
+
+
+def _count_occupancy(
+    width: int, rounds: int, live_rows: int, abandoned_evaluations: int
+) -> None:
+    """Add one lockstep call's slot occupancy to the registry."""
+    registry = telemetry.metrics()
+    registry.counter("instantiate.lockstep_rounds").add(rounds)
+    registry.counter("instantiate.lockstep_rows").add(rounds * width)
+    registry.counter("instantiate.lockstep_live_rows").add(live_rows)
+    registry.counter("instantiate.abandoned_evaluations").add(
+        abandoned_evaluations
+    )
 
 
 def batched_levenberg_marquardt(
     residual_fn: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
     x0: np.ndarray,
     options: LMOptions | None = None,
-    should_abandon: Callable[[np.ndarray, np.ndarray], bool] | None = None,
+    should_abandon: Callable[[list[bool], list[float]], bool] | None = None,
 ) -> list[LMResult]:
     """Run ``S`` independent LM minimizations as one vectorized loop.
 
@@ -221,12 +282,25 @@ def batched_levenberg_marquardt(
     (success / gradient / step tolerance / damping limit / iteration
     budget) without stalling the rest.
 
+    A start's state between rounds (cost, damping, iteration, stop
+    reason, live, fresh) is a Python scalar per slot; what a round
+    computes on arrays it computes once for the whole batch, each row
+    with its own arithmetic (see the module docstring).
+
     ``should_abandon(live, cost)`` is consulted once per round after
-    per-start retirement; returning ``True`` stops all still-live
-    starts with ``stop_reason='abandoned'``.  The caller uses this to
-    reproduce the sequential engine's multi-start short-circuit (once
-    every start a sequential run *would* have executed is finished,
-    the rest are moot).
+    per-start retirement, with the per-slot live flags and costs;
+    returning ``True`` stops all still-live starts with
+    ``stop_reason='abandoned'``.  The caller uses this to reproduce
+    the sequential engine's multi-start short-circuit (once every
+    start a sequential run *would* have executed is finished, the rest
+    are moot).
+
+    Every call adds its slot occupancy to the telemetry registry:
+    ``instantiate.lockstep_rounds`` (batched evaluations, the first
+    included), ``instantiate.lockstep_rows`` (``S`` per round),
+    ``instantiate.lockstep_live_rows`` (rows carrying a live start's
+    candidate) and ``instantiate.abandoned_evaluations`` (evaluations
+    the abandoned starts had made).
 
     Returns one :class:`LMResult` per start, in start order.
     """
@@ -235,167 +309,194 @@ def batched_levenberg_marquardt(
     if X.ndim != 2:
         raise ValueError(f"x0 must be (starts, params), got {X.shape}")
     S, P = X.shape
+    success_cost = opts.success_cost
 
     R, J = residual_fn(X)
-    cost = np.einsum("sr,sr->s", R, R)
-    n_eval = np.ones(S, dtype=int)
+    cost = np.einsum("sr,sr->s", R, R).tolist()
 
     if P == 0:
-        success = (
-            cost <= opts.success_cost
-            if opts.success_cost is not None
-            else np.zeros(S, dtype=bool)
-        )
+        _count_occupancy(S, 1, S, 0)
         return [
             LMResult(
                 params=X[s],
-                cost=float(cost[s]),
+                cost=cost[s],
                 iterations=0,
                 num_evaluations=1,
-                converged=bool(success[s]),
+                converged=success_cost is not None and cost[s] <= success_cost,
                 stop_reason="no-parameters",
             )
             for s in range(S)
         ]
 
+    everyone = list(range(S))
     JtJ = np.empty((S, P, P), dtype=J.dtype)
     Jtr = np.empty((S, P), dtype=np.result_type(J, R))
-    _normal_equations(R, J, range(S), JtJ, Jtr)
-    mu = np.full(S, opts.initial_mu)
+    _normal_equations(R, J, everyone, JtJ, Jtr)
     nu = opts.mu_up
-    live = np.ones(S, dtype=bool)
+    step_tol = opts.step_tolerance
+    mu = [opts.initial_mu] * S
+    iters = [0] * S
+    n_eval = [1] * S
+    stop = ["max-iterations"] * S
+    live = [True] * S
     #: a "fresh" start is at the top of a new LM iteration; a stale one
     #: is retrying the same iteration with escalated damping
-    fresh = np.ones(S, dtype=bool)
-    iters = np.zeros(S, dtype=int)
-    diag = np.empty((S, P))
-    stop = np.array(["max-iterations"] * S, dtype=object)
-    ar = np.arange(P)
+    fresh = [True] * S
+    diag = np.empty((S, P), dtype=JtJ.dtype)
+    #: the damped systems of a round where every start is live
+    damped = np.empty_like(JtJ)
+    damped_diag = damped.reshape(S, P * P)[:, :: P + 1]
+    rounds, live_rows, abandoned_evaluations = 1, S, 0
 
-    while live.any():
+    while True:
         # --- iteration-top bookkeeping for fresh starts -------------
-        # (the scalar loop's success / gradient / budget tests)
-        top = live & fresh
-        if top.any():
-            # Budget first: the scalar loop simply never enters
-            # iteration max+1, so no top-of-loop test fires there.
-            spent = top & (iters >= opts.max_iterations)
-            # stop array already says "max-iterations"
-            live &= ~spent
-            top &= ~spent
-            iters[top] += 1
-            if opts.success_cost is not None:
-                done = top & (cost <= opts.success_cost)
-                stop[done] = "success-threshold"
-                live &= ~done
-                top &= ~done
-            flat = top & (
-                np.max(np.abs(Jtr), axis=1, initial=0.0)
-                < opts.gradient_tolerance
-            )
-            stop[flat] = "gradient-tolerance"
-            live &= ~flat
-            top &= ~flat
-            # Non-finite guard: a start whose cost or normal equations
-            # went NaN/Inf cannot produce a trustworthy step (and its
-            # NaN would silently fail every comparison below); retire
-            # it here, at its last finite-cost point if it has one.
-            bad = top & (
-                ~np.isfinite(cost) | ~np.isfinite(Jtr).all(axis=1)
-            )
-            if bad.any():
-                stop[bad] = "non-finite"
-                cost[bad] = np.where(
-                    np.isfinite(cost[bad]), cost[bad], np.inf
-                )
-                live &= ~bad
-                top &= ~bad
-            # Marquardt scaling, as in the scalar loop: damp
-            # proportionally to diag(J^T J) so the trust region
-            # respects per-parameter curvature.
-            diag[top] = np.clip(JtJ[top][:, ar, ar], 1e-8, None)
-            fresh &= ~top
+        # (the scalar loop's budget / success / gradient tests)
+        top = [s for s in everyone if live[s] and fresh[s]]
+        if top:
+            # max|J^T r| per row is also non-finite exactly when a
+            # J^T r entry is: one reduction serves both tests.
+            gmax = np.maximum.reduce(
+                np.abs(Jtr), axis=1, initial=0.0
+            ).tolist()
+            kept = []
+            for s in top:
+                fresh[s] = False
+                if iters[s] >= opts.max_iterations:
+                    # The scalar loop simply never enters iteration
+                    # max+1, so no top-of-loop test fires there; the
+                    # stop reason already says "max-iterations".
+                    live[s] = False
+                    continue
+                iters[s] += 1
+                if success_cost is not None and cost[s] <= success_cost:
+                    stop[s] = "success-threshold"
+                elif gmax[s] < opts.gradient_tolerance:
+                    stop[s] = "gradient-tolerance"
+                elif not (math.isfinite(cost[s]) and math.isfinite(gmax[s])):
+                    # Non-finite guard: a start whose cost or normal
+                    # equations went NaN/Inf cannot produce a
+                    # trustworthy step (and its NaN would silently
+                    # fail every comparison below); retire it at its
+                    # last finite-cost point if it has one.
+                    stop[s] = "non-finite"
+                    if not math.isfinite(cost[s]):
+                        cost[s] = math.inf
+                else:
+                    kept.append(s)
+                    continue
+                live[s] = False
+            if kept:
+                # Marquardt scaling, as in the scalar loop: damp
+                # proportionally to diag(J^T J) so the trust region
+                # respects per-parameter curvature.  (``np.clip`` with
+                # no upper bound is this ``np.maximum``.)
+                clipped = np.maximum(JtJ.diagonal(0, 1, 2), 1e-8)
+                if len(kept) == S:
+                    diag = clipped
+                else:
+                    diag[kept] = clipped[kept]
 
         if should_abandon is not None and should_abandon(live, cost):
-            stop[live] = "abandoned"
-            live[:] = False
+            for s in everyone:
+                if live[s]:
+                    stop[s] = "abandoned"
+                    live[s] = False
+                    abandoned_evaluations += n_eval[s]
             break
-        if not live.any():
+        idx = [s for s in everyone if live[s]]
+        if not idx:
             break
 
         # --- one batched solve round for every live start -----------
-        idx = np.where(live)[0]
-        A = JtJ[idx].copy()
-        A[:, ar, ar] += mu[idx, None] * diag[idx]
-        rhs = -Jtr[idx]
-        ok = np.ones(len(idx), dtype=bool)
-        steps = np.zeros((len(idx), P))
+        if len(idx) == S:
+            np.copyto(damped, JtJ)
+            damped_diag += np.array(mu)[:, None] * diag
+            A = damped
+            rhs = np.negative(Jtr)[:, :, None]
+        else:
+            A = JtJ[idx]
+            A.reshape(len(idx), P * P)[:, :: P + 1] += (
+                np.array([mu[s] for s in idx])[:, None] * diag[idx]
+            )
+            rhs = np.negative(Jtr[idx])[:, :, None]
+        solved = idx
         try:
             # Explicit trailing vector axis: 2-D ``b`` would be read
             # as one matrix, not a stack of vectors.
-            steps = np.linalg.solve(A, rhs[:, :, None])[:, :, 0]
+            steps = np.linalg.solve(A, rhs)[:, :, 0]
         except np.linalg.LinAlgError:
-            for t in range(len(idx)):
+            steps = np.zeros((len(idx), P))
+            ok = []
+            for t, s in enumerate(idx):
                 try:
-                    steps[t] = np.linalg.solve(A[t], rhs[t])
+                    steps[t] = np.linalg.solve(A[t], rhs[t, :, 0])
+                    ok.append(t)
                 except np.linalg.LinAlgError:
-                    ok[t] = False
-        solved = idx[ok]
-        mu[idx[~ok]] *= nu
+                    mu[s] *= nu
+            solved = [idx[t] for t in ok]
+            steps = steps[ok]
 
         # --- one batched evaluation round ---------------------------
-        if solved.size:
-            candidates = X.copy()
-            candidates[solved] += steps[ok]
+        if solved:
+            if len(solved) == S:
+                candidates = X + steps
+            else:
+                candidates = X.copy()
+                candidates[solved] += steps
             R_new, J_new = residual_fn(candidates)
-            cost_new = np.einsum("sr,sr->s", R_new, R_new)
-            n_eval[solved] += 1
-
-            improved = np.zeros(S, dtype=bool)
-            improved[solved] = cost_new[solved] < cost[solved]
-            if improved.any():
-                w = np.where(improved)[0]
-                X[w] = candidates[w]
-                cost[w] = cost_new[w]
+            rounds += 1
+            live_rows += len(solved)
+            cost_new = np.einsum("sr,sr->s", R_new, R_new).tolist()
+            accepted = []
+            for t, s in enumerate(solved):
+                n_eval[s] += 1
+                if cost_new[s] < cost[s]:
+                    cost[s] = cost_new[s]
+                    mu[s] = max(mu[s] / opts.mu_down, 1e-15)
+                    fresh[s] = True
+                    accepted.append((t, s))
+                else:
+                    mu[s] *= nu
+            if accepted:
+                w = [s for _, s in accepted]
+                if len(w) == S:
+                    X = candidates
+                else:
+                    X[w] = candidates[w]
                 _normal_equations(R_new, J_new, w, JtJ, Jtr)
-                mu[w] = np.maximum(mu[w] / opts.mu_down, 1e-15)
-                fresh[w] = True
                 # Step-size convergence, accepted steps only (as in
                 # the scalar loop: a tiny rejected step just means the
                 # damping is winning).
-                # ``solved`` is ascending, so the mask picks the rows
-                # of ``w`` in ``w``'s order.
-                sw = steps[ok][improved[solved]]
-                norm_step = np.linalg.norm(sw, axis=1)
-                norm_x = np.linalg.norm(X[w], axis=1)
-                tiny = norm_step < opts.step_tolerance * (
-                    norm_x + opts.step_tolerance
-                )
-                small = w[tiny]
-                stop[small] = "step-tolerance"
-                live[small] = False
-            rejected = np.zeros(S, dtype=bool)
-            rejected[solved] = ~improved[solved]
-            mu[rejected] *= nu
+                step_sq = _row_norms_squared(steps)
+                x_sq = _row_norms_squared(X)
+                for t, s in accepted:
+                    if math.sqrt(step_sq[t]) < step_tol * (
+                        math.sqrt(x_sq[s]) + step_tol
+                    ):
+                        stop[s] = "step-tolerance"
+                        live[s] = False
 
         # A start whose damping just overflowed stops exactly where
         # the scalar inner loop would have given up.
-        over = live & ~fresh & (mu > opts.max_mu)
-        stop[over] = "damping-limit"
-        live &= ~over
+        for s in idx:
+            if live[s] and not fresh[s] and mu[s] > opts.max_mu:
+                stop[s] = "damping-limit"
+                live[s] = False
 
-    if opts.success_cost is not None:
-        final = cost <= opts.success_cost
-        stop[final] = "success-threshold"
+    if success_cost is not None:
+        for s in everyone:
+            if cost[s] <= success_cost:
+                stop[s] = "success-threshold"
 
+    _count_occupancy(S, rounds, live_rows, abandoned_evaluations)
     return [
         LMResult(
             params=X[s],
-            cost=float(cost[s]),
-            iterations=int(iters[s]),
-            num_evaluations=int(n_eval[s]),
+            cost=cost[s],
+            iterations=iters[s],
+            num_evaluations=n_eval[s],
             converged=stop[s] in ("success-threshold", "gradient-tolerance"),
-            stop_reason=str(stop[s]),
+            stop_reason=stop[s],
         )
-        for s in range(S)
+        for s in everyone
     ]

@@ -224,46 +224,61 @@ def generate_inline_write(
 
     ``hot_lines`` are indented with ``indent``; the constant store
     lines are returned unindented (they run once, in a setup prologue
-    or a constants function).  ``batched`` emits complex stores as
-    ``re + 1j * im`` (``complex()`` only accepts scalars), for atoms
-    that are vectors over a trailing batch axis.  When ``grad_name`` is
-    None the gradient entries must be empty (the instruction was
-    compiled without differentiation).
+    or a constants function).  ``batched`` is for atoms that are
+    vectors over a trailing batch axis (``complex()`` only accepts
+    scalars): the body binds each target's ``.real`` and ``.imag``
+    views once and stores the two parts separately, which allocates no
+    complex temporaries.  An entry whose imaginary part is zero stores
+    only its real part and keeps the zero its target starts with (the
+    batched VM's arena and group scratch are zero-filled and each
+    entry has one writer).  When ``grad_name`` is None the gradient
+    entries must be empty (the instruction was compiled without
+    differentiation).
     """
     if grad_name is None and grad_entries:
         raise ValueError("gradient entries present but no gradient target")
 
-    dynamic: list[tuple[str, Expr, Expr]] = []
+    #: (store target, its index, real part, imaginary part)
+    dynamic: list[tuple[str, str, Expr, Expr]] = []
     const_value_lines: list[str] = []
     const_grad_lines: list[str] = []
     for (i, j), re_e, im_e in unitary_entries:
-        target = f"{out_name}[{i}, {j}]"
+        index = f"[{i}, {j}]"
         if _is_const(re_e, im_e):
             value = complex(_const_value(re_e), _const_value(im_e))
-            const_value_lines.append(f"{target} = {value!r}")
+            const_value_lines.append(f"{out_name}{index} = {value!r}")
         else:
-            dynamic.append((target, re_e, im_e))
+            dynamic.append((out_name, index, re_e, im_e))
     for (k, i, j), re_e, im_e in grad_entries:
-        target = f"{grad_name}[{k}, {i}, {j}]"
+        index = f"[{k}, {i}, {j}]"
         if _is_const(re_e, im_e):
             value = complex(_const_value(re_e), _const_value(im_e))
-            const_grad_lines.append(f"{target} = {value!r}")
+            const_grad_lines.append(f"{grad_name}{index} = {value!r}")
         else:
-            dynamic.append((target, re_e, im_e))
+            dynamic.append((grad_name, index, re_e, im_e))
 
     emitter = _Emitter(var_atoms, temp_prefix=temp_prefix, indent=indent)
     stores: list[str] = []
-    for target, re_e, im_e in dynamic:
+    for name, index, re_e, im_e in dynamic:
         re_atom = emitter.emit(re_e)
         im_atom = emitter.emit(im_e)
-        if im_e.is_zero:
-            stores.append(f"{indent}{target} = {re_atom}")
-        elif batched:
-            stores.append(f"{indent}{target} = {re_atom} + 1j * {im_atom}")
+        if batched:
+            stores.append(f"{indent}{name}_re{index} = {re_atom}")
+            if not im_e.is_zero:
+                stores.append(f"{indent}{name}_im{index} = {im_atom}")
+        elif im_e.is_zero:
+            stores.append(f"{indent}{name}{index} = {re_atom}")
         else:
-            stores.append(f"{indent}{target} = complex({re_atom}, {im_atom})")
+            stores.append(
+                f"{indent}{name}{index} = complex({re_atom}, {im_atom})"
+            )
+    views = [
+        f"{indent}{name}_{part} = {name}.{attr}"
+        for name in dict.fromkeys(name for name, *_ in dynamic)
+        for part, attr in (("re", "real"), ("im", "imag"))
+    ] if batched else []
     return InlineWrite(
-        hot_lines=emitter.lines + stores,
+        hot_lines=emitter.lines + views + stores,
         const_value_lines=const_value_lines,
         const_grad_lines=const_grad_lines,
         used_atoms=emitter.used_atoms,

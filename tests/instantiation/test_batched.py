@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro import telemetry
 from repro.circuit import fig5_circuit
 from repro.instantiation import (
     HilbertSchmidtResiduals,
@@ -220,3 +221,36 @@ def test_batched_x0_validation():
     engine = Instantiater(circ, strategy="batched")
     with pytest.raises(ValueError):
         engine.instantiate(np.eye(4), starts=2, x0=np.zeros(3))
+
+
+def test_lockstep_occupancy_counters():
+    """One seeded 8-start fit: 13 lockstep rounds of 8 rows, 101 rows
+    carrying a live start, and 65 evaluations spent on the 5 starts
+    abandoned once start 0 had won."""
+    circ = fig5_circuit("2-qubit shallow")
+    target = make_target("2-qubit shallow", seed=2)
+    engine = Instantiater(circ, strategy="batched")
+    before = telemetry.metrics().snapshot()
+    result = engine.instantiate(target, starts=8, rng=2)
+    counts = telemetry.delta(before, telemetry.metrics().snapshot())
+    occupancy = {
+        name: counts[f"instantiate.{name}"]
+        for name in (
+            "lockstep_rounds",
+            "lockstep_rows",
+            "lockstep_live_rows",
+            "abandoned_evaluations",
+        )
+    }
+    assert occupancy == {
+        "lockstep_rounds": 13,
+        "lockstep_rows": 104,
+        "lockstep_live_rows": 101,
+        "abandoned_evaluations": 65,
+    }
+    # One round per batched sweep; every live row is one evaluation.
+    assert counts["vm.batched_grad_sweeps"] == 13
+    assert result.total_evaluations == 101
+    abandoned = [r for r in result.runs if r.stop_reason == "abandoned"]
+    assert len(abandoned) == 5
+    assert sum(r.num_evaluations for r in abandoned) == 65
