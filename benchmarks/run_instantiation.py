@@ -26,9 +26,10 @@ be written to a JSON artifact for CI tracking.
 
 ``--sweeps`` prints the TNVM sweep table instead: the minimum
 microseconds per ``evaluate_with_grad`` of the scalar VM and of a
-batch-8 VM, and the megakernel's numpy calls per sweep, for every
-Figure 5 circuit compiled for the full unitary and for ``COLUMN(0)``,
-with BLAS on one thread.  Its least-squares columns time what one LM
+batch-8 VM, the megakernel's numpy calls per sweep, the program's
+expression-table size and the batched VM's grouped writer calls per
+sweep, for every Figure 5 circuit compiled for the full unitary and
+for ``COLUMN(0)``, with BLAS on one thread.  Its least-squares columns time what one LM
 evaluation adds on top: ``residuals_and_jacobian`` (sweep included)
 plus ``J^T J`` and ``J^T r`` as the LM loops form them, with unitary
 residuals on the full programs and state residuals on ``COLUMN(0)``.
@@ -309,7 +310,10 @@ def sweep_suite(trials: int, json_path: str) -> None:
     ``SWEEP_BATCH``-wide batched VM each run ``100 * trials`` timed
     sweeps at fixed random parameters, and the table keeps the fastest
     one.  ``num_numpy_calls`` is the megakernel's numpy dispatches per
-    sweep (contractions, copies and scatter stores).  The ``lsq``
+    sweep (contractions, copies and scatter stores); ``num_expressions``
+    is the program's expression-table size and ``num_writers`` the
+    batched VM's grouped writer calls per sweep (``len(vm._writes)``,
+    one per parameterized gate expression).  The ``lsq``
     columns time one least-squares evaluation the same way
     (:func:`_least_squares`): unitary residuals against a random
     unitary on the full programs, state residuals against a random
@@ -331,8 +335,8 @@ def sweep_suite(trials: int, json_path: str) -> None:
           f"BLAS threads {os.environ.get('OPENBLAS_NUM_THREADS', '?')}\n")
     print(f"{'benchmark':<18} {'contract':<9} {'D':>3} {'P':>3} "
           f"{'scalar(us)':>11} {f'batch{SWEEP_BATCH}(us)':>12} "
-          f"{'numpy calls':>12} {'lsq(us)':>9} "
-          f"{f'lsq{SWEEP_BATCH}(us)':>10}")
+          f"{'numpy calls':>12} {'exprs':>6} {'writers':>8} "
+          f"{'lsq(us)':>9} {f'lsq{SWEEP_BATCH}(us)':>10}")
     for name in FIG5_BENCHMARKS:
         circ = fig5_circuit(name)
         params = np.random.default_rng(0).uniform(
@@ -366,6 +370,8 @@ def sweep_suite(trials: int, json_path: str) -> None:
                     batched.evaluate_with_grad, params, calls
                 ),
                 "num_numpy_calls": scalar.fused_kernel.num_numpy_calls,
+                "num_expressions": len(program.expressions),
+                "num_writers": len(batched._writes),
                 "lsq_scalar_us": _min_sweep_us(
                     _least_squares(lsq), params[0], calls
                 ),
@@ -378,6 +384,7 @@ def sweep_suite(trials: int, json_path: str) -> None:
                   f"{row['num_params']:>3} {row['scalar_us']:>11.1f} "
                   f"{row['batched_us']:>12.1f} "
                   f"{row['num_numpy_calls']:>12} "
+                  f"{row['num_expressions']:>6} {row['num_writers']:>8} "
                   f"{row['lsq_scalar_us']:>9.1f} "
                   f"{row['lsq_batched_us']:>10.1f}")
     report = {

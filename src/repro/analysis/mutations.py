@@ -4,11 +4,12 @@ A verifier that accepts every clean program is only trustworthy if it
 also *rejects* every representative corruption.  This module defines a
 corpus of mutation classes — each models one realistic failure mode of
 the compile/serialize/rehydrate pipeline (a bad rewrite swapping
-operand buffers, a corrupted ``perm``, dropped forward-AD metadata, a
-truncated payload, mangled kernel source, a wrong-contract output
-shape) — plus a harness, :func:`run_mutation_corpus`, that applies
-every class to a set of clean subjects with a seeded RNG and checks
-that :func:`~repro.analysis.verifier.verify_program` /
+operand buffers, a corrupted TRANSPOSE ``perm`` or WRITE layout,
+dropped forward-AD metadata, a truncated payload, mangled kernel
+source, a wrong-contract output shape) — plus a harness,
+:func:`run_mutation_corpus`, that applies every class to a set of
+clean subjects with a seeded RNG and checks that
+:func:`~repro.analysis.verifier.verify_program` /
 :func:`~repro.analysis.kernel_lint.lint_kernel_source` flags **every**
 mutant with the expected violation code.
 
@@ -111,6 +112,32 @@ def _mut_corrupt_perm(program: Program, rng: np.random.Generator) -> Program:
     section, pos, instr = _choice(rng, sites)
     bad_perm = (instr.perm[0],) + instr.perm[:-1]  # duplicates perm[0]
     section[pos] = dataclasses.replace(instr, perm=bad_perm)
+    return program
+
+
+def _mut_corrupt_write_layout(
+    program: Program, rng: np.random.Generator
+) -> Program:
+    """A fused WRITE's layout corrupted in transit: its perm is no
+    longer a permutation, its shape no longer holds the expression's
+    entries, or it spells out the identity the compiler stores
+    empty."""
+    program = _copy(program)
+    sites = [
+        (section, pos, instr)
+        for section in (program.const_section, program.dynamic_section)
+        for pos, instr in enumerate(section)
+        if instr.opcode == "WRITE" and instr.perm
+    ]
+    section, pos, instr = _choice(rng, sites)
+    kind = int(rng.integers(3))
+    if kind == 0:
+        bad = {"perm": (instr.perm[0],) + instr.perm[:-1]}
+    elif kind == 1:
+        bad = {"shape": (2 * instr.shape[0],) + instr.shape[1:]}
+    else:
+        bad = {"perm": tuple(range(len(instr.perm)))}
+    section[pos] = dataclasses.replace(instr, **bad)
     return program
 
 
@@ -304,6 +331,7 @@ _KernelMutator = Callable[[str, np.random.Generator], str]
 _PROGRAM_MUTATORS: dict[str, _ProgramMutator] = {
     "swap-operand-buffers": _mut_swap_operands,
     "corrupt-perm": _mut_corrupt_perm,
+    "corrupt-write-layout": _mut_corrupt_write_layout,
     "drop-param-dep": _mut_drop_param_dep,
     "truncate-dynamic": _mut_truncate_dynamic,
     "expr-out-of-range": _mut_bad_expr_ref,
@@ -333,6 +361,12 @@ MUTATION_CLASSES: tuple[MutationClass, ...] = (
         "program",
         frozenset({"bad-transpose"}),
         "TRANSPOSE perm is no longer a permutation",
+    ),
+    MutationClass(
+        "corrupt-write-layout",
+        "program",
+        frozenset({"write-layout"}),
+        "WRITE layout no longer a permutation of the expression",
     ),
     MutationClass(
         "drop-param-dep",

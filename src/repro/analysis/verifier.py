@@ -16,6 +16,11 @@ relies on.  It rejects:
   once before any dynamic sweep);
 * ``expr_id`` / ``slots`` references outside the expression table or
   the circuit parameter space, and slot-arity mismatches;
+* a ``WRITE`` layout the compiler never emits: a ``perm`` that is not
+  a permutation of ``shape``'s axes, a ``shape`` whose element count
+  is not the expression's, or an explicit identity layout (the
+  identity is stored as empty ``shape``/``perm``).  A shipped program
+  is the only carrier of a layout, so this is checked here;
 * unsound forward-AD metadata: an instruction's ``params`` must cover
   the union of its operands' parameter deps (plus its own ``slots``
   for ``WRITE``), must agree with its output buffer's declared deps,
@@ -55,6 +60,7 @@ PROGRAM_VIOLATION_CODES = (
     "slot-arity",
     "operand-shape",
     "bad-transpose",
+    "write-layout",
     "use-before-def",
     "double-write",
     "dead-buffer",
@@ -338,11 +344,36 @@ class _ProgramChecker:
             else:
                 deps.add(int(slot))
         rows, cols = expr.shape
+        if instr.shape or instr.perm:
+            self._check_write_layout(instr, rows * cols, where)
         self._expect_size(
             instr.out_buf,
             rows * cols,
             where,
             f"WRITE of e{instr.expr_id} with shape {rows}x{cols}",
+        )
+
+    def _check_write_layout(
+        self, instr: Instruction, size: int, where: str
+    ) -> None:
+        shape = tuple(int(s) for s in instr.shape)
+        perm = tuple(int(p) for p in instr.perm)
+        if sorted(perm) != list(range(len(shape))):
+            why = (
+                f"perm {list(perm)} is not a permutation of the "
+                f"{len(shape)} axes of shape {list(shape)}"
+            )
+        elif any(s < 1 for s in shape) or math.prod(shape) != size:
+            why = (
+                f"shape {list(shape)} does not hold the expression's "
+                f"{size} entries"
+            )
+        elif perm == tuple(range(len(shape))):
+            why = "identity layout must be stored empty"
+        else:
+            return
+        self.report.add(
+            "write-layout", f"WRITE of e{instr.expr_id}: {why}", where
         )
 
     # -- MATMUL / KRON / HADAMARD --------------------------------------

@@ -20,6 +20,7 @@ sequential scan's winner is decided, so the winning start and
 from __future__ import annotations
 
 import time
+import weakref
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -41,11 +42,20 @@ class BatchedInstantiater:
     the same number of starts reuse one arena (the Listing 3
     amortization, extended with a batch axis); their build time is
     added to the owner's ``aot_seconds``.
+
+    The owner holds this schedule, and the schedule holds its owner
+    weakly, so a dropped engine frees its VMs and arenas at once
+    instead of at the next cyclic garbage collection.
     """
 
     def __init__(self, owner: Instantiater):
-        self.owner = owner
+        self._owner = weakref.ref(owner)
         self._vms: dict[int, BatchedTNVM] = {}
+
+    @property
+    def owner(self) -> Instantiater:
+        """The engine this schedule runs for."""
+        return self._owner()
 
     def vm_for(self, batch: int) -> BatchedTNVM:
         """The owner's program on a ``batch``-row arena."""

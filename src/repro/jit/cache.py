@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import threading
 
+from .. import telemetry
 from ..egraph.runner import RunnerLimits
-from ..symbolic import expr as E
 from ..symbolic.matrix import ExpressionMatrix
 from .compiled import CompiledExpression
 
@@ -21,32 +21,51 @@ __all__ = ["ExpressionCache", "global_cache", "canonical_key"]
 
 
 def canonical_key(matrix: ExpressionMatrix, grad: bool, simplify: bool) -> tuple:
-    """A hashable alpha-invariant key for a gate expression."""
-    rename = {p: f"_p{k}" for k, p in enumerate(matrix.params)}
-    parts = []
-    for _, elem in matrix.elements():
-        renamed = elem.rename_variables(rename)
-        parts.append(E.to_sexpr(renamed.re))
-        parts.append(E.to_sexpr(renamed.im))
+    """A hashable alpha-invariant key for a gate expression.
+
+    The element part is memoized on the matrix
+    (:meth:`~repro.symbolic.matrix.ExpressionMatrix.alpha_parts`), so
+    keying a shared library gate again is a lookup.
+    """
     return (
         matrix.shape,
         tuple(matrix.radices),
         len(matrix.params),
         grad,
         simplify,
-        tuple(parts),
+        matrix.alpha_parts(),
     )
 
 
 class ExpressionCache:
-    """Shared, thread-safe cache of :class:`CompiledExpression` objects."""
+    """Shared, thread-safe cache of :class:`CompiledExpression` objects.
+
+    :attr:`hits` and :attr:`misses` count this cache's lookups; each
+    also mirrors into the process-wide ``expression_cache.hits`` /
+    ``expression_cache.misses`` registry counter, which aggregates over
+    every cache in the process.
+    """
 
     def __init__(self, limits: RunnerLimits | None = None):
         self._entries: dict[tuple, CompiledExpression] = {}
         self._lock = threading.Lock()
         self._limits = limits
-        self.hits = 0
-        self.misses = 0
+        self._reset_counters()
+
+    def _reset_counters(self) -> None:
+        registry = telemetry.metrics()
+        self._hits = registry.counter("expression_cache.hits").child()
+        self._misses = registry.counter("expression_cache.misses").child()
+
+    @property
+    def hits(self) -> int:
+        """Lookups this cache answered from an existing entry."""
+        return self._hits.value
+
+    @property
+    def misses(self) -> int:
+        """Lookups that compiled a new entry."""
+        return self._misses.value
 
     def get(
         self,
@@ -59,7 +78,7 @@ class ExpressionCache:
         with self._lock:
             entry = self._entries.get(key)
             if entry is not None:
-                self.hits += 1
+                self._hits.add()
                 return entry
         # Compile outside the lock; duplicate compiles are harmless and
         # the second insert wins the race benignly.
@@ -68,7 +87,7 @@ class ExpressionCache:
         )
         with self._lock:
             self._entries.setdefault(key, compiled)
-            self.misses += 1
+            self._misses.add()
             return self._entries[key]
 
     def put(self, compiled: CompiledExpression) -> None:
@@ -91,10 +110,11 @@ class ExpressionCache:
         return len(self._entries)
 
     def clear(self) -> None:
+        """Drop every entry and restart this cache's counts (the
+        registry counters keep their process-wide totals)."""
         with self._lock:
             self._entries.clear()
-            self.hits = 0
-            self.misses = 0
+            self._reset_counters()
 
 
 _GLOBAL = ExpressionCache()

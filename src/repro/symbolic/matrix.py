@@ -4,8 +4,8 @@ After parsing, QGL definitions are lowered into this representation
 (paper section III-B).  It supports the full composability suite —
 matrix multiplication, Kronecker product, Hadamard product, substitution,
 conjugation/transposition/dagger, controlled and inverse construction —
-as well as symbolic differentiation and tensor reshape/permute (used by
-the AOT compiler's fusion pass to push transposes into leaf expressions).
+as well as symbolic differentiation and tensor axis selection (used by
+the AOT compiler to slice first-layer gates for column contracts).
 
 Elements are stored in a NumPy object array, which provides reshape and
 axis permutation for free while each element remains a
@@ -45,7 +45,7 @@ class ExpressionMatrix:
         Optional display name (e.g. ``"U3"``).
     """
 
-    __slots__ = ("_data", "params", "radices", "name")
+    __slots__ = ("_data", "params", "radices", "name", "_alpha_parts")
 
     def __init__(
         self,
@@ -104,6 +104,7 @@ class ExpressionMatrix:
                 )
         object.__setattr__(self, "radices", radices)
         object.__setattr__(self, "name", name)
+        object.__setattr__(self, "_alpha_parts", None)
 
     def __setattr__(self, *_args) -> None:
         raise AttributeError("ExpressionMatrix is immutable")
@@ -178,6 +179,27 @@ class ExpressionMatrix:
     def node_count(self) -> int:
         """Total node count across all element expressions."""
         return sum(e.node_count() for _, e in self.elements())
+
+    def alpha_parts(self) -> tuple[str, ...]:
+        """Every element's real and imaginary s-expression, with the
+        parameters renamed ``_p0, _p1, ...`` in declared order.
+
+        This is the alpha-invariant body of the expression cache's key
+        (:func:`~repro.jit.cache.canonical_key`).  It is computed once
+        per instance: every circuit and program sharing a library gate
+        then keys it by lookup.
+        """
+        parts = self._alpha_parts
+        if parts is None:
+            rename = {p: f"_p{k}" for k, p in enumerate(self.params)}
+            parts = []
+            for _, elem in self.elements():
+                renamed = elem.rename_variables(rename)
+                parts.append(E.to_sexpr(renamed.re))
+                parts.append(E.to_sexpr(renamed.im))
+            parts = tuple(parts)
+            object.__setattr__(self, "_alpha_parts", parts)
+        return parts
 
     # ------------------------------------------------------------------
     # Algebra
@@ -373,23 +395,6 @@ class ExpressionMatrix:
             params=self.params,
             radices=(control_radix,) + tuple(self.radices),
             name=_suffix(self.name, "ctrl"),
-        )
-
-    def reshape_permute(
-        self, shape: Sequence[int], perm: Sequence[int],
-        out_shape: tuple[int, int],
-    ) -> ExpressionMatrix:
-        """Fused reshape-permute-reshape on the element array.
-
-        This mirrors the TNVM ``TRANSPOSE`` instruction symbolically and
-        is what the AOT fusion pass uses to pre-transpose leaf gates.
-        """
-        flat = self._data.reshape(tuple(shape))
-        permuted = np.transpose(flat, tuple(perm))
-        out = permuted.reshape(out_shape).copy()
-        return ExpressionMatrix(
-            out, params=self.params, radices=None,
-            name=_suffix(self.name, "perm"),
         )
 
     def select_axes(

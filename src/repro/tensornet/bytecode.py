@@ -37,6 +37,11 @@ class Instruction:
 
     WRITE      ``expr_id``; ``out_buf``; ``slots`` maps the referenced
                expression's parameters to circuit parameter indices.
+               ``shape``/``perm`` are the layout the entries are
+               stored in, the reshape-permute a TRANSPOSE would apply
+               to the expression's matrix: entry ``(i, j)`` lands where
+               that TRANSPOSE would move it.  Both are empty for the
+               identity layout.
     MATMUL     ``a_buf (m,k)`` @ ``b_buf (k,n)`` -> ``out_buf (m,n)``;
                matrix shapes are carried in ``a_shape``/``b_shape``.
     KRON       Kronecker product of ``a_buf`` viewed as ``a_shape`` and
@@ -61,8 +66,12 @@ class Instruction:
 
     def render(self) -> str:
         if self.opcode == "WRITE":
+            layout = (
+                f" shape={list(self.shape)} perm={list(self.perm)}"
+                if self.perm else ""
+            )
             return (
-                f"WRITE     e{self.expr_id}{list(self.slots)} "
+                f"WRITE     e{self.expr_id}{list(self.slots)}{layout} "
                 f"-> b{self.out_buf}"
             )
         if self.opcode in ("MATMUL", "KRON", "HADAMARD"):

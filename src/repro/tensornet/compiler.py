@@ -6,8 +6,10 @@
    greedy heuristic above);
 2. materialize the path as a binary contraction tree, pre-applying any
    traces symbolically at the leaves;
-3. run the fusion pass — leaf transposes are pushed into the leaves'
-   symbolic QGL expressions so the JIT emits pre-transposed matrices;
+3. run the fusion pass — a leaf whose consumer needs its data in a
+   permuted layout keeps its library gate expression, and its WRITE
+   carries the layout, so the TNVM stores the gate's entries straight
+   at their permuted positions and no runtime ``TRANSPOSE`` remains;
 4. analyze parameter dependencies and serialize the tree into two-
    section bytecode, scheduling each contraction with the
    transpose-transpose-GEMM-transpose (TTGT) strategy.
@@ -19,7 +21,6 @@ import math
 
 from .. import telemetry
 from ..jit.cache import canonical_key
-from ..symbolic import expr as E
 from ..symbolic.matrix import ExpressionMatrix
 from .bytecode import BufferSpec, Instruction, Program
 from .contract import OutputContract, specialize_network
@@ -64,7 +65,7 @@ def compile_network(
 
     ``fusion=False``
         disables transpose fusion — leaf permutations become runtime
-        ``TRANSPOSE`` instructions instead of pre-transposed JIT code;
+        ``TRANSPOSE`` instructions instead of WRITE layouts;
     ``hoist_constants=False``
         disables the constant section — parameter-free subtrees are
         recomputed on every evaluation;
@@ -124,6 +125,8 @@ class _CodeGen:
         self._expr_ids: dict[tuple, int] = {}
         #: node_id -> buffer id currently holding the node's data
         self._node_buf: dict[int, int] = {}
+        #: leaf node_id -> the (shape, perm) layout its WRITE stores in
+        self._layouts: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {}
 
     # ------------------------------------------------------------------
     def generate(self) -> Program:
@@ -137,7 +140,7 @@ class _CodeGen:
         dim_in = math.prod(self.dims[i] for i in self.network.open_in)
         if root.is_leaf:
             # A single-gate circuit: fuse the final permutation too.
-            self._prepare_child(root, target, (dim_out, dim_in))
+            self._prepare_child(root, target)
         self._fuse_or_mark_transposes(root)
         self._emit_node(root)
 
@@ -168,7 +171,7 @@ class _CodeGen:
         return self.program
 
     # ------------------------------------------------------------------
-    # Fusion pass: push leaf permutations into the symbolic expressions.
+    # Fusion pass: leaf permutations become WRITE layouts.
     # ------------------------------------------------------------------
     def _fuse_or_mark_transposes(self, node: TreeNode) -> None:
         """Pre-walk deciding target layouts; leaves get fused in place."""
@@ -179,33 +182,25 @@ class _CodeGen:
         contracted_order = [i for i in a.indices if i in summed]
         a_free = [i for i in a.indices if i not in summed]
         b_free = [i for i in b.indices if i not in summed]
-        a_target = tuple(a_free + contracted_order)
-        b_target = tuple(contracted_order + b_free)
-        m = math.prod(self.dims[i] for i in a_free)
-        k = math.prod(self.dims[i] for i in contracted_order)
-        n = math.prod(self.dims[i] for i in b_free)
-        self._prepare_child(a, a_target, (m, k))
-        self._prepare_child(b, b_target, (k, n))
+        self._prepare_child(a, tuple(a_free + contracted_order))
+        self._prepare_child(b, tuple(contracted_order + b_free))
         self._fuse_or_mark_transposes(a)
         self._fuse_or_mark_transposes(b)
 
     def _prepare_child(
-        self,
-        child: TreeNode,
-        target: tuple[int, ...],
-        matrix_shape: tuple[int, int],
+        self, child: TreeNode, target: tuple[int, ...]
     ) -> None:
         if child.indices == target:
             return
         if child.is_leaf and self.fusion:
-            # FUSION: rewrite the leaf's expression so the JIT directly
-            # produces the permuted matrix; no runtime TRANSPOSE.
+            # FUSION: the leaf keeps its gate expression, and its WRITE
+            # stores the entries in the permuted layout the consumer
+            # reads; no runtime TRANSPOSE, and no permuted copy of the
+            # expression to simplify and compile.
             perm = tuple(child.indices.index(i) for i in target)
-            shape = self._shape_of(child.indices)
-            fused = child.tensor.expression.reshape_permute(
-                shape, perm, matrix_shape
+            self._layouts[child.node_id] = (
+                self._shape_of(child.indices), perm
             )
-            child.tensor.expression = fused
             child.indices = target
 
     # ------------------------------------------------------------------
@@ -244,6 +239,7 @@ class _CodeGen:
         expr_id = self._intern_expression(expr)
         size = math.prod(self.dims[i] for i in node.indices)
         buf = self._new_buffer(size, node.params, constant=self._is_const(node.params))
+        shape, perm = self._layouts.get(node.node_id, ((), ()))
         self._append(
             node.params,
             Instruction(
@@ -251,6 +247,8 @@ class _CodeGen:
                 expr_id=expr_id,
                 slots=slots,
                 out_buf=buf,
+                shape=shape,
+                perm=perm,
                 params=node.params,
             ),
         )
@@ -304,9 +302,10 @@ class _CodeGen:
     ) -> int:
         """Emit a TTGT transpose unless the layout already matches.
 
-        Leaves were already fused by the pre-pass, so this only fires
-        for internal intermediates whose natural (a_free..., b_free...)
-        order differs from what the parent contraction needs.
+        The pre-pass gave fused leaves their WRITE layouts, so this
+        only fires for internal intermediates whose natural
+        (a_free..., b_free...) order differs from what the parent
+        contraction needs.
         """
         if child.indices == target:
             return buf

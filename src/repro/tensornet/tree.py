@@ -8,9 +8,12 @@ section IV-A).  Two optimizations run on the tree:
   applied symbolically to its QGL expression, so the bytecode needs no
   trace capability;
 * **transpose fusion** — when a leaf's first consumer needs its data in
-  a permuted layout, the permutation is pushed into the leaf's symbolic
-  expression and the runtime ``TRANSPOSE`` disappears: the JIT simply
-  generates code for the already-transposed matrix.
+  a permuted layout, the leaf's ``WRITE`` carries that layout and the
+  runtime ``TRANSPOSE`` disappears: the TNVM stores the gate's
+  canonical entries straight at their permuted positions, so the gate
+  expression itself is simplified and compiled once, whatever layouts
+  its leaves are written in (the compiler's pass,
+  :mod:`repro.tensornet.compiler`).
 """
 
 from __future__ import annotations

@@ -17,7 +17,7 @@ import numpy as np
 
 from ..jit.compiled import CompiledExpression
 from ..tensornet.bytecode import Instruction
-from .buffers import MemoryPlan, StackView, contraction_calls
+from .buffers import MemoryPlan, StackView, contraction_calls, write_layout
 
 __all__ = [
     "build_batched_calls",
@@ -95,17 +95,29 @@ def _copy(out, src):
     return run
 
 
+def _laid_out(plan: MemoryPlan, instr: Instruction, rows: int, shape):
+    """A WRITE's leading ``rows`` stack rows in its gate's entry order,
+    batch axis moved last: ``(rows,) + dims + (S,)``, where ``dims``
+    is ``shape`` for the identity layout, else the layout's tensor
+    shape (:func:`~repro.tnvm.buffers.write_layout`).  A canonical
+    array reshaped to this view's shape copies straight in."""
+    dims, axes = write_layout(instr, shape)
+    view = plan.view(instr.out_buf, 0, rows, (rows,) + dims)
+    return view.transpose((1,) + tuple(a + 2 for a in axes) + (0,))
+
+
 def _build_batched_write(instr, plan, compiled):
-    # Parameter-free: the scalar writers assign complex scalars, which
-    # broadcast over the trailing batch axis of ``val_t``.
+    # Parameter-free: the scalar writers fill one canonical temporary
+    # once, and every run copies it, laid out, into each batch element.
     expr = compiled[instr.expr_id]
-    val_t = np.moveaxis(plan.view(instr.out_buf, 0, 1, expr.shape), 0, -1)
-    write_constants = expr.write_constants
-    write = expr.write
+    dst = _laid_out(plan, instr, 1, expr.shape)
+    value = np.zeros(expr.shape, dtype=plan.dtype)
+    expr.write_constants(value)
+    expr.write((), value)
+    src = value.reshape(dst.shape[:-1] + (1,))
 
     def run_const():
-        write_constants(val_t)
-        write((), val_t)
+        np.copyto(dst, src)
 
     return run_const
 
@@ -133,12 +145,15 @@ def build_batched_write_group(
     instruction's slice is copied into its arena stack.  That trades
     one cheap copy per instruction for a G-fold reduction in ufunc
     dispatch count, which dominates the batched WRITE cost at small
-    batch sizes.  A gate's gradient rows follow its slots
-    (:func:`~repro.tnvm.buffers.gradient_rows`), so a gate with unique
-    slots takes its whole stack in that one copy, and a lone gate
-    (``G == 1``) with unique slots skips the scratch: the writer stores
-    straight into its arena stack.  Only duplicated slots accumulate
-    their rows one by one.
+    batch sizes.  The copy also applies the gate's WRITE layout
+    (:func:`~repro.tnvm.buffers.write_layout`): the scratch holds the
+    canonical entries, so the gates of one expression group together
+    whatever layouts their consumers read.  A gate's gradient rows
+    follow its slots (:func:`~repro.tnvm.buffers.gradient_rows`), so a
+    gate with unique slots takes its whole stack in that one copy, and
+    a lone gate (``G == 1``) with unique slots and the identity layout
+    skips the scratch: the writer stores straight into its arena
+    stack.  Only duplicated slots accumulate their rows one by one.
 
     Reordering is safe: WRITE instructions read no buffers and every
     buffer is written exactly once, so hoisting the group to the start
@@ -160,31 +175,30 @@ def build_batched_write_group(
         [list(i.slots) for i in instrs], dtype=np.intp
     ).T.ravel()
 
-    def stack_t(instr, rows):
-        """An instruction's leading ``rows`` stack rows, batch axis
-        moved last: ``(rows,) + shape + (S,)``."""
-        view = plan.view(instr.out_buf, 0, rows, (rows,) + shape)
-        return np.moveaxis(view, 0, -1)
-
     def direct(instr):
         return not grad or len(plan.rows[instr.out_buf]) == k
 
     copies = []  # (group-scratch view, instruction arena view) pairs
     scatters = []  # (per-slot scratch rows, arena grad rows, row map)
-    if G == 1 and direct(instrs[0]):
-        stack_s = stack_t(instrs[0], n)
+    if G == 1 and direct(instrs[0]) and not instrs[0].perm:
+        stack_s = _laid_out(plan, instrs[0], n, shape)
     else:
         stack_s = np.zeros((n,) + shape + (G * S,), dtype=plan.dtype)
         for g, instr in enumerate(instrs):
-            sl = slice(g * S, (g + 1) * S)
-            if direct(instr):
-                copies.append((stack_s[..., sl], stack_t(instr, n)))
-                continue
             rows = plan.rows[instr.out_buf]
-            arena = stack_t(instr, 1 + len(rows))
-            copies.append((stack_s[0, ..., sl], arena[0]))
+            arena = _laid_out(
+                plan, instr, n if direct(instr) else 1 + len(rows), shape
+            )
+            # The scratch is contiguous, so this reshape is a view.
+            dims = arena.shape[1:-1]
+            scratch = stack_s.reshape((n,) + dims + (G * S,))
+            scratch = scratch[..., g * S:(g + 1) * S]
+            if direct(instr):
+                copies.append((scratch, arena))
+                continue
+            copies.append((scratch[0], arena[0]))
             scatters.append((
-                stack_s[1:, ..., sl],
+                scratch[1:],
                 arena[1:],
                 [rows.index(j) for j in instr.slots],
             ))

@@ -10,11 +10,12 @@ parameter the buffer depends on (``R = 0`` for constant buffers and
 without differentiation).  Views are materialized once at
 initialization.
 
-This module makes the two decisions both VMs share.
-:func:`gradient_rows` fixes every buffer's row order, and
-:func:`contraction_calls` lowers each ``MATMUL``/``KRON``/``HADAMARD``
-/``TRANSPOSE`` to the numpy calls that apply the forward-mode calculus
-to row spans of those stacks:
+This module makes the decisions both VMs share.
+:func:`gradient_rows` fixes every buffer's row order,
+:func:`write_layout` fixes where a ``WRITE`` stores each of its gate's
+entries, and :func:`contraction_calls` lowers each ``MATMUL``/``KRON``
+/``HADAMARD``/``TRANSPOSE`` to the numpy calls that apply the
+forward-mode calculus to row spans of those stacks:
 
 * a product's value and every row of its first operand A come out of
   one call, ``A[0..Ra] * B[0]``: one row-stacked gemm for ``MATMUL``,
@@ -45,7 +46,12 @@ import numpy as np
 from ..tensornet.bytecode import Instruction, Program
 
 __all__ = [
-    "Call", "MemoryPlan", "StackView", "contraction_calls", "gradient_rows"
+    "Call",
+    "MemoryPlan",
+    "StackView",
+    "contraction_calls",
+    "gradient_rows",
+    "write_layout",
 ]
 
 
@@ -78,6 +84,31 @@ def gradient_rows(program: Program) -> list[tuple[int, ...]]:
             )
         rows[instr.out_buf] = order
     return rows
+
+
+def write_layout(
+    instr: Instruction, shape: tuple[int, int]
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Where a ``WRITE`` of an expression of matrix ``shape`` stores
+    its entries, as a relabelling: ``(dims, axes)`` such that the output
+    buffer viewed as ``dims`` with its axes transposed by ``axes`` holds
+    the expression's entries in their canonical order (that view,
+    reshaped to ``shape``, is the gate's matrix).
+
+    A WRITE's ``shape``/``perm`` layout is the reshape-permute a
+    ``TRANSPOSE`` would apply to the gate's matrix, so its buffer is
+    viewed as the permuted ``shape`` and transposed back by the
+    inverse of ``perm``.  The identity layout (both empty) gives
+    ``(shape, (0, 1))``.  Both VMs relabel through this: the
+    megakernel stores entry ``(i, j)`` at its permuted position, and
+    the batched VM copies its canonical group scratch through the
+    view.
+    """
+    if not instr.perm:
+        return tuple(shape), (0, 1)
+    dims = tuple(instr.shape[p] for p in instr.perm)
+    axes = tuple(int(a) for a in np.argsort(instr.perm))
+    return dims, axes
 
 
 class StackView(NamedTuple):

@@ -15,7 +15,8 @@ for the paper's whole-pipeline LLVM emission):
   :func:`~repro.jit.codegen.generate_inline_write` (the one emitter
   the standalone writers also wrap) — no per-gate function call, with
   the gate's local parameters renamed onto one shared
-  circuit-parameter unpack;
+  circuit-parameter unpack, and each entry stored at the position the
+  WRITE's layout gives it (:func:`~repro.tnvm.buffers.write_layout`);
 * ``MATMUL``/``KRON``/``HADAMARD``/``TRANSPOSE`` become the numpy
   calls :func:`~repro.tnvm.buffers.contraction_calls` lowers them to,
   printed on views pre-bound in the prologue, with ``out=`` targets
@@ -42,7 +43,14 @@ from .. import telemetry
 from ..jit.codegen import generate_inline_write, writer_globals
 from ..jit.compiled import CompiledExpression
 from ..tensornet.bytecode import Instruction, Program
-from .buffers import Call, MemoryPlan, StackView, contraction_calls, gradient_rows
+from .buffers import (
+    Call,
+    MemoryPlan,
+    StackView,
+    contraction_calls,
+    gradient_rows,
+    write_layout,
+)
 
 __all__ = [
     "FusedKernel",
@@ -139,7 +147,21 @@ class _FusedEmitter:
         self, name: str, instr: Instruction, expr: CompiledExpression
     ) -> None:
         shape = expr.shape
-        u_entries, g_entries = expr.entries
+        # Each canonical entry (i, j) is stored at its position in the
+        # WRITE's layout, in the same (rows, cols) view of the buffer.
+        dims, axes = write_layout(instr, shape)
+        pos = np.arange(shape[0] * shape[1]).reshape(dims)
+        pos = pos.transpose(axes).reshape(shape)
+
+        def at(i: int, j: int) -> tuple[int, int]:
+            return divmod(int(pos[i, j]), shape[1])
+
+        u_entries = [
+            (at(i, j), re, im) for (i, j), re, im in expr.entries[0]
+        ]
+        g_entries = [
+            ((k, *at(i, j)), re, im) for (k, i, j), re, im in expr.entries[1]
+        ]
         rows = self.rows[instr.out_buf]
         use_grad = bool(rows) and bool(g_entries)
         vname = f"{name}_v"

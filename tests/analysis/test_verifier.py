@@ -109,6 +109,32 @@ class TestStructuralChecks:
         report = verify_program(mutant)
         assert "bad-buffer-ref" in report.codes()
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"perm": (1, 1)},  # not a permutation of shape's axes
+            {"perm": ()},  # a shape with no perm
+            {"shape": (2, 3)},  # 6 entries for a 2x2 gate
+            {"shape": (), "perm": (0,)},  # a perm with no shape
+            {"perm": (0, 1)},  # the identity, spelled out
+        ],
+        ids=["not-a-permutation", "no-perm", "wrong-size", "no-shape",
+             "identity"],
+    )
+    def test_write_layout_rejected(self, clean_programs, bad):
+        import dataclasses
+
+        program = clean_programs["ansatz-2q"]
+        mutant = type(program).from_bytes(program.to_bytes())
+        section = mutant.dynamic_section
+        pos = next(
+            i for i, instr in enumerate(section)
+            if instr.opcode == "WRITE" and instr.perm == (1, 0)
+        )
+        section[pos] = dataclasses.replace(section[pos], **bad)
+        report = verify_program(mutant)
+        assert report.codes() == {"write-layout"}, report.render()
+
     def test_double_write_flagged(self, clean_programs):
         program = clean_programs["ansatz-2q"]
         mutant = type(program).from_bytes(program.to_bytes())

@@ -1,5 +1,8 @@
 """Batched multi-start instantiation: equivalence and short-circuit."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -182,6 +185,24 @@ def test_strategy_validation():
     engine = Instantiater(circ)
     with pytest.raises(ValueError):
         engine.instantiate(np.eye(4), starts=2, strategy="warp-speed")
+
+
+def test_dropped_engine_frees_its_batched_vm():
+    # The schedule holds its engine weakly: dropping the engine frees
+    # its batched VMs and arenas by reference count, with no cyclic
+    # collection.
+    target = make_target("2-qubit shallow", seed=3)
+    gc.collect()
+    gc.disable()
+    try:
+        engine = Instantiater(fig5_circuit("2-qubit shallow"))
+        engine.instantiate(target, starts=4, rng=0, strategy="batched")
+        vm = weakref.ref(engine._batched().vm_for(4))
+        assert vm() is not None
+        del engine
+        assert vm() is None
+    finally:
+        gc.enable()
 
 
 def test_batched_engine_reuses_vm_per_batch_size():

@@ -2,8 +2,10 @@
 
 import threading
 
-from repro.circuit import gates
+from repro import telemetry
+from repro.circuit import fig5_circuit, gates
 from repro.expression import UnitaryExpression
+from repro.instantiation import Instantiater
 from repro.jit.cache import ExpressionCache, canonical_key
 
 
@@ -32,6 +34,11 @@ class TestCanonicalKey:
             m, False, True
         )
 
+    def test_key_parts_are_memoized(self):
+        m = gates.u3().matrix
+        assert m.alpha_parts() is m.alpha_parts()
+        assert canonical_key(m, True, True)[-1] is m.alpha_parts()
+
 
 class TestCache:
     def test_hit_miss_accounting(self):
@@ -55,6 +62,34 @@ class TestCache:
         cache.clear()
         assert len(cache) == 0
         assert cache.hits == cache.misses == 0
+
+    def test_counts_mirror_into_registry(self):
+        registry = telemetry.metrics()
+        hits = registry.counter("expression_cache.hits")
+        misses = registry.counter("expression_cache.misses")
+        hits0, misses0 = hits.value, misses.value
+        a, b = ExpressionCache(), ExpressionCache()
+        a.get(gates.rx().matrix)
+        a.get(gates.rx().matrix)
+        b.get(gates.rx().matrix)
+        b.clear()  # restarts b's counts, not the registry's
+        assert (a.hits, a.misses, b.hits, b.misses) == (1, 1, 0, 0)
+        assert (hits.value - hits0, misses.value - misses0) == (1, 2)
+
+    def test_each_fig5_gate_simplified_once(self):
+        # Laid-out leaves share their gate's entry, so a fresh cache
+        # simplifies U3, CX, P3 and CSUM3 once each for all five
+        # Figure 5 engines and their scalar VMs.
+        runs = telemetry.metrics().counter("compile.egraph_runs")
+        before = runs.value
+        cache = ExpressionCache()
+        for name in (
+            "2-qubit shallow", "3-qubit shallow", "3-qubit deep",
+            "2-qutrit shallow", "3-qutrit shallow",
+        ):
+            Instantiater(fig5_circuit(name), cache=cache).vm
+        assert runs.value - before == 4
+        assert cache.misses == 4
 
     def test_concurrent_access_single_artifact(self):
         cache = ExpressionCache()

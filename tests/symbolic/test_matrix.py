@@ -152,21 +152,6 @@ class TestStructural:
         with pytest.raises(ValueError):
             rx_matrix().controlled(control_levels=(5,))
 
-    def test_reshape_permute_is_transpose(self):
-        m = rx_matrix().kron(rx_matrix().rename_params({"t": "s"}))
-        # Swapping the two row axes and the two col axes swaps qudits.
-        p = m.reshape_permute(
-            (2, 2, 2, 2), (1, 0, 3, 2), (4, 4)
-        )
-        params = [0.4, 1.2]
-        full = np.kron(rx_numpy(0.4), rx_numpy(1.2))
-        swapped = (
-            full.reshape(2, 2, 2, 2)
-            .transpose(1, 0, 3, 2)
-            .reshape(4, 4)
-        )
-        assert np.allclose(p.evaluate(params), swapped)
-
     def test_substitute_preserves_declared_order(self):
         a = rx_matrix()
         b = a.rename_params({"t": "b"})

@@ -8,10 +8,37 @@ from repro.circuit import (
     build_dtc_circuit,
     build_qft_circuit,
     build_qsearch_ansatz,
+    fig5_circuit,
     gates,
 )
+from repro.symbolic import expr as E
+from repro.symbolic.complexexpr import ComplexExpr
+from repro.symbolic.matrix import ExpressionMatrix
+from repro.tensornet import OutputContract
 from repro.tensornet.compiler import compile_network
 from repro.tnvm import TNVM, Differentiation
+from repro.tnvm.buffers import write_layout
+
+FIG5 = (
+    "2-qubit shallow",
+    "3-qubit shallow",
+    "3-qubit deep",
+    "2-qutrit shallow",
+    "3-qutrit shallow",
+)
+
+
+def reshape_permute(
+    matrix: ExpressionMatrix, shape, perm
+) -> ExpressionMatrix:
+    """The symbolic reshape-permute-reshape a TRANSPOSE applies: the
+    reference a WRITE layout must reproduce (the compiler once
+    rewrote fused leaves into these permuted copies)."""
+    data = np.empty(matrix.shape, dtype=object)
+    for idx, elem in matrix.elements():
+        data[idx] = elem
+    out = data.reshape(shape).transpose(perm).reshape(matrix.shape)
+    return ExpressionMatrix(out.copy(), params=matrix.params, radices=None)
 
 
 class TestSections:
@@ -44,8 +71,8 @@ class TestExpressionDedup:
         circ = build_qsearch_ansatz(3, 8, 2)  # many U3s, many CXs
         prog = circ.compile()
         names = [e.name for e in prog.expressions]
-        # U3 appears once, CX fused variants may add a couple more.
-        assert names.count("U3") == 1
+        # Laid-out leaves share their gate's entry: one U3, one CX.
+        assert sorted(names) == ["CX", "U3"]
 
     def test_constant_binding_creates_distinct_expression(self):
         circ = QuditCircuit.pure([2])
@@ -58,10 +85,64 @@ class TestExpressionDedup:
 
 
 class TestFusion:
+    def test_reshape_permute_is_transpose(self):
+        t, u = E.var("t"), E.var("s")
+        m = ExpressionMatrix(
+            [
+                [ComplexExpr(E.cos(t), E.ZERO), ComplexExpr(E.sin(t), E.ZERO)],
+                [ComplexExpr(E.ZERO, E.sin(u)), ComplexExpr(E.cos(u), E.ZERO)],
+            ],
+            params=("t", "s"),
+        ).kron(gates.rx().matrix)
+        # Swapping the two row axes and the two col axes swaps qudits.
+        p = reshape_permute(m, (2, 2, 2, 2), (1, 0, 3, 2))
+        params = [0.4, 1.2, 0.7]
+        swapped = (
+            m.evaluate(params).reshape(2, 2, 2, 2)
+            .transpose(1, 0, 3, 2)
+            .reshape(4, 4)
+        )
+        assert np.array_equal(p.evaluate(params), swapped)
+
+    @pytest.mark.parametrize(
+        "builder",
+        [lambda name=name: fig5_circuit(name) for name in FIG5]
+        + [
+            lambda q=q, d=d: build_qsearch_ansatz(q, d, 2)
+            for q in (2, 3)
+            for d in (1, 2, 3)
+        ],
+        ids=list(FIG5)
+        + [f"qsearch-{q}-{d}" for q in (2, 3) for d in (1, 2, 3)],
+    )
+    @pytest.mark.parametrize("contract", [None, OutputContract.column(0)])
+    def test_layouts_relabel_canonical_gates(self, builder, contract):
+        # No program holds a permuted copy of a gate: a fused leaf's
+        # WRITE keeps the library expression and carries the layout,
+        # and the relabelling both VMs read from ``write_layout`` puts
+        # every canonical entry where the symbolic permutation does.
+        prog = builder().compile(contract=contract)
+        assert not any("perm" in (e.name or "") for e in prog.expressions)
+        laid_out = 0
+        for instr in prog.const_section + prog.dynamic_section:
+            if instr.opcode != "WRITE" or not instr.perm:
+                continue
+            laid_out += 1
+            expr = prog.expressions[instr.expr_id]
+            want = reshape_permute(expr, instr.shape, instr.perm)
+            dims, axes = write_layout(instr, expr.shape)
+            rows, cols = expr.shape
+            pos = np.arange(rows * cols).reshape(dims).transpose(axes)
+            pos = pos.reshape(expr.shape)
+            for (i, j), elem in expr.elements():
+                assert want[divmod(int(pos[i, j]), cols)] is elem
+        if contract is None:
+            assert laid_out > 0
+
     def test_no_transposes_for_leaves(self):
-        # Every leaf that needs a permuted layout gets its expression
-        # rewritten; TRANSPOSE instructions only appear for internal
-        # intermediates (or the final output permutation).
+        # Every leaf that needs a permuted layout gets it as its
+        # WRITE's layout; TRANSPOSE instructions only appear for
+        # internal intermediates (or the final output permutation).
         circ = QuditCircuit.pure([2, 2])
         cx = circ.cache_operation(gates.cx())
         circ.append_ref_constant(cx, (1, 0))  # reversed location

@@ -9,7 +9,9 @@ both precisions, and with and without differentiation: a VM rebuilt
 from shipped artifacts (program bytes and pickled compiled
 expressions) regenerates the original's kernel source byte for byte
 and is bit-identical to the original; both VMs' gradients match
-central differences of a values-only VM; the megakernel makes one
+central differences of a values-only VM; both VMs store a laid-out
+WRITE's canonical entries where numpy's reshape-transpose puts them,
+in one batched writer per gate; the megakernel makes one
 numpy call per TRANSPOSE and at most two per product without shared
 parameters, and both VMs make exactly the calls ``contraction_calls``
 lowers the Figure 5 programs to; kernels are generated once per
@@ -235,6 +237,97 @@ def _constant_circuit():
     return build_qft_circuit(2).compile()
 
 
+#: the WRITE layouts of ``_laid_out_writes``: (shape, perm) per buffer
+LAYOUTS = {
+    1: ((2, 2), (1, 0)),
+    2: ((2, 2), (1, 0)),
+    3: ((2, 2, 2, 2), (2, 0, 1, 3)),
+    4: ((2, 2, 2, 2), (1, 0, 3, 2)),
+}
+
+
+def _laid_out_writes():
+    # Three U3 WRITEs in one group, in the identity layout, transposed,
+    # and transposed with duplicated slots (scatter); a lone CRZ whose
+    # layout permutes four axes; and a parameter-free CX laid out in
+    # the constant section.
+    program = Program(
+        num_params=9,
+        radices=(2, 2),
+        expressions=[gates.u3().matrix, gates.crz().matrix, gates.cx().matrix],
+        buffers=[
+            BufferSpec(0, 4, (0, 1, 2), False),
+            BufferSpec(1, 4, (3, 4, 5), False),
+            BufferSpec(2, 4, (6, 7), False),
+            BufferSpec(3, 16, (8,), False),
+            BufferSpec(4, 16, (), True),
+            BufferSpec(5, 4, (0, 1, 2, 3, 4, 5), False),
+            BufferSpec(6, 16, (0, 1, 2, 3, 4, 5, 6, 7), False),
+            BufferSpec(7, 16, tuple(range(9)), False),
+            BufferSpec(8, 16, tuple(range(9)), False),
+        ],
+        const_section=[
+            Instruction(
+                "WRITE", out_buf=4, expr_id=2,
+                shape=LAYOUTS[4][0], perm=LAYOUTS[4][1],
+            ),
+        ],
+        dynamic_section=[
+            Instruction(
+                "WRITE", out_buf=0, expr_id=0, slots=(0, 1, 2),
+                params=(0, 1, 2),
+            ),
+            Instruction(
+                "WRITE", out_buf=1, expr_id=0, slots=(3, 4, 5),
+                shape=LAYOUTS[1][0], perm=LAYOUTS[1][1], params=(3, 4, 5),
+            ),
+            Instruction(
+                "WRITE", out_buf=2, expr_id=0, slots=(6, 6, 7),
+                shape=LAYOUTS[2][0], perm=LAYOUTS[2][1], params=(6, 7),
+            ),
+            Instruction(
+                "WRITE", out_buf=3, expr_id=1, slots=(8,),
+                shape=LAYOUTS[3][0], perm=LAYOUTS[3][1], params=(8,),
+            ),
+            Instruction(
+                "MATMUL", out_buf=5, a_buf=0, b_buf=1, a_shape=(2, 2),
+                b_shape=(2, 2), params=(0, 1, 2, 3, 4, 5),
+            ),
+            Instruction(
+                "KRON", out_buf=6, a_buf=5, b_buf=2, a_shape=(2, 2),
+                b_shape=(2, 2), params=(0, 1, 2, 3, 4, 5, 6, 7),
+            ),
+            Instruction(
+                "MATMUL", out_buf=7, a_buf=6, b_buf=3, a_shape=(4, 4),
+                b_shape=(4, 4), params=tuple(range(9)),
+            ),
+            Instruction(
+                "MATMUL", out_buf=8, a_buf=7, b_buf=4, a_shape=(4, 4),
+                b_shape=(4, 4), params=tuple(range(9)),
+            ),
+        ],
+        output_buffer=8,
+        output_shape=(4, 4),
+    )
+    program.validate()
+    return program
+
+
+def _laid_out_reference(params: np.ndarray) -> np.ndarray:
+    """``_laid_out_writes``'s output from the gates' numeric matrices,
+    each laid out by numpy's reshape-transpose-reshape."""
+    def lay(matrix, buf):
+        shape, perm = LAYOUTS[buf]
+        return matrix.reshape(shape).transpose(perm).reshape(matrix.shape)
+
+    p = params
+    u3 = gates.u3().matrix
+    a = u3.evaluate(p[0:3]) @ lay(u3.evaluate(p[3:6]), 1)
+    b = np.kron(a, lay(u3.evaluate([p[6], p[6], p[7]]), 2))
+    crz = lay(gates.crz().matrix.evaluate(p[8:9]), 3)
+    return b @ crz @ lay(gates.cx().matrix.evaluate([]), 4)
+
+
 PROGRAMS = {
     "single-gate": _single_gate,
     "qsearch-2q": _qsearch_2q,
@@ -247,6 +340,7 @@ PROGRAMS = {
     "unsorted-write": _unsorted_write,
     "matmul-gather": _matmul_gather,
     "constant": _constant_circuit,
+    "laid-out-writes": _laid_out_writes,
 }
 
 
@@ -378,6 +472,39 @@ class TestBatchedEquivalence:
             u1, g1 = alone.evaluate_with_grad(rows[s : s + 1])
             assert np.array_equal(ub[s], u1[0])
             assert np.array_equal(gb[s], g1[0])
+
+
+class TestWriteLayouts:
+    """A laid-out WRITE stores its gate's canonical entries at their
+    permuted positions, in both VMs."""
+
+    @pytest.mark.parametrize("precision", ["f32", "f64"])
+    def test_laid_out_values_match_numpy(self, programs, precision):
+        program = programs["laid-out-writes"]
+        rows = np.random.default_rng(29).uniform(
+            -np.pi, np.pi, (3, program.num_params)
+        )
+        atol = 1e-12 if precision == "f64" else 1e-5
+        scalar = TNVM(program, precision=precision)
+        batched = BatchedTNVM(program, 3, precision=precision)
+        values, _ = batched.evaluate_with_grad(rows)
+        for s, row in enumerate(rows):
+            want = _laid_out_reference(row)
+            np.testing.assert_allclose(
+                scalar.evaluate_with_grad(row)[0], want, atol=atol, rtol=0
+            )
+            np.testing.assert_allclose(values[s], want, atol=atol, rtol=0)
+
+    @pytest.mark.parametrize("name", [
+        "2-qubit shallow", "3-qubit shallow", "3-qubit deep",
+        "2-qutrit shallow", "3-qutrit shallow",
+    ])
+    def test_one_batched_writer_per_gate(self, name):
+        # Laid-out and identity-layout WRITEs of one gate run as one
+        # grouped writer call: a Figure 5 program has one
+        # parameterized gate, so its batched VM has one writer.
+        program = fig5_circuit(name).compile()
+        assert len(BatchedTNVM(program, 8)._writes) == 1
 
 
 class TestGradientRows:
