@@ -14,6 +14,8 @@ Usage::
         --json BENCH_sweeps.json                         # TNVM sweep table
     python benchmarks/run_instantiation.py --lm \
         --json BENCH_lm.json                             # LM round table
+    python benchmarks/run_instantiation.py --fits \
+        --json BENCH_fits.json                           # identity drive
 
 For every Figure 5 benchmark circuit this prints the mean wall-clock
 instantiation time for OpenQudit (AOT included) and the baseline
@@ -42,17 +44,29 @@ The residual function is a stub that returns the same ``(r, J)``
 views every call and shrinks ``r`` a little, so every step is
 accepted and no TNVM sweep runs: the table is the loop's own cost,
 its linear algebra included.
+
+``--fits`` runs the 270-fit identity drive: every Figure 5 circuit,
+f64 and f32, a unitary target on the full-unitary engine and a state
+target on it and on the ``COLUMN(0)`` engine, each schedule, 1, 3
+and 8 starts.  It prints one SHA-256 digest over every fit's result
+(params, infidelity, success, starts used, totals, and each start's
+params, cost, iterations, evaluations and stop reason), the starts
+and evaluations per LM stop reason, and the ``success`` and
+``starts_used`` totals, with BLAS on one thread.  A change that keeps
+every fit bitwise equal keeps the digest.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import os
 import sys
 import time
 
-if "--sweeps" in sys.argv or "--lm" in sys.argv:
-    # BLAS reads its thread count when numpy loads.
+if {"--sweeps", "--lm", "--fits"} & set(sys.argv):
+    # BLAS reads its thread count when numpy loads; one thread also
+    # keeps the --fits digest independent of the host's core count.
     for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ[_var] = "1"
 
@@ -499,6 +513,129 @@ def lm_suite(trials: int, json_path: str, rounds: int = 100) -> None:
         print(f"wrote {json_path}")
 
 
+#: the identity drive's grid, in drive order (5 circuits x 2 x 3 x 3
+#: x 3 = 270 fits)
+FIT_PRECISIONS = ("f64", "f32")
+FIT_TARGETS = ("unitary on full", "state on full", "state on column")
+FIT_STRATEGIES = ("sequential", "batched", "auto")
+FIT_STARTS = (1, 3, 8)
+
+
+def fit_drive():
+    """Yield ``(key, result)`` for every fit of the identity drive.
+
+    Per Figure 5 circuit, the target is the ansatz at ``theta =
+    default_rng(17).uniform(-pi, pi, P)``: its unitary, or its column
+    0 as a state.  Unitary fits and the first state fits run on the
+    full-unitary engine, the others on the ``COLUMN(0)`` engine, each
+    compiled per precision; every fit draws its starts from ``rng=5``.
+    """
+    from repro.tensornet import OutputContract
+
+    for name in FIG5_BENCHMARKS:
+        circ = fig5_circuit(name)
+        theta = np.random.default_rng(17).uniform(
+            -np.pi, np.pi, circ.num_params
+        )
+        unitary = circ.get_unitary(theta)
+        for precision in FIT_PRECISIONS:
+            full = Instantiater(circ, precision=precision)
+            column = Instantiater(
+                circ, precision=precision, contract=OutputContract.column(0)
+            )
+            cases = zip(
+                FIT_TARGETS,
+                (full, full, column),
+                (unitary, unitary[:, 0], unitary[:, 0]),
+            )
+            for kind, engine, target in cases:
+                for strategy in FIT_STRATEGIES:
+                    for starts in FIT_STARTS:
+                        result = engine.instantiate(
+                            target, starts=starts, rng=5, strategy=strategy
+                        )
+                        yield (name, precision, kind, strategy, starts), result
+
+
+def _hash_fit(digest, result) -> None:
+    """Feed every field of an ``InstantiationResult`` but its timings
+    to ``digest``, one update per value."""
+    digest.update(result.params.tobytes())
+    for value in (
+        result.infidelity,
+        result.success,
+        result.starts_used,
+        result.total_iterations,
+        result.total_evaluations,
+    ):
+        digest.update(repr(value).encode())
+    for run in result.runs:
+        digest.update(run.params.tobytes())
+        for value in (run.cost, run.iterations, run.num_evaluations):
+            digest.update(repr(value).encode())
+        digest.update(run.stop_reason.encode())
+
+
+def fits_suite(json_path: str) -> None:
+    """The 270-fit identity drive (:func:`fit_drive`): one digest over
+    every fit's result, the starts and evaluations per LM stop reason,
+    and the ``success`` and ``starts_used`` totals.
+
+    A change that must keep every fit bitwise equal keeps the digest;
+    to compare with a parent, run this script in a copy of the
+    parent's tree.
+    """
+    digest = hashlib.sha256()
+    rows = []
+    stops: dict[str, dict[str, int]] = {}
+    t0 = time.perf_counter()
+    for (name, precision, kind, strategy, starts), result in fit_drive():
+        _hash_fit(digest, result)
+        for run in result.runs:
+            tally = stops.setdefault(
+                run.stop_reason, {"starts": 0, "evaluations": 0}
+            )
+            tally["starts"] += 1
+            tally["evaluations"] += run.num_evaluations
+        rows.append({
+            "circuit": name,
+            "precision": precision,
+            "target": kind,
+            "strategy": strategy,
+            "starts": starts,
+            "success": bool(result.success),
+            "starts_used": result.starts_used,
+            "evaluations": result.total_evaluations,
+        })
+    seconds = time.perf_counter() - t0
+    success = sum(row["success"] for row in rows)
+    starts_used = sum(row["starts_used"] for row in rows)
+    print(f"{len(rows)} fits in {seconds:.1f}s: {success} succeed, "
+          f"{starts_used} starts used, BLAS threads "
+          f"{os.environ.get('OPENBLAS_NUM_THREADS', '?')}")
+    print(f"digest {digest.hexdigest()}\n")
+    print(f"{'stop reason':<20} {'starts':>7} {'evaluations':>12}")
+    order = sorted(stops, key=lambda reason: -stops[reason]["evaluations"])
+    for reason in order:
+        print(f"{reason:<20} {stops[reason]['starts']:>7} "
+              f"{stops[reason]['evaluations']:>12}")
+    report = {
+        "mode": "fits",
+        "digest": digest.hexdigest(),
+        "fits": len(rows),
+        "success": success,
+        "starts_used": starts_used,
+        "evaluations": sum(row["evaluations"] for row in rows),
+        "stops": {reason: stops[reason] for reason in order},
+        "seconds": seconds,
+        "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
+        "rows": rows,
+    }
+    if json_path:
+        atomic_write_json(json_path, report)
+        print(f"wrote {json_path}")
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--starts", type=int, default=1)
@@ -535,6 +672,15 @@ def main() -> None:
         "BLAS on one thread; emits BENCH_lm.json with --json)",
     )
     parser.add_argument(
+        "--fits",
+        action="store_true",
+        help="run the 270-fit identity drive (Figure 5 circuits x "
+        "f64/f32 x unitary/state/COLUMN(0) targets x strategies x 1/3/8 "
+        "starts) and print its digest, the starts and evaluations per "
+        "LM stop reason, and the success/starts_used totals; emits "
+        "BENCH_fits.json with --json",
+    )
+    parser.add_argument(
         "--json",
         default="",
         metavar="PATH",
@@ -542,12 +688,12 @@ def main() -> None:
     )
     args = parser.parse_args()
 
-    if args.sweeps or args.lm:
-        # Each table times a fixed Figure 5 set; --trials scales the
+    if args.sweeps or args.lm or args.fits:
+        # Each table runs a fixed Figure 5 set; --trials scales the
         # number of timed calls, --json names the artifact.
-        flag = "--sweeps" if args.sweeps else "--lm"
+        flag = "--sweeps" if args.sweeps else "--lm" if args.lm else "--fits"
         if (
-            (args.sweeps and args.lm)
+            args.sweeps + args.lm + args.fits > 1
             or args.circuits
             or args.skip_baseline
             or args.verify_overhead
@@ -555,12 +701,15 @@ def main() -> None:
         ):
             parser.error(
                 f"{flag} is exclusive with --starts/--circuits/"
-                "--skip-baseline/--verify-overhead and the other table "
+                "--skip-baseline/--verify-overhead and the other tables "
                 "(use --trials)"
             )
         if args.trials < 1:
             parser.error("--trials must be >= 1")
-        (sweep_suite if args.sweeps else lm_suite)(args.trials, args.json)
+        if args.fits:
+            fits_suite(args.json)
+        else:
+            (sweep_suite if args.sweeps else lm_suite)(args.trials, args.json)
         return
 
     if args.verify_overhead:

@@ -1,8 +1,9 @@
-"""A naive Levenberg–Marquardt optimizer (paper sections V-C, VI-A).
+"""The Levenberg–Marquardt optimizer (paper sections V-C, VI-A).
 
-The paper deliberately pairs the TNVM with a simple LM implementation to
-isolate the evaluation pipeline's contribution; this module is that
-optimizer.  It is also reused verbatim by the baseline framework so the
+The paper deliberately pairs the TNVM with a naive LM implementation to
+isolate the evaluation pipeline's contribution.  This module is that
+optimizer plus one stopping rule, MINPACK's relative-reduction test
+(below).  It is also reused verbatim by the baseline framework so the
 instantiation benchmarks measure evaluation speed, not optimizer
 differences.
 
@@ -12,6 +13,20 @@ until a step reduces the cost, decay it (/10) on acceptance.  The
 step-size convergence test fires only on *accepted* steps: a tiny step
 under heavy damping means the damping is winning, not that the
 optimizer converged.
+
+The relative-reduction stop (MINPACK's ``ftol``; Moré 1978, "The
+Levenberg–Marquardt algorithm: implementation and theory"): once a
+start's try at its current point has failed (its step was rejected, or
+its damped system did not solve), each further try first computes its
+step's predicted reduction, ``-(2 dx^T J^T r + dx^T J^T J dx)``, which
+through the damped system is ``-dx^T J^T r + mu * sum(diag * dx^2)``.
+Below ``REDUCTION_TOLERANCE`` times the cost, the start stops with
+``reduction-tolerance`` before paying for the evaluation.  The first
+try at each point always runs: next to a saddle the first step can be
+predicted to gain almost nothing and still lead away from it.  Without
+the rule, a start at a point no step can improve climbs the damping to
+``max_mu``, one evaluation per try; ``max_mu`` (``damping-limit``)
+stays as the stop for a damped system that keeps failing to solve.
 
 Both loops use a residual function's ``(r, J)`` for three things
 only: the cost ``r^T r``, ``J^T J`` and ``J^T r``.  They consume each
@@ -54,6 +69,13 @@ __all__ = [
 ]
 
 
+#: A start whose try at its point has failed stops with
+#: ``reduction-tolerance`` once a further damped step is predicted to
+#: lower the cost by less than this fraction of it (MINPACK's relative
+#: reduction test, ``ftol``; see the module docstring).
+REDUCTION_TOLERANCE = 1e-13
+
+
 @dataclass(frozen=True)
 class LMOptions:
     """Stopping and damping knobs for the LM loop."""
@@ -80,9 +102,14 @@ class LMResult:
     """Outcome of one LM run.
 
     ``stop_reason`` is one of ``success-threshold``,
-    ``gradient-tolerance``, ``step-tolerance``, ``damping-limit``,
-    ``max-iterations``, ``non-finite`` or ``no-parameters``; the batched
-    loop adds ``abandoned`` for starts its ``should_abandon`` hook stops.
+    ``gradient-tolerance``, ``step-tolerance``, ``reduction-tolerance``,
+    ``damping-limit``, ``max-iterations``, ``non-finite`` or
+    ``no-parameters``; the batched loop adds ``abandoned`` for starts
+    its ``should_abandon`` hook stops.  ``reduction-tolerance`` stops a
+    start whose retry at a point (any try after the first) has a step
+    predicted to lower the cost by less than ``REDUCTION_TOLERANCE`` of
+    it; ``damping-limit`` one whose damping passed ``max_mu``, which in
+    practice means its damped system kept failing to solve.
     """
 
     params: np.ndarray
@@ -91,6 +118,19 @@ class LMResult:
     num_evaluations: int
     converged: bool
     stop_reason: str
+
+
+def _predicted_reduction(step, mu, diag, jtr):
+    """The cost reduction the linear model predicts for the damped step
+    ``(J^T J + mu diag) step = -J^T r``.
+
+    ``-(2 step^T J^T r + step^T J^T J step)`` is, through the damped
+    system, ``-step^T J^T r + mu sum(diag step^2)``: two non-negative
+    terms and no P x P product.  One reduction over the last axis, so
+    a stack of steps (``mu`` a column) gets each row's value exactly
+    as that row alone would.
+    """
+    return np.add.reduce(step * (mu * diag * step - jtr), axis=-1)
 
 
 def levenberg_marquardt(
@@ -147,14 +187,23 @@ def levenberg_marquardt(
         # trust region respects per-parameter curvature.
         diag = np.clip(jtj.diagonal(), 1e-8, None)
 
-        # Inner damping escalation: climb mu until a step is accepted.
+        # Inner damping escalation: climb mu until a step is accepted,
+        # or until a retry's step is predicted to lower the cost by
+        # less than REDUCTION_TOLERANCE of it (the loop then leaves
+        # with mu <= max_mu).  The first try at a point always runs.
         accepted = False
+        retry = False
         while mu <= opts.max_mu:
             try:
                 step = np.linalg.solve(jtj + mu * np.diag(diag), -jtr)
             except np.linalg.LinAlgError:
                 mu *= nu
+                retry = True
                 continue
+            if retry:
+                pred = float(_predicted_reduction(step, mu, diag, jtr))
+                if pred < REDUCTION_TOLERANCE * cost:
+                    break
             candidate = x + step
             r_new, jac_new = residual_fn(candidate)
             n_eval += 1
@@ -167,8 +216,11 @@ def levenberg_marquardt(
                 accepted = True
                 break
             mu *= nu
+            retry = True
         if not accepted:
-            stop_reason = "damping-limit"
+            stop_reason = (
+                "damping-limit" if mu > opts.max_mu else "reduction-tolerance"
+            )
             break
         if not (np.all(np.isfinite(jtr)) and np.all(np.isfinite(jtj))):
             # The accepted point lowered the cost but its Jacobian
@@ -279,8 +331,10 @@ def batched_levenberg_marquardt(
     step or retrying the same iteration under escalated damping.  One
     round therefore costs one vectorized sweep regardless of how many
     starts are mid-escalation, and starts retire individually
-    (success / gradient / step tolerance / damping limit / iteration
-    budget) without stalling the rest.
+    (success / gradient / step / reduction tolerance / damping limit /
+    iteration budget) without stalling the rest.  The reduction test
+    runs once per round over the retrying starts, before the sweep;
+    a round whose every solved start stops there makes no sweep.
 
     A start's state between rounds (cost, damping, iteration, stop
     reason, live, fresh) is a Python scalar per slot; what a round
@@ -352,13 +406,14 @@ def batched_levenberg_marquardt(
         # --- iteration-top bookkeeping for fresh starts -------------
         # (the scalar loop's budget / success / gradient tests)
         top = [s for s in everyone if live[s] and fresh[s]]
+        #: the starts making their first try at a new point this round
+        kept = []
         if top:
             # max|J^T r| per row is also non-finite exactly when a
             # J^T r entry is: one reduction serves both tests.
             gmax = np.maximum.reduce(
                 np.abs(Jtr), axis=1, initial=0.0
             ).tolist()
-            kept = []
             for s in top:
                 fresh[s] = False
                 if iters[s] >= opts.max_iterations:
@@ -435,6 +490,30 @@ def batched_levenberg_marquardt(
                     mu[s] *= nu
             solved = [idx[t] for t in ok]
             steps = steps[ok]
+
+        # --- the reduction test, on retries only --------------------
+        # (as in the scalar loop: a retry whose step cannot lower the
+        # cost by REDUCTION_TOLERANCE of it stops before its sweep)
+        retrying = [t for t, s in enumerate(solved) if s not in kept]
+        if retrying:
+            rows = [solved[t] for t in retrying]
+            pred = _predicted_reduction(
+                steps[retrying],
+                np.array([mu[s] for s in rows])[:, None],
+                diag[rows],
+                Jtr[rows],
+            ).tolist()
+            flat = [
+                s for s, p in zip(rows, pred)
+                if p < REDUCTION_TOLERANCE * cost[s]
+            ]
+            for s in flat:
+                stop[s] = "reduction-tolerance"
+                live[s] = False
+            if flat:
+                go = [t for t, s in enumerate(solved) if live[s]]
+                solved = [solved[t] for t in go]
+                steps = steps[go]
 
         # --- one batched evaluation round ---------------------------
         if solved:

@@ -78,9 +78,9 @@ class SynthesisResult:
 
         Rendered from the pass's merged metrics: where the wall went
         (AOT compile, optimizer time, executor busy vs idle), the
-        engine-cache hit ratio, and the fit-level counters — the
-        numbers a synthesis user reads before reaching for the full
-        Perfetto trace.
+        engine-cache hit ratio, and the fit-level counters, LM starts
+        by stop reason among them — the numbers a synthesis user reads
+        before reaching for the full Perfetto trace.
         """
         m = self.metrics
 
@@ -133,6 +133,19 @@ class SynthesisResult:
             lines.append(
                 f"  fits: {fits} ({int(iters)} LM iterations, "
                 f"{iters / fits:.1f} per fit)"
+            )
+        prefix = "instantiate.stop."
+        stops = {
+            name[len(prefix):]: int(num(name))
+            for name in m
+            if name.startswith(prefix)
+        }
+        if stops:
+            # Most frequent first.
+            order = sorted(stops, key=lambda reason: (-stops[reason], reason))
+            lines.append(
+                "  LM stops: "
+                + ", ".join(f"{reason} {stops[reason]}" for reason in order)
             )
         if self.parallel_efficiency is not None:
             lines.append(

@@ -116,10 +116,14 @@ class TestAccounting:
     def test_stop_reasons_are_counted(self, shallow2q, strategy):
         # One instantiate.stop.<reason> per run, abandoned starts
         # included.  Sequentially no start reaches an unreachable
-        # target, so all 8 run; batched, start 0 begins at the
-        # solution and the other 7 are abandoned.
+        # target, so all 8 run, and a 20-iteration budget stops some
+        # of them before their reduction test does; batched, start 0
+        # begins at the solution and the other 7 are abandoned.
         circ, engine = shallow2q
         if strategy == "sequential":
+            engine = Instantiater(
+                circ, lm_options=LMOptions(max_iterations=20)
+            )
             target, x0 = random_unitary(4, rng=5), None
         else:
             target, x0 = target_from_ansatz(circ, 11)

@@ -1,9 +1,10 @@
-"""Tests for the naive Levenberg-Marquardt optimizer."""
+"""Tests for the Levenberg-Marquardt optimizer."""
 
 import numpy as np
 import pytest
 
 from repro.circuit import QuditCircuit, fig5_circuit, gates
+from repro.instantiation import lm
 from repro.instantiation.cost import (
     BatchedHilbertSchmidtResiduals,
     BatchedStateResiduals,
@@ -18,12 +19,15 @@ from repro.tensornet import OutputContract
 from repro.tnvm import TNVM, BatchedTNVM
 from repro.utils import random_unitary
 
+from .test_lm_reference import assert_bitwise_equal
+
 #: The stop reasons :class:`~repro.instantiation.lm.LMResult` documents
 #: for a start that ran (``abandoned`` needs a ``should_abandon`` hook).
 STOP_REASONS = {
     "success-threshold",
     "gradient-tolerance",
     "step-tolerance",
+    "reduction-tolerance",
     "damping-limit",
     "max-iterations",
     "non-finite",
@@ -121,6 +125,94 @@ class TestStopping:
         fn, _ = linear_problem()
         result = levenberg_marquardt(fn, np.zeros(5))
         assert result.num_evaluations >= result.iterations
+
+
+def saddle(x):
+    """``r = [x0 x1 - 1, x0 - x1]``: near the origin the cost is 1 and
+    its gradient vanishes, so the first damped step there is predicted
+    to lower the cost by about 4e-17 of it; the steps after it grow
+    until the fit reaches ``x0 = x1 = 1``."""
+    return (
+        np.array([x[0] * x[1] - 1.0, x[0] - x[1]]),
+        np.array([[x[1], x[0]], [1.0, -1.0]]),
+    )
+
+
+def valley(x):
+    """``r = 1e6 (cos x + 2)``, one residual per parameter: each
+    ``x = pi (mod 2 pi)`` is a minimum of cost 1e12 per parameter.  At
+    ``x = pi`` the cosine rounds to exactly -1, so no step lowers the
+    cost, while ``J^T r = -1e12 sin(pi)`` stays near -1.2e-4, above the
+    gradient tolerance."""
+    return 1e6 * (np.cos(x) + 2.0), np.diag(-1e6 * np.sin(x))
+
+
+def stacked(fn):
+    """``fn`` applied to each row: a batched residual function."""
+
+    def batched(X):
+        pairs = [fn(x) for x in X]
+        return (
+            np.stack([r for r, _ in pairs]),
+            np.stack([jac for _, jac in pairs]),
+        )
+
+    return batched
+
+
+class TestReductionStop:
+    """A retry whose damped step is predicted to lower the cost by less
+    than ``REDUCTION_TOLERANCE`` of it stops the start before its
+    evaluation; the first try at each point always runs."""
+
+    def test_saddle_escape_scalar(self):
+        # The first step from near the origin is predicted to gain
+        # almost nothing; testing it would stop the fit at cost 1.
+        run = levenberg_marquardt(
+            saddle, np.array([1e-10, 1e-10]), LMOptions(success_cost=1e-20)
+        )
+        assert run.stop_reason == "success-threshold"
+        assert run.num_evaluations == 8
+        assert np.allclose(run.params, [1.0, 1.0])
+
+    def test_saddle_escape_batched(self):
+        x = np.array([1e-10, 1e-10])
+        runs = batched_levenberg_marquardt(
+            stacked(saddle), np.stack([x, 3 * x]),
+            LMOptions(success_cost=1e-20),
+        )
+        assert [run.stop_reason for run in runs] == ["success-threshold"] * 2
+        assert [run.num_evaluations for run in runs] == [8, 14]
+
+    def test_stuck_start_stops_before_the_climb(self, monkeypatch):
+        x0 = np.array([np.pi])
+        run = levenberg_marquardt(valley, x0)
+        assert run.stop_reason == "reduction-tolerance"
+        assert run.params.tobytes() == x0.tobytes()
+        assert run.cost == 1e12
+        # Without the test, the damping climbs to max_mu, one
+        # rejected evaluation per try.
+        monkeypatch.setattr(lm, "REDUCTION_TOLERANCE", 0.0)
+        climb = levenberg_marquardt(valley, x0)
+        assert climb.stop_reason == "damping-limit"
+        assert run.num_evaluations < climb.num_evaluations
+
+    def test_stuck_start_does_not_depend_on_width(self, monkeypatch):
+        # Slot 3 starts at the minimum; the others descend to one and
+        # stop there by the same test.
+        starts = np.pi + np.linspace(-1.5, 1.5, 8)[:, None]
+        starts[3] = np.pi
+        runs = batched_levenberg_marquardt(stacked(valley), starts)
+        assert {run.stop_reason for run in runs} == {"reduction-tolerance"}
+        for s, run in enumerate(runs):
+            alone = batched_levenberg_marquardt(
+                stacked(valley), starts[s : s + 1]
+            )
+            assert_bitwise_equal([run], alone)
+        monkeypatch.setattr(lm, "REDUCTION_TOLERANCE", 0.0)
+        climb = batched_levenberg_marquardt(stacked(valley), starts)
+        assert climb[3].stop_reason == "damping-limit"
+        assert runs[3].num_evaluations < climb[3].num_evaluations
 
 
 def redundant_circuit():

@@ -3,10 +3,12 @@
 ``reference_batched_lm`` is ``batched_levenberg_marquardt`` as it was
 before its round kept per-slot state in Python scalars and stacked its
 normal equations: seven boolean masks, fancy-indexed damping, one
-``J^T J`` and ``J^T r`` product per accepted row.  On seeded stub
-problems that reach every stop reason, at several widths, in float32
-and float64, with and without an abandon hook, the rewrite must return
-bitwise the same :class:`LMResult` for every start.
+``J^T J`` and ``J^T r`` product per accepted row.  The
+relative-reduction stop on retries went into both loops together, each
+in its own style.  On seeded stub problems that reach every stop
+reason, at several widths, in float32 and float64, with and without an
+abandon hook, the rewrite must return bitwise the same
+:class:`LMResult` for every start.
 """
 
 import numpy as np
@@ -15,6 +17,7 @@ import pytest
 from repro import telemetry
 from repro.instantiation import lm
 from repro.instantiation.lm import (
+    REDUCTION_TOLERANCE,
     LMOptions,
     LMResult,
     batched_levenberg_marquardt,
@@ -29,7 +32,8 @@ def _reference_normal_equations(R, J, starts, JtJ, Jtr) -> None:
 
 
 def reference_batched_lm(residual_fn, x0, options=None, should_abandon=None):
-    """The mask-chain lockstep loop, verbatim but for its docstring."""
+    """The mask-chain lockstep loop, verbatim but for its docstring and
+    the relative-reduction stop."""
     opts = options or LMOptions()
     X = np.array(x0, dtype=np.float64, copy=True)
     if X.ndim != 2:
@@ -126,6 +130,22 @@ def reference_batched_lm(residual_fn, x0, options=None, should_abandon=None):
         solved = idx[ok]
         mu[idx[~ok]] *= nu
 
+        # A retry (a start not making its first try at its point)
+        # whose step is predicted to lower the cost by less than
+        # REDUCTION_TOLERANCE of it stops before its evaluation.
+        retry = ~top[solved]
+        if retry.any():
+            rows = solved[retry]
+            st = steps[ok][retry]
+            pred = np.add.reduce(
+                st * (mu[rows, None] * diag[rows] * st - Jtr[rows]), axis=1
+            )
+            small = rows[pred < REDUCTION_TOLERANCE * cost[rows]]
+            stop[small] = "reduction-tolerance"
+            live[small] = False
+            ok &= ~np.isin(idx, small)
+            solved = idx[ok]
+
         if solved.size:
             candidates = X.copy()
             candidates[solved] += steps[ok]
@@ -189,11 +209,16 @@ KINDS = (
     "linear",      # consistent least squares
     "scaled",      # inconsistent and large: steps vanish, J^T r does not
     "rosenbrock",  # curved valley: rejected steps between accepted ones
-    "constant",    # no step lowers the cost: damping overflows
+    "constant",    # no step lowers the cost: the predicted
+                   # reduction of its retries falls below tolerance
+    "singular",    # every damped system it forms is singular:
+                   # damping overflows with no step evaluated
     "nan-start",   # non-finite first evaluation
     "nan-mid",     # finite cost, non-finite Jacobian after one step
     "rank-one",    # every step accepted, the damped system turns
                    # singular, and the iterations run out
+    "creep",       # the cost falls on every call, but a step moves x
+                   # by less than the step tolerance
 )
 
 
@@ -242,12 +267,18 @@ class SlotStub:
             return r, jac
         if kind == "constant":
             return self.c[s], a
+        if kind == "singular":
+            jac = a.copy()
+            jac[:, 0] = 0.0
+            return self.c[s], jac
         if kind == "nan-start":
             return np.full(m, np.nan), a
         if kind == "nan-mid":
             return a @ x - self.b[s], a if self.calls == 0 else a * np.nan
         if kind == "rank-one":
             return 0.5 ** self.calls * self.c[s], np.ones((m, P))
+        if kind == "creep":
+            return 0.5 ** self.calls * self.c[s], 1e18 * a
         raise AssertionError(kind)
 
     def __call__(self, X):
@@ -259,15 +290,19 @@ class SlotStub:
         return self.R, self.block.transpose(0, 2, 1)
 
 
-def declare_rank_one_singular(solve):
-    """``np.linalg.solve``, except that a float64 system whose first
-    two entries are within 1e-6 of each other raises ``LinAlgError``.
+def declare_singular(solve):
+    """``np.linalg.solve``, except that it raises ``LinAlgError`` for a
+    system whose first row is zero off the diagonal (the ``singular``
+    kind's, whose first parameter is idle) and for a float64 system
+    whose first two entries are within 1e-6 of each other.
 
     A rank-one ``J^T J`` loses its damping to rounding (and LAPACK
-    finds an exact zero pivot) only in float32; this makes the float64
-    fits take the same per-row fallback."""
+    finds an exact zero pivot) only in float32; the second rule makes
+    the float64 fits take the same per-row fallback."""
 
     def strict(a, b):
+        if np.any(np.all(a[..., 0, 1:] == 0, axis=-1)):
+            raise np.linalg.LinAlgError("singular")
         if a.dtype == np.float64:
             first, second = a[..., 0, 0], a[..., 0, 1]
             if np.any(np.abs(first - second) <= 1e-6 * np.abs(first)):
@@ -332,7 +367,7 @@ def assert_bitwise_equal(ours, ref):
 def run_both(kinds, dtype, mode, monkeypatch):
     options, abandon = MODES[mode]
     monkeypatch.setattr(
-        np.linalg, "solve", declare_rank_one_singular(np.linalg.solve)
+        np.linalg, "solve", declare_singular(np.linalg.solve)
     )
     hook = (
         sequential_prefix_abandon(options.success_cost) if abandon else None
@@ -363,6 +398,7 @@ def test_stubs_reach_every_stop_reason(monkeypatch):
         "success-threshold",
         "gradient-tolerance",
         "step-tolerance",
+        "reduction-tolerance",
         "damping-limit",
         "max-iterations",
         "non-finite",

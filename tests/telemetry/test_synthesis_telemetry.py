@@ -149,6 +149,33 @@ class TestReport:
         assert "engine cache" in text
         assert "LM iterations" in text
 
+    def test_report_counts_lm_stop_reasons_with_worker_fits(self):
+        # One line of LM starts by stop reason, from the pass's merged
+        # metrics: fits run in spawned workers count as they do in
+        # the parent, so the line matches the serial pass's.
+        serial, _ = run_ghz3()
+        parallel, _ = run_ghz3(workers=2, spawn=True)
+        [line] = [
+            line for line in serial.report().splitlines()
+            if line.startswith("  LM stops: ")
+        ]
+        assert line in parallel.report().splitlines()
+        counts = {
+            reason: int(count)
+            for reason, count in (
+                item.rsplit(" ", 1)
+                for item in line[len("  LM stops: "):].split(", ")
+            )
+        }
+        prefix = "instantiate.stop."
+        assert counts == {
+            name[len(prefix):]: n
+            for name, n in parallel.metrics.items()
+            if name.startswith(prefix)
+        }
+        assert sum(counts.values()) >= parallel.metrics["instantiate.fits"]
+        assert list(counts.values()) == sorted(counts.values(), reverse=True)
+
 
 def run_preempted(kind, ckpt):
     """A checkpointed pass that ``sigterm@round:seed1`` preempts."""
